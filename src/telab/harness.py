@@ -3,11 +3,13 @@
 A sweep runs every (model, policy, scale) combination of its config, solving
 each point independently and recording one result row per point.  A failed
 solve is data, not an abort: the row carries the failure status and the sweep
-continues.  Rows are merged in sorted coordinate order, so reruns with the
-same config and seed produce identical CSV content apart from the timing
-columns.  Path precomputation is shared across points through a cache since
-it is a one-time operation, while per-point LP build and solve times are
-reported separately (only solve time is a solution-quality metric).
+continues.  So is an exception raised while handling a point: it is logged
+and the point becomes one row with status ``error``.  Rows are merged in
+sorted coordinate order, so reruns with the same config and seed produce
+identical CSV content apart from the timing columns.  Path precomputation is
+shared across points through a cache since it is a one-time operation, while
+per-point LP build and solve times are reported separately (only solve time
+is a solution-quality metric).
 """
 from __future__ import annotations
 
@@ -25,10 +27,11 @@ from pathlib import Path
 from . import __version__
 from .demands import TrafficMatrix, LognormalFit, generate_lognormal_tm, load_tm, scale_tm
 from .errors import ValidationError
-from .lpcore import OPTIMAL, solve
+from .lpcore import BACKENDS, OPTIMAL, solve
 from .metrics import METRIC_COLUMNS, MetricsReport, compute_metrics
 from .temodels import (
     CAPACITY_MODE_ALL,
+    CAPACITY_MODE_NORMAL_ONLY,
     build_ffc_lp,
     build_te_lp,
     extract_solution,
@@ -47,6 +50,7 @@ from .tunnels import (
 log = logging.getLogger(__name__)
 
 MODELS = ("te", "ffc")
+ERROR = "error"  # status of a point whose handling raised
 
 RESULT_COLUMNS = [
     "model",
@@ -96,6 +100,10 @@ class ExperimentConfig:
             raise ValidationError("config needs a tm path or a lognormal fit")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if self.backend not in BACKENDS:
+            raise ValidationError(f"unknown backend {self.backend!r}")
+        if self.capacity_mode not in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY):
+            raise ValidationError(f"unknown capacity mode {self.capacity_mode!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -296,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig):
     else:
         for task in tasks:
             log.info("solving %s %s scale=%s", task[4], task[2].policy, task[7])
-            results.append(_solve_point(*task))
+            results.append(_solve_point_star(task))
 
     rows = [r for r, _ in results]
     dumps = [d for _, d in results]
@@ -306,7 +314,17 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def _solve_point_star(task):
-    return _solve_point(*task)
+    """One sweep point; an exception is logged and becomes one row with status ``error``."""
+    try:
+        return _solve_point(*task)
+    except Exception:
+        _, _, ts, _, model_kind, capacity_mode, backend, scale, seed, _ = task
+        log.exception("sweep point %s %s scale=%s raised", model_kind, ts.policy, scale)
+        row = ResultRow(model_kind, ts.policy, scale, seed, backend,
+                        capacity_mode if model_kind == "ffc" else "", ERROR, float("nan"),
+                        variables=0, constraints=0, build_time=0.0, metrics=None,
+                        congestion_free="")
+        return row, None
 
 
 def _format_cell(value) -> str:

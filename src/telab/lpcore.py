@@ -37,25 +37,24 @@ FLOW_EPS = 1e-9  # positivity threshold for "carries flow" classification
 _SENSES = ("<=", ">=", "=")
 
 
-@dataclass(frozen=True)
-class LinConstraint:
-    coeffs: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-    name: str = ""
-
-
-@dataclass
+@dataclass(eq=False)
 class LpProblem:
-    """A sparse LP built incrementally: variables, constraints, objective."""
+    """A sparse LP built incrementally: variables, constraint rows, objective.
+
+    The rows are one CSR store, appended in blocks that share a sense by
+    ``add_rows`` (one row: ``add_constraint``) and read back whole by ``rows``.
+    """
 
     name: str = ""
     var_names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
     upper: list[float] = field(default_factory=list)
-    constraints: list[LinConstraint] = field(default_factory=list)
+    row_names: list[str] = field(default_factory=list)
     objective: list[tuple[int, float]] = field(default_factory=list)
     maximize: bool = True
+    _blocks: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = field(
+        default_factory=lambda: [(sp.csr_matrix((0, 0)), np.empty(0, "<U2"), np.empty(0))],
+        init=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -63,7 +62,7 @@ class LpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_names)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         if math.isnan(lb) or math.isnan(ub) or lb > ub or lb == math.inf or ub == -math.inf:
@@ -73,6 +72,30 @@ class LpProblem:
         self.upper.append(float(ub))
         return len(self.var_names) - 1
 
+    def add_rows(self, matrix, sense: str, rhs, names: list[str]) -> int:
+        """Append a block of rows sharing one sense; returns the first new row index."""
+        if sense not in _SENSES:
+            raise ValidationError(f"unknown constraint sense {sense!r}")
+        block = sp.csr_matrix(matrix, dtype=float, copy=True)
+        rhs = np.array(rhs, dtype=float).reshape(-1)
+        m = block.shape[0]
+        if not len(rhs) == len(names) == m:
+            raise ValidationError(f"row block: {m} rows, {len(rhs)} rhs, {len(names)} names")
+        if not np.isfinite(rhs).all():
+            name = names[int(np.argmax(~np.isfinite(rhs)))]
+            raise ValidationError(f"constraint {name!r}: right-hand side must be finite")
+        j = block.indices
+        bad = (j < 0) | (j >= self.n_vars) | ~np.isfinite(block.data)
+        if bad.any():
+            k = int(np.argmax(bad))
+            name = names[np.searchsorted(block.indptr, k, side="right") - 1]
+            what = ("non-finite coefficient" if 0 <= j[k] < self.n_vars
+                    else f"unknown variable index {j[k]}")
+            raise ValidationError(f"constraint {name!r}: {what}")
+        self._blocks.append((block, np.full(m, sense), rhs))
+        self.row_names.extend(names)
+        return self.n_constraints - m
+
     def add_constraint(
         self,
         coeffs: list[tuple[int, float]],
@@ -80,17 +103,21 @@ class LpProblem:
         rhs: float,
         name: str = "",
     ) -> int:
-        if sense not in _SENSES:
-            raise ValidationError(f"unknown constraint sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise ValidationError(f"constraint {name!r}: right-hand side must be finite")
-        for j, c in coeffs:
-            if not 0 <= j < self.n_vars:
-                raise ValidationError(f"constraint {name!r}: unknown variable index {j}")
-            if not math.isfinite(c):
-                raise ValidationError(f"constraint {name!r}: non-finite coefficient")
-        self.constraints.append(LinConstraint(tuple(coeffs), sense, float(rhs), name))
-        return len(self.constraints) - 1
+        """Append one row given as (column, coefficient) pairs."""
+        cols, vals = zip(*coeffs) if coeffs else ((), ())
+        row = sp.csr_matrix((np.array(vals, dtype=float), np.array(cols, dtype=np.int64),
+                             [0, len(cols)]), shape=(1, self.n_vars))
+        return self.add_rows(row, sense, [rhs], [name])
+
+    def rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """Every constraint row: (CSR matrix over all variables, senses, rhs)."""
+        if len(self._blocks) > 1 or self._blocks[0][0].shape[1] != self.n_vars:
+            for mat, _, _ in self._blocks:
+                mat.resize((mat.shape[0], self.n_vars))
+            mats, senses, rhs = zip(*self._blocks)
+            self._blocks = [(sp.vstack(mats, format="csr"), np.concatenate(senses),
+                             np.concatenate(rhs))]
+        return self._blocks[0]
 
     def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
         for j, c in coeffs:
@@ -135,17 +162,18 @@ def check_feasibility(
         issues.append(f"var {prob.var_names[j]}: {x[j]!r} below lower bound {lower[j]!r}")
     for j in up_bad:
         issues.append(f"var {prob.var_names[j]}: {x[j]!r} above upper bound {upper[j]!r}")
-    for i, con in enumerate(prob.constraints):
-        lhs = sum(c * x[j] for j, c in con.coeffs)
-        scale = max(1.0, max((abs(c) for _, c in con.coeffs), default=1.0))
-        resid = lhs - con.rhs
-        bad = (
-            (con.sense == "<=" and resid > row_tol * scale)
-            or (con.sense == ">=" and resid < -row_tol * scale)
-            or (con.sense == "=" and abs(resid) > row_tol * scale)
-        )
-        if bad:
-            issues.append(f"row {con.name or i}: lhs {lhs!r} {con.sense} rhs {con.rhs!r} violated")
+    A, senses, rhs = prob.rows()
+    lhs = A @ x
+    filled = np.diff(A.indptr) > 0
+    scale = np.ones(len(rhs))  # max(1, largest |coefficient|) per row
+    scale[filled] = np.maximum(1.0, np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled]))
+    resid, tol = lhs - rhs, row_tol * scale
+    bad = np.where(senses == "<=", resid > tol,
+                   np.where(senses == ">=", resid < -tol, np.abs(resid) > tol))
+    for i in np.flatnonzero(bad):
+        row_lhs = lhs[i] if filled[i] else 0  # an empty sum is the integer 0
+        issues.append(f"row {prob.row_names[i] or i}: lhs {row_lhs!r} {senses[i]} "
+                      f"rhs {float(rhs[i])!r} violated")
     return issues
 
 
@@ -221,18 +249,19 @@ def _standardize(prob: LpProblem):
     duplicate coefficients) are collapsed, then rows implied by another row
     over the bound box are dropped; neither step changes the feasible set,
     and the returned solution is still checked against the original rows.
-    Returns (A, b, senses, slack_of_row) where A has one slack column per
+    Returns (A, b, slack_of_row) where A has one slack column per
     surviving inequality row, or None for a constant-false row.
     """
     n = prob.n_vars
+    A, senses, rhss = prob.rows()
+    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
     rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = []
     seen: set[tuple] = set()
-    for con in prob.constraints:
+    for i, (sense, rhs) in enumerate(zip(senses.tolist(), rhss.tolist())):
         merged: dict[int, float] = {}
-        for j, c in con.coeffs:
-            merged[j] = merged.get(j, 0.0) + c
+        for k in range(indptr[i], indptr[i + 1]):
+            merged[cols[k]] = merged.get(cols[k], 0.0) + vals[k]
         items = tuple(sorted((j, c) for j, c in merged.items() if c != 0.0))
-        sense, rhs = con.sense, con.rhs
         if sense == ">=":
             items = tuple((j, -c) for j, c in items)
             sense, rhs = "<=", -rhs
@@ -249,28 +278,15 @@ def _standardize(prob: LpProblem):
         rows.append((items, sense, rhs))
 
     rows = _prune_implied_rows(rows, prob.lower, prob.upper)
-    m = len(rows)
-    n_slack = sum(1 for _, sense, _ in rows if sense == "<=")
-    data, ri, ci = [], [], []
-    b = np.empty(m)
-    senses = []
-    slack_col = n
-    slack_of_row = np.full(m, -1, dtype=int)
-    for i, (items, sense, rhs) in enumerate(rows):
-        b[i] = rhs
-        senses.append(sense)
-        for j, c in items:
-            ri.append(i)
-            ci.append(j)
-            data.append(c)
-        if sense == "<=":
-            ri.append(i)
-            ci.append(slack_col)
-            data.append(1.0)
-            slack_of_row[i] = slack_col
-            slack_col += 1
-    A = sp.csc_matrix((data, (ri, ci)), shape=(m, n + n_slack))
-    return A, b, senses, slack_of_row
+    ineq = np.flatnonzero([sense == "<=" for _, sense, _ in rows])
+    slack_of_row = np.full(len(rows), -1, dtype=int)
+    slack_of_row[ineq] = n + np.arange(len(ineq))
+    ri = [i for i, (items, _, _) in enumerate(rows) for _ in items] + ineq.tolist()
+    ci = [j for items, _, _ in rows for j, _ in items] + slack_of_row[ineq].tolist()
+    data = [c for items, _, _ in rows for _, c in items] + [1.0] * len(ineq)
+    A = sp.csc_matrix((data, (ri, ci)), shape=(len(rows), n + len(ineq)))
+    b = np.array([rhs for _, _, rhs in rows], dtype=float)
+    return A, b, slack_of_row
 
 
 class _Simplex:
@@ -474,7 +490,7 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
     if std is None:
         return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
                           message="constant infeasible row")
-    A, b, _senses, slack_of_row = std
+    A, b, slack_of_row = std
     n_cols = A.shape[1]
     lb = np.concatenate([np.asarray(prob.lower, dtype=float), np.zeros(n_cols - n)])
     ub = np.concatenate([np.asarray(prob.upper, dtype=float), np.full(n_cols - n, np.inf)])
@@ -522,24 +538,13 @@ def scipy_backend(prob: LpProblem) -> LpSolution:
 
     sign = -1.0 if prob.maximize else 1.0
     c = sign * prob.objective_vector()
-    n = prob.n_vars
-
-    def sparse_rows(rows):
-        data, ri, ci = [], [], []
-        rhs = []
-        for i, (con, flip) in enumerate(rows):
-            for j, v in con.coeffs:
-                ri.append(i)
-                ci.append(j)
-                data.append(-v if flip else v)
-            rhs.append(-con.rhs if flip else con.rhs)
-        mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-        return mat, np.array(rhs)
-
-    ub_rows = [(con, con.sense == ">=") for con in prob.constraints if con.sense != "="]
-    eq_rows = [(con, False) for con in prob.constraints if con.sense == "="]
-    a_ub, b_ub = sparse_rows(ub_rows) if ub_rows else (None, None)
-    a_eq, b_eq = sparse_rows(eq_rows) if eq_rows else (None, None)
+    A, senses, rhs = prob.rows()
+    flip = np.where(senses == ">=", -1.0, 1.0)
+    signed = sp.diags(flip) @ A
+    signed.sum_duplicates()
+    ineq = senses != "="
+    a_ub, b_ub = (signed[ineq], flip[ineq] * rhs[ineq]) if ineq.any() else (None, None)
+    a_eq, b_eq = (signed[~ineq], rhs[~ineq]) if not ineq.all() else (None, None)
     bounds = [
         (lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
         for lo, hi in zip(prob.lower, prob.upper)
@@ -610,10 +615,12 @@ def write_lp_text(prob: LpProblem) -> str:
     obj_terms = " ".join(term(j, c, i == 0) for i, (j, c) in enumerate(prob.objective))
     lines.append(f" obj: {obj_terms or '0'}")
     lines.append("Subject To")
-    for i, con in enumerate(prob.constraints):
-        body = " ".join(term(j, c, k == 0) for k, (j, c) in enumerate(con.coeffs))
-        op = {"<=": "<=", ">=": ">=", "=": "="}[con.sense]
-        lines.append(f" {con.name or f'c{i}'}: {body or '0'} {op} {num(con.rhs)}")
+    A, senses, rhs = prob.rows()
+    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    for i, (name, sense, b) in enumerate(zip(prob.row_names, senses.tolist(), rhs.tolist())):
+        body = " ".join(term(cols[k], vals[k], k == indptr[i])
+                        for k in range(indptr[i], indptr[i + 1]))
+        lines.append(f" {name or f'c{i}'}: {body or '0'} {sense} {num(b)}")
     lines.append("Bounds")
     for j, (lo, hi) in enumerate(zip(prob.lower, prob.upper)):
         name = prob.var_names[j]

@@ -73,20 +73,16 @@ def criticality_scores(sol: TeSolution, ts: TunnelSet, utilization: np.ndarray) 
     only; unused precomputed tunnels contribute no load and are ignored.
     """
     scores = np.zeros(len(utilization))
-    n_demands = len(ts.by_demand)
-    if n_demands == 0:
+    used = np.flatnonzero(sol.tunnel_rates > FLOW_EPS)
+    if used.size == 0:
         return scores
-    for f, ids in enumerate(ts.by_demand):
-        if sol.delivered[f] <= FLOW_EPS:
-            continue
-        candidates: set[int] = set()
-        for tid in ids:
-            if sol.tunnel_rates[tid] > FLOW_EPS:
-                candidates.update(ts.tunnels[tid].arcs)
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda e: (-utilization[e], e))
-        scores[best] += sol.delivered[f] / n_demands
+    carried = ts.incidence[used].tocoo()  # (used tunnel, arc) pairs
+    demand_of = np.array([ts.tunnels[t].demand_id for t in used], dtype=int)
+    candidate_util = np.full((len(ts.by_demand), len(utilization)), -np.inf)
+    candidate_util[demand_of[carried.row], carried.col] = utilization[carried.col]
+    best = candidate_util.argmax(axis=1)  # most utilized; the smallest arc id on ties
+    scored = (sol.delivered > FLOW_EPS) & np.isfinite(candidate_util.max(axis=1))
+    np.add.at(scores, best[scored], sol.delivered[scored] / len(ts.by_demand))
     return scores
 
 

@@ -27,7 +27,7 @@ from .demands import Demand, TrafficMatrix
 from .errors import SolveError, ValidationError
 from .lpcore import LpProblem, LpSolution
 from .topology import Topology
-from .tunnels import ScenarioSet, Tunnel, TunnelSet, available_tunnels
+from .tunnels import ScenarioSet, TunnelSet, make_tunnel_set, surviving_tunnels
 
 CAPACITY_MODE_ALL = "all"
 CAPACITY_MODE_NORMAL_ONLY = "normal_only"
@@ -60,12 +60,6 @@ class TeModel:
     ts: TunnelSet
     meta: ModelMeta
 
-    def rate_col(self, tunnel_id: int) -> int:
-        return tunnel_id
-
-    def delivered_col(self, demand_id: int) -> int:
-        return self.ts.total + demand_id
-
 
 @dataclass(frozen=True)
 class TeSolution:
@@ -92,17 +86,6 @@ class CongestionReport:
     scenarios_checked: int
 
 
-def tunnel_arc_incidence(ts: TunnelSet, n_arcs: int) -> sp.csr_matrix:
-    """Sparse 0/1 matrix, entry (t, e) set when tunnel t traverses arc e."""
-    rows, cols = [], []
-    for t in ts.tunnels:
-        for e in t.arcs:
-            rows.append(t.id)
-            cols.append(e)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(ts.total, n_arcs))
-
-
 def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet, name: str) -> LpProblem:
     prob = LpProblem(name=name)
     for t in ts.tunnels:
@@ -114,25 +97,36 @@ def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet, name: str) -
     return prob
 
 
-def _arc_tunnel_lists(topo: Topology, ts: TunnelSet) -> list[list[int]]:
-    per_arc: list[list[int]] = [[] for _ in range(topo.n_arcs)]
-    for t in ts.tunnels:
-        for e in t.arcs:
-            per_arc[e].append(t.id)
-    return per_arc
+def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Normal-state rows over all LP columns, tunnel ids ascending within a row.
+
+    Capacity rows: one per arc, 1 on each tunnel crossing it.  Delivery rows:
+    one per demand, 1 on each of its tunnels and -1 on its delivered flow.
+    """
+    n_demands = len(ts.by_demand)
+    arcs = ts.incidence.T.tocsr()
+    arcs.sort_indices()
+    arcs.resize((arcs.shape[0], ts.total + n_demands))
+    members = sp.csr_matrix(
+        (np.ones(ts.total), [t for ids in ts.by_demand for t in ids],
+         np.cumsum([0] + [len(ids) for ids in ts.by_demand])), shape=(n_demands, ts.total))
+    own = sp.hstack([members, -sp.identity(n_demands)], format="csr")
+    return arcs, own
+
+
+def _without_columns(mat: sp.csr_matrix, dead: np.ndarray) -> sp.csr_matrix:
+    """Copy of mat without its entries in dead columns; rows and their order kept."""
+    keep = ~dead[mat.indices]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+    return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
 
 
 def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
     """Base model: one capacity row per arc, one delivery row per demand."""
     prob = _base_problem(topo, tm, ts, "te")
-    per_arc = _arc_tunnel_lists(topo, ts)
-    for arc in topo.arcs:
-        prob.add_constraint(
-            [(t, 1.0) for t in per_arc[arc.id]], "<=", arc.capacity, f"cap_e{arc.id}")
-    for d in tm.demands:
-        coeffs = [(t, 1.0) for t in ts.by_demand[d.id]]
-        coeffs.append((ts.total + d.id, -1.0))
-        prob.add_constraint(coeffs, ">=", 0.0, f"del_f{d.id}")
+    arcs, own = _row_templates(ts)
+    prob.add_rows(arcs, "<=", topo.capacities(), [f"cap_e{e}" for e in range(topo.n_arcs)])
+    prob.add_rows(own, ">=", np.zeros(tm.n), [f"del_f{f}" for f in range(tm.n)])
     meta = ModelMeta("te", ts.policy, None, 1, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
 
@@ -155,26 +149,20 @@ def build_ffc_lp(
     if scen.n == 0 or scen.scenarios[0].dead_arcs:
         raise ValidationError("scenario set must start with the normal state")
     prob = _base_problem(topo, tm, ts, "ffc")
-    per_arc = _arc_tunnel_lists(topo, ts)
+    arcs, own = _row_templates(ts)
+    caps = topo.capacities()
+    dead_arcs = scen.dead.toarray() != 0
+    dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
+    dead_cols[:, :ts.total] = ~surviving_tunnels(ts, scen)
 
-    cap_scenarios = scen.scenarios if capacity_mode == CAPACITY_MODE_ALL else scen.scenarios[:1]
-    for sc in cap_scenarios:
-        for arc in topo.arcs:
-            if arc.id in sc.dead_arcs:
-                continue
-            coeffs = [
-                (t, 1.0)
-                for t in per_arc[arc.id]
-                if not any(a in sc.dead_arcs for a in ts.tunnels[t].arcs)
-            ]
-            prob.add_constraint(coeffs, "<=", arc.capacity, f"cap_q{sc.id}_e{arc.id}")
-
-    for sc in scen.scenarios:
-        alive = available_tunnels(ts, scen, sc.id)
-        for d in tm.demands:
-            coeffs = [(t, 1.0) for t in alive[d.id]]
-            coeffs.append((ts.total + d.id, -1.0))
-            prob.add_constraint(coeffs, ">=", 0.0, f"del_f{d.id}_q{sc.id}")
+    n_cap = scen.n if capacity_mode == CAPACITY_MODE_ALL else 1
+    for q in range(n_cap):
+        live = np.flatnonzero(~dead_arcs[q])
+        prob.add_rows(_without_columns(arcs[live], dead_cols[q]), "<=", caps[live],
+                      [f"cap_q{q}_e{e}" for e in live])
+    for q in range(scen.n):
+        prob.add_rows(_without_columns(own, dead_cols[q]), ">=", np.zeros(tm.n),
+                      [f"del_f{f}_q{q}" for f in range(tm.n)])
 
     meta = ModelMeta("ffc", ts.policy, capacity_mode, scen.n, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
@@ -194,8 +182,7 @@ def extract_solution(lp_sol: LpSolution, model: TeModel) -> TeSolution:
     delivered = np.array(x[n_t:], dtype=float)
     rates[np.abs(rates) < 1e-12] = 0.0
     delivered[np.abs(delivered) < 1e-12] = 0.0
-    incidence = tunnel_arc_incidence(model.ts, model.topo.n_arcs)
-    loads = np.asarray(incidence.T @ rates).ravel()
+    loads = model.ts.incidence.T @ rates
     return TeSolution(delivered, rates, loads, lp_sol.solve_time, lp_sol.solution_kind, model.meta)
 
 
@@ -216,31 +203,18 @@ def verify_congestion_free(
     the residual load (surviving tunnels only) must fit every alive arc, and
     the surviving rates of each demand must still cover its admitted flow.
     """
-    incidence = tunnel_arc_incidence(ts, topo.n_arcs)
-    caps = topo.capacities()
-    violations: list[Violation] = []
-    tunnel_demand = np.array([t.demand_id for t in ts.tunnels], dtype=int)
-    n_demands = len(ts.by_demand)
-    for sc in scen.scenarios:
-        if sc.dead_arcs:
-            alive_mask = np.array(
-                [not any(a in sc.dead_arcs for a in t.arcs) for t in ts.tunnels], dtype=bool)
-        else:
-            alive_mask = np.ones(ts.total, dtype=bool)
-        rates = np.where(alive_mask, sol.tunnel_rates, 0.0)
-        loads = np.asarray(incidence.T @ rates).ravel()
-        for e in range(topo.n_arcs):
-            if e in sc.dead_arcs:
-                continue
-            excess = loads[e] - caps[e]
-            if excess > CAPACITY_TOL:
-                violations.append(Violation(sc.id, "capacity", e, float(excess)))
-        surviving = np.zeros(n_demands)
-        np.add.at(surviving, tunnel_demand[alive_mask], rates[alive_mask])
-        for f in range(n_demands):
-            short = sol.delivered[f] - surviving[f]
-            if short > DELIVERY_TOL:
-                violations.append(Violation(sc.id, "delivery", f, float(short)))
+    # Evaluate the normal-state rows at the solution with each scenario's dead
+    # tunnels zeroed: arc rows give loads, delivery rows minus the shortfalls.
+    arcs, own = _row_templates(ts)
+    rates = np.where(surviving_tunnels(ts, scen), sol.tunnel_rates, 0.0)
+    x = np.hstack([rates, np.broadcast_to(sol.delivered, (scen.n, len(sol.delivered)))])
+    excess = (arcs @ x.T).T - topo.capacities()  # scenario x arc
+    excess[scen.dead.toarray() != 0] = 0.0  # dead arcs carry nothing to check
+    short = -(own @ x.T).T  # scenario x demand
+    checks = (("capacity", excess, CAPACITY_TOL), ("delivery", short, DELIVERY_TOL))
+    violations = [Violation(q, kind, int(i), float(amount[q, i]))
+                  for q in range(scen.n) for kind, amount, tol in checks
+                  for i in np.flatnonzero(amount[q] > tol)]
     return CongestionReport(not violations, tuple(violations), scen.n)
 
 
@@ -299,35 +273,17 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
         for i, d in enumerate(demand_entries)
     )
     tm = TrafficMatrix(demands)
-    arc_of = topo.arc_by_endpoints
-    tunnels: list[Tunnel] = []
-    by_demand: list[tuple[int, ...]] = []
-    for f, paths in enumerate(tunnel_paths):
-        ids = []
-        for path in paths:
-            nodes = tuple(topo.index_of(n) for n in path)
-            try:
-                arcs = tuple(
-                    arc_of[(nodes[i], nodes[i + 1])].id for i in range(len(nodes) - 1))
-            except KeyError:
-                raise ValidationError(
-                    f"tunnel path {path!r} uses an arc missing from the topology") from None
-            cost = sum(topo.arcs[a].weight for a in arcs)
-            tid = len(tunnels)
-            tunnels.append(Tunnel(tid, f, nodes, arcs, cost))
-            ids.append(tid)
-        by_demand.append(tuple(ids))
-    ts = TunnelSet(str(doc.get("policy", "")), tuple(tunnels),
-                   tuple(by_demand), tuple(f for f, i in enumerate(by_demand) if not i))
+    ts = make_tunnel_set(
+        topo, str(doc.get("policy", "")),
+        [[tuple(topo.index_of(n) for n in path) for path in paths] for paths in tunnel_paths])
     rates = np.zeros(ts.total)
     for entry in a_entries:
         f, k = int(entry["demand"]), int(entry["tunnel"])
-        rates[by_demand[f][k]] = float(entry["value"])
+        rates[ts.by_demand[f][k]] = float(entry["value"])
     delivered = np.array([float(v) for v in b])
     if delivered.size != tm.n:
         raise ValidationError("solution dump: delivered-flow vector length mismatch")
-    incidence = tunnel_arc_incidence(ts, topo.n_arcs)
-    loads = np.asarray(incidence.T @ rates).ravel()
+    loads = ts.incidence.T @ rates
     meta = ModelMeta(str(doc.get("model", "")), str(doc.get("policy", "")),
                      doc.get("capacity_mode"), 0, 0, 0)
     sol = TeSolution(delivered, rates, loads, float(doc.get("solve_time", 0.0)),

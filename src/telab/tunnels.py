@@ -3,13 +3,17 @@
 Tunnels are loopless paths enumerated with Yen's algorithm in nondecreasing
 cost order, ties broken by lexicographic comparison of node-index sequences,
 so LP column sets are reproducible run to run.  Tunnels are computed once on
-the intact graph; per-scenario availability is derived by filtering out
-tunnels that traverse a failed link (both directions of a link die together).
+the intact graph.  Per-scenario availability is the product of a tunnel set's
+tunnel x arc incidence and a scenario set's dead arcs: a tunnel survives when
+none of its arcs failed (both directions of a link die together).
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
 
 from .demands import TrafficMatrix
 from .errors import ValidationError
@@ -31,6 +35,7 @@ class TunnelSet:
     tunnels: tuple[Tunnel, ...]
     by_demand: tuple[tuple[int, ...], ...]  # global tunnel ids per demand id
     unroutable: tuple[int, ...]  # demand ids with no path at all
+    incidence: sp.csr_matrix = field(compare=False, repr=False)  # tunnel x arc, 0/1
 
     @property
     def total(self) -> int:
@@ -47,6 +52,7 @@ class Scenario:
 @dataclass(frozen=True)
 class ScenarioSet:
     scenarios: tuple[Scenario, ...]
+    dead: sp.csr_matrix = field(compare=False, repr=False)  # scenario x arc, 0/1
 
     @property
     def n(self) -> int:
@@ -231,6 +237,33 @@ def tunnel_counts(policy: TunnelPolicy, tm: TrafficMatrix) -> list[int]:
     return counts
 
 
+def make_tunnel_set(topo: Topology, policy: str,
+                    paths_by_demand: list[list[tuple[int, ...]]]) -> TunnelSet:
+    """Number every demand's node paths as tunnels, consecutively in demand order,
+    and build their tunnel x arc incidence; a path over a missing arc is invalid."""
+    arc_of = topo.arc_by_endpoints
+    tunnels: list[Tunnel] = []
+    by_demand: list[tuple[int, ...]] = []
+    for f, paths in enumerate(paths_by_demand):
+        ids = []
+        for nodes in paths:
+            try:
+                arcs = tuple(arc_of[(nodes[i], nodes[i + 1])].id for i in range(len(nodes) - 1))
+            except KeyError:
+                path = [topo.node_ids[n] for n in nodes]
+                raise ValidationError(
+                    f"tunnel path {path!r} uses an arc missing from the topology") from None
+            cost = sum(topo.arcs[a].weight for a in arcs)
+            ids.append(len(tunnels))
+            tunnels.append(Tunnel(ids[-1], f, tuple(nodes), arcs, cost))
+        by_demand.append(tuple(ids))
+    indices = np.array([a for t in tunnels for a in t.arcs], dtype=np.int64)
+    incidence = sp.csr_matrix((np.ones(len(indices)), indices, np.cumsum(
+        [0] + [len(t.arcs) for t in tunnels])), shape=(len(tunnels), topo.n_arcs))
+    unroutable = tuple(f for f, ids in enumerate(by_demand) if not ids)
+    return TunnelSet(policy, tuple(tunnels), tuple(by_demand), unroutable, incidence)
+
+
 def build_tunnel_sets(
     topo: Topology,
     tm: TrafficMatrix,
@@ -245,22 +278,8 @@ def build_tunnel_sets(
     if cache is None:
         cache = KspCache(topo)
     counts = tunnel_counts(policy, tm)
-    arc_of = topo.arc_by_endpoints
-    tunnels: list[Tunnel] = []
-    by_demand: list[tuple[int, ...]] = []
-    unroutable: list[int] = []
-    for d in tm.demands:
-        ids = []
-        for nodes in cache.get(d.src, d.dst, counts[d.id]):
-            arcs = tuple(arc_of[(nodes[i], nodes[i + 1])].id for i in range(len(nodes) - 1))
-            cost = sum(topo.arcs[a].weight for a in arcs)
-            tid = len(tunnels)
-            tunnels.append(Tunnel(tid, d.id, nodes, arcs, cost))
-            ids.append(tid)
-        if not ids:
-            unroutable.append(d.id)
-        by_demand.append(tuple(ids))
-    return TunnelSet(policy.label, tuple(tunnels), tuple(by_demand), tuple(unroutable))
+    return make_tunnel_set(
+        topo, policy.label, [cache.get(d.src, d.dst, counts[d.id]) for d in tm.demands])
 
 
 def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:
@@ -269,20 +288,23 @@ def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:
     for pair in range(topo.n_links):
         dead = frozenset(a.id for a in topo.arcs if a.pair_id == pair)
         scenarios.append(Scenario(len(scenarios), pair, dead))
-    return ScenarioSet(tuple(scenarios))
+    rows = [sc.id for sc in scenarios for _ in sc.dead_arcs]
+    cols = [a for sc in scenarios for a in sorted(sc.dead_arcs)]
+    dead = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(scenarios), topo.n_arcs))
+    return ScenarioSet(tuple(scenarios), dead)
+
+
+def surviving_tunnels(ts: TunnelSet, scen: ScenarioSet) -> np.ndarray:
+    """Boolean scenario x tunnel matrix: tunnel t crosses no dead arc of scenario q."""
+    return (scen.dead @ ts.incidence.T).toarray() == 0
 
 
 def available_tunnels(ts: TunnelSet, scen: ScenarioSet, q: int) -> list[list[int]]:
     """Per-demand tunnel ids that survive scenario q (q=0 returns all)."""
     if not 0 <= q < scen.n:
         raise ValidationError(f"scenario id {q} out of range")
-    dead = scen.scenarios[q].dead_arcs
-    if not dead:
-        return [list(ids) for ids in ts.by_demand]
-    return [
-        [tid for tid in ids if not any(a in dead for a in ts.tunnels[tid].arcs)]
-        for ids in ts.by_demand
-    ]
+    alive = surviving_tunnels(ts, scen)[q]
+    return [[tid for tid in ids if alive[tid]] for ids in ts.by_demand]
 
 
 def dump_tunnels(ts: TunnelSet, tm: TrafficMatrix, topo: Topology) -> list[dict]:

@@ -25,16 +25,14 @@ def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float
     n = prob.n_vars
     ineq_rows: list[tuple[np.ndarray, float]] = []
     eq_rows: list[tuple[np.ndarray, float]] = []
-    for con in prob.constraints:
-        row = np.zeros(n)
-        for j, c in con.coeffs:
-            row[j] += c
-        if con.sense == "<=":
-            ineq_rows.append((row, con.rhs))
-        elif con.sense == ">=":
-            ineq_rows.append((-row, -con.rhs))
+    A, senses, rhss = prob.rows()
+    for row, sense, rhs in zip(A.toarray(), senses, rhss):
+        if sense == "<=":
+            ineq_rows.append((row, rhs))
+        elif sense == ">=":
+            ineq_rows.append((-row, -rhs))
         else:
-            eq_rows.append((row, con.rhs))
+            eq_rows.append((row, rhs))
     for j, (lo, hi) in enumerate(zip(prob.lower, prob.upper)):
         if math.isfinite(lo):
             row = np.zeros(n)
@@ -117,3 +115,105 @@ def ksp_oracle(topo, s: int, t: int, k: int) -> list[tuple[int, ...]]:
     paths = all_simple_paths(topo.adjacency, s, t)
     paths.sort(key=lambda cp: (cp[0], cp[1]))
     return [p for _, p in paths[:k]]
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference loops: the literal definitions, one tunnel and one row at a
+# time, straight from ``Tunnel.arcs`` and ``Scenario.dead_arcs``.
+# ---------------------------------------------------------------------------
+
+
+def tunnel_survives(tunnel, scenario) -> bool:
+    return not any(a in scenario.dead_arcs for a in tunnel.arcs)
+
+
+def available_tunnels_oracle(ts, scen, q: int) -> list[list[int]]:
+    sc = scen.scenarios[q]
+    return [[t for t in ids if tunnel_survives(ts.tunnels[t], sc)] for ids in ts.by_demand]
+
+
+def ffc_rows_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[tuple]:
+    """(name, ((col, coef), ...), sense, rhs) of every FFC row, in build order."""
+    rows = []
+    cap_scenarios = scen.scenarios if capacity_mode == "all" else scen.scenarios[:1]
+    for sc in cap_scenarios:
+        for arc in topo.arcs:
+            if arc.id in sc.dead_arcs:
+                continue
+            coeffs = tuple((t.id, 1.0) for t in ts.tunnels
+                           if arc.id in t.arcs and tunnel_survives(t, sc))
+            rows.append((f"cap_q{sc.id}_e{arc.id}", coeffs, "<=", arc.capacity))
+    for sc in scen.scenarios:
+        alive = available_tunnels_oracle(ts, scen, sc.id)
+        for d in tm.demands:
+            coeffs = tuple((t, 1.0) for t in alive[d.id]) + ((ts.total + d.id, -1.0),)
+            rows.append((f"del_f{d.id}_q{sc.id}", coeffs, ">=", 0.0))
+    return rows
+
+
+def lp_rows(prob) -> list[tuple]:
+    """The rows of an LpProblem in the same (name, coeffs, sense, rhs) form."""
+    A, senses, rhs = prob.rows()
+    return [
+        (prob.row_names[i],
+         tuple(zip(A.indices[A.indptr[i]:A.indptr[i + 1]].tolist(),
+                   A.data[A.indptr[i]:A.indptr[i + 1]].tolist())),
+         str(senses[i]), float(rhs[i]))
+        for i in range(prob.n_constraints)
+    ]
+
+
+def congestion_violations_oracle(sol, ts, scen, topo, cap_tol=1e-6, del_tol=1e-6):
+    """(scenario, kind, index, amount) per violation, scenario by scenario."""
+    caps = topo.capacities()
+    out = []
+    for sc in scen.scenarios:
+        alive = [tunnel_survives(t, sc) for t in ts.tunnels]
+        loads = np.zeros(topo.n_arcs)
+        for t in ts.tunnels:
+            for e in t.arcs:
+                loads[e] += sol.tunnel_rates[t.id] if alive[t.id] else 0.0
+        for e in range(topo.n_arcs):
+            if e not in sc.dead_arcs and loads[e] - caps[e] > cap_tol:
+                out.append((sc.id, "capacity", e, float(loads[e] - caps[e])))
+        surviving = np.zeros(len(ts.by_demand))
+        for t in ts.tunnels:
+            if alive[t.id]:
+                surviving[t.demand_id] += sol.tunnel_rates[t.id]
+        for f in range(len(ts.by_demand)):
+            if sol.delivered[f] - surviving[f] > del_tol:
+                out.append((sc.id, "delivery", f, float(sol.delivered[f] - surviving[f])))
+    return out
+
+
+def feasibility_issues_oracle(var_names, lower, upper, rows, x, row_tol=1e-6, bound_tol=1e-9):
+    """Bound then row violations of x, rows given as (coeffs, sense, rhs, name)."""
+    issues = []
+    for j, v in enumerate(x):
+        if v < lower[j] - bound_tol:
+            issues.append(f"var {var_names[j]}: {v!r} below lower bound {np.float64(lower[j])!r}")
+    for j, v in enumerate(x):
+        if v > upper[j] + bound_tol:
+            issues.append(f"var {var_names[j]}: {v!r} above upper bound {np.float64(upper[j])!r}")
+    for i, (coeffs, sense, rhs, name) in enumerate(rows):
+        lhs = sum(c * x[j] for j, c in coeffs)
+        scale = max(1.0, max((abs(c) for _, c in coeffs), default=1.0))
+        resid = lhs - rhs
+        if ((sense == "<=" and resid > row_tol * scale)
+                or (sense == ">=" and resid < -row_tol * scale)
+                or (sense == "=" and abs(resid) > row_tol * scale)):
+            issues.append(f"row {name or i}: lhs {lhs!r} {sense} rhs {float(rhs)!r} violated")
+    return issues
+
+
+def criticality_scores_oracle(sol, ts, utilization, flow_eps=1e-9):
+    """Per demand, the most utilized arc (smallest id on ties) of its used tunnels."""
+    scores = np.zeros(len(utilization))
+    for f, ids in enumerate(ts.by_demand):
+        if sol.delivered[f] <= flow_eps:
+            continue
+        candidates = {a for t in ids if sol.tunnel_rates[t] > flow_eps for a in ts.tunnels[t].arcs}
+        if candidates:
+            best = min(candidates, key=lambda e: (-utilization[e], e))
+            scores[best] += sol.delivered[f] / len(ts.by_demand)
+    return scores

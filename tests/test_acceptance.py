@@ -42,7 +42,6 @@ from telab.metrics import criticality_scores, link_utilization, network_critical
 from telab.temodels import (
     CAPACITY_MODE_NORMAL_ONLY,
     solution_from_dict,
-    tunnel_arc_incidence,
 )
 from conftest import DATA, make_tm, make_topology, random_te_instance
 from oracles import ksp_oracle, vertex_enumeration_optimum
@@ -109,7 +108,7 @@ def test_criterion_01_lp_matches_vertex_enumeration():
         prob = model.problem
         if prob.n_vars > 8:
             continue
-        nonempty = sum(1 for c in prob.constraints if c.coeffs)
+        nonempty = int((np.diff(prob.rows()[0].indptr) > 0).sum())
         finite_bounds = sum(1 for lo in prob.lower if math.isfinite(lo)) + sum(
             1 for hi in prob.upper if math.isfinite(hi))
         if math.comb(nonempty + finite_bounds, prob.n_vars) > 400_000:
@@ -199,12 +198,12 @@ def test_criterion_05_criticality_oracle(b4_sweep, calibrated):
     topo_a = make_topology(["a", "b", "c"], [("a", "b", 10), ("b", "c", 20)])
     tm_a = make_tm(topo_a, [("a", "c", 5.0)])
     ts_a = build_tunnel_sets(topo_a, tm_a, FixedTunnelPolicy(1))
-    inc = tunnel_arc_incidence(ts_a, topo_a.n_arcs)
+    inc = ts_a.incidence
     from telab.temodels import ModelMeta, TeSolution
 
     def manual(topo, ts, delivered, rates):
         rates = np.asarray(rates, dtype=float)
-        loads = np.asarray(tunnel_arc_incidence(ts, topo.n_arcs).T @ rates).ravel()
+        loads = np.asarray(ts.incidence.T @ rates).ravel()
         return TeSolution(np.asarray(delivered, float), rates, loads, 0.0, "vertex",
                           ModelMeta("te", ts.policy, None, 1, 0, 0))
 

@@ -183,6 +183,34 @@ def test_sweep_survives_failed_points(tmp_path):
     assert rows[0].metrics.unmet_flow_ratio == pytest.approx(5.0 / 6.0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_point_exception_becomes_error_row(tmp_path, monkeypatch, caplog, workers):
+    import telab.harness as harness
+
+    real_build = harness.build_ffc_lp
+
+    def build_fails_at_scale_one(topo, tm, ts, scen, capacity_mode):
+        if tm.total_volume == 10.0:  # the diamond demand at scale 1.0
+            raise MemoryError("dense basis does not fit")
+        return real_build(topo, tm, ts, scen, capacity_mode)
+
+    monkeypatch.setattr(harness, "build_ffc_lp", build_fails_at_scale_one)
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[0.5, 1.0, 2.0], models=["te", "ffc"], policies=["fixed:5"],
+                           out_dir=str(tmp_path), workers=workers)
+    rows = run_experiment(cfg)
+    statuses = {(r.model, r.scale): r.status for r in rows}
+    assert statuses.pop(("ffc", 1.0)) == "error"
+    assert len(statuses) == 5 and set(statuses.values()) == {"optimal"}
+    if workers == 1:
+        assert "dense basis does not fit" in caplog.text
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0].split(",") == RESULT_COLUMNS
+    assert len(lines) == 1 + 6
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(manifest["solutions"]) == 5
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(topology="x", tm="y", models=["bogus"]).validate()
@@ -194,6 +222,14 @@ def test_config_validation():
         ExperimentConfig.from_json("{bad json")
     with pytest.raises(ValidationError):
         ExperimentConfig.from_json(json.dumps({"tm": "y"}))
+
+
+def test_config_rejects_unknown_backend_and_capacity_mode():
+    # caught up front: inside a sweep point they would only turn into error rows
+    with pytest.raises(ValidationError):
+        ExperimentConfig(topology="x", tm="y", backend="bogus").validate()
+    with pytest.raises(ValidationError):
+        ExperimentConfig(topology="x", tm="y", capacity_mode="bogus").validate()
 
 
 def test_config_from_json_with_fit():

@@ -24,10 +24,8 @@ from conftest import make_tm, make_topology, random_te_instance
 
 
 def _manual_solution(topo, ts, delivered, rates):
-    from telab.temodels import tunnel_arc_incidence
-
     rates = np.asarray(rates, dtype=float)
-    loads = np.asarray(tunnel_arc_incidence(ts, topo.n_arcs).T @ rates).ravel()
+    loads = np.asarray(ts.incidence.T @ rates).ravel()
     meta = ModelMeta("te", ts.policy, None, 1, 0, 0)
     return TeSolution(np.asarray(delivered, dtype=float), rates, loads, 0.0, "vertex", meta)
 

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from telab import (
+    AdaptiveTunnelPolicy,
     FixedTunnelPolicy,
     build_ffc_lp,
     build_te_lp,
@@ -14,7 +17,7 @@ from telab import (
     verify_congestion_free,
 )
 from telab.errors import SolveError
-from telab.lpcore import solve
+from telab.lpcore import solve, write_lp_text
 from telab.temodels import (
     CAPACITY_MODE_ALL,
     CAPACITY_MODE_NORMAL_ONLY,
@@ -225,3 +228,42 @@ def test_solution_dump_roundtrip(diamond_topo, diamond_tm):
     assert np.allclose(sol2.arc_loads, sol.arc_loads)
     assert tm2 == diamond_tm
     assert verify_congestion_free(sol2, ts2, scen, diamond_topo).ok
+
+
+# sha256 of write_lp_text for the shipped instances, recorded before the LP rows
+# moved from per-coefficient tuples to one sparse store.  Byte-identical LP text
+# pins the bundled simplex's pivots, results.csv and the HiGHS input.
+LP_TEXT_SHA256 = [
+    ("b4", "fixed:5", "te",
+     "3541a3b6991c7dd172d3effc6c8ba5acd6ded5ccaa863cfc42233986e7f1a4c8"),
+    ("b4", "fixed:5", "all",
+     "8dbd6dd6139b89e588917c6ea4e1e226620f1f78f776796bad98f206994d67d7"),
+    ("b4", "fixed:5", "normal_only",
+     "fe3adc611a77aa739ec7de6e308652472d255167ccd53acd93792d395a3831c3"),
+    ("b4", "adaptive", "te",
+     "9e3f3c7f79613ef3fec5777929d100fb7286fc409963b7e7bfda97b66dd3a1aa"),
+    ("b4", "adaptive", "all",
+     "a7878fbea644de28ad048144d6940e2ba5ab7c4df66819864397ba8265c51d0c"),
+    ("b4", "adaptive", "normal_only",
+     "19b9308d8143975ad5d86eccd4be05b9d70cfcd7ba741712d04d0a3301549a5f"),
+    ("diamond", "fixed:5", "te",
+     "97b604ed5709845969f04097241c40593632693b1a892cc4ff3f62d931f9d025"),
+    ("diamond", "fixed:5", "all",
+     "261ecde9a72ceb570eaac6052d80518bddf368e379991a015fad7504660f782c"),
+    ("diamond", "fixed:5", "normal_only",
+     "e92b85fafdb66bf12a7885050da3cfdbd6bc96b61b0f59562fb06d17034ad761"),
+]
+
+
+@pytest.mark.parametrize("instance,policy,kind,digest", LP_TEXT_SHA256)
+def test_lp_text_is_pinned(b4_topo, b4_tm, diamond_topo, diamond_tm,
+                           instance, policy, kind, digest):
+    topo, tm = (b4_topo, b4_tm) if instance == "b4" else (diamond_topo, diamond_tm)
+    pol = FixedTunnelPolicy(5) if policy == "fixed:5" else AdaptiveTunnelPolicy()
+    ts = build_tunnel_sets(topo, tm, pol)
+    if kind == "te":
+        model = build_te_lp(topo, tm, ts)
+    else:
+        model = build_ffc_lp(topo, tm, ts, enumerate_single_link_scenarios(topo), kind)
+    text = write_lp_text(model.problem)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
