@@ -5,14 +5,18 @@ up by name in ``BACKENDS``; backends are interchangeable because solution
 quality, tunnel usage, and runtime all depend on which one is picked.  The
 bundled backend is a bounded-variable two-phase revised simplex (dense basis
 inverse, sparse constraint columns) that always returns a vertex solution and
-falls back to Bland's rule when it stalls on degenerate bases.  A scipy
-backend (HiGHS dual simplex) is registered when scipy is importable; both
-report ``solution_kind="vertex"``.  Interior-point methods are deliberately
-not offered.
+falls back to Bland's rule when it stalls on degenerate bases.  The scipy
+backend hands the same rows to HiGHS (dual simplex); both report
+``solution_kind="vertex"``.  Interior-point methods are deliberately not
+offered.
 
-Every optimal solution is re-verified by direct substitution into the
-original rows before it leaves this module; a failed check is reported as a
-numerical failure, never as a silent wrong answer.
+A model builder may mark a row as implied by another row of the problem over
+the variable bounds; the mark is the whole presolve.  Both backends solve
+only the unmarked (working) rows, while ``rows``, the LP text export and the
+row count keep every literal row.  Every optimal solution is re-verified by
+direct substitution into all the original rows before it leaves this module,
+so a wrong mark, like any other fault, is reported as a numerical failure,
+never as a silent wrong answer.
 """
 from __future__ import annotations
 
@@ -43,6 +47,8 @@ class LpProblem:
 
     The rows are one CSR store, appended in blocks that share a sense by
     ``add_rows`` (one row: ``add_constraint``) and read back whole by ``rows``.
+    Each row also carries its builder's mark "implied by another row"
+    (``implied``, default False).
     """
 
     name: str = ""
@@ -52,8 +58,9 @@ class LpProblem:
     row_names: list[str] = field(default_factory=list)
     objective: list[tuple[int, float]] = field(default_factory=list)
     maximize: bool = True
-    _blocks: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = field(
-        default_factory=lambda: [(sp.csr_matrix((0, 0)), np.empty(0, "<U2"), np.empty(0))],
+    _blocks: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=lambda: [(sp.csr_matrix((0, 0)), np.empty(0, "<U2"), np.empty(0),
+                                  np.empty(0, dtype=bool))],
         init=False, repr=False)
 
     @property
@@ -72,15 +79,22 @@ class LpProblem:
         self.upper.append(float(ub))
         return len(self.var_names) - 1
 
-    def add_rows(self, matrix, sense: str, rhs, names: list[str]) -> int:
-        """Append a block of rows sharing one sense; returns the first new row index."""
+    def add_rows(self, matrix, sense: str, rhs, names: list[str], implied=None) -> int:
+        """Append a block of rows sharing one sense; returns the first new row index.
+
+        ``implied`` marks, per row, that another row of the problem implies it
+        over the variable bounds, so the backends need not solve it.
+        """
         if sense not in _SENSES:
             raise ValidationError(f"unknown constraint sense {sense!r}")
         block = sp.csr_matrix(matrix, dtype=float, copy=True)
         rhs = np.array(rhs, dtype=float).reshape(-1)
         m = block.shape[0]
-        if not len(rhs) == len(names) == m:
-            raise ValidationError(f"row block: {m} rows, {len(rhs)} rhs, {len(names)} names")
+        implied = np.zeros(m, dtype=bool) if implied is None else np.array(
+            implied, dtype=bool).reshape(-1)
+        if not len(rhs) == len(names) == len(implied) == m:
+            raise ValidationError(f"row block: {m} rows, {len(rhs)} rhs, {len(names)} names, "
+                                  f"{len(implied)} implied marks")
         if not np.isfinite(rhs).all():
             name = names[int(np.argmax(~np.isfinite(rhs)))]
             raise ValidationError(f"constraint {name!r}: right-hand side must be finite")
@@ -92,7 +106,7 @@ class LpProblem:
             what = ("non-finite coefficient" if 0 <= j[k] < self.n_vars
                     else f"unknown variable index {j[k]}")
             raise ValidationError(f"constraint {name!r}: {what}")
-        self._blocks.append((block, np.full(m, sense), rhs))
+        self._blocks.append((block, np.full(m, sense), rhs, implied))
         self.row_names.extend(names)
         return self.n_constraints - m
 
@@ -109,15 +123,23 @@ class LpProblem:
                              [0, len(cols)]), shape=(1, self.n_vars))
         return self.add_rows(row, sense, [rhs], [name])
 
+    def _merged(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+        if len(self._blocks) > 1 or self._blocks[0][0].shape[1] != self.n_vars:
+            for mat, *_ in self._blocks:
+                mat.resize((mat.shape[0], self.n_vars))
+            mats, senses, rhs, implied = zip(*self._blocks)
+            self._blocks = [(sp.vstack(mats, format="csr"), np.concatenate(senses),
+                             np.concatenate(rhs), np.concatenate(implied))]
+        return self._blocks[0]
+
     def rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Every constraint row: (CSR matrix over all variables, senses, rhs)."""
-        if len(self._blocks) > 1 or self._blocks[0][0].shape[1] != self.n_vars:
-            for mat, _, _ in self._blocks:
-                mat.resize((mat.shape[0], self.n_vars))
-            mats, senses, rhs = zip(*self._blocks)
-            self._blocks = [(sp.vstack(mats, format="csr"), np.concatenate(senses),
-                             np.concatenate(rhs))]
-        return self._blocks[0]
+        return self._merged()[:3]
+
+    @property
+    def implied(self) -> np.ndarray:
+        """Per row: marked by its builder as implied by another row."""
+        return self._merged()[3]
 
     def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
         for j, c in coeffs:
@@ -177,6 +199,17 @@ def check_feasibility(
     return issues
 
 
+def _working_rows(prob: LpProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """What both backends solve: the rows not marked implied, >= rows negated
+    to <= and duplicate coefficients merged, as (A, b, inequality mask)."""
+    A, senses, rhs = prob.rows()
+    keep = ~prob.implied
+    flip = np.where(senses[keep] == ">=", -1.0, 1.0)
+    A = sp.diags(flip) @ A[keep]
+    A.sum_duplicates()
+    return A, flip * rhs[keep], senses[keep] != "="
+
+
 # ---------------------------------------------------------------------------
 # Bundled revised simplex
 # ---------------------------------------------------------------------------
@@ -184,109 +217,28 @@ def check_feasibility(
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 
 
-def _prune_implied_rows(rows, lower, upper):
-    """Drop <= rows implied by another <= row, given the variable bounds.
-
-    Row V is implied by row U (same sense, rhs_U <= rhs_V) when (U - V) x >= 0
-    holds over the bound box: per variable, the coefficient difference is
-    zero, or positive with a nonnegative lower bound, or negative with a
-    nonpositive upper bound.  Resilient models emit one delivery row per
-    failure scenario and one capacity row per (arc, scenario); most are
-    implied by the row of the harshest scenario, so this cuts the working
-    row count severalfold without changing the feasible set.  Candidate
-    pairs are limited to rows sharing, in turn, their positive or their
-    negative coefficient part, which is where scenario families overlap.
-    """
-
-    def implies(u_items, u_rhs, v_items, v_rhs) -> bool:
-        if u_rhs > v_rhs:
-            return False
-        dv = dict(v_items)
-        for j, cu in u_items:
-            diff = cu - dv.pop(j, 0.0)
-            if diff > 0 and lower[j] < 0:
-                return False
-            if diff < 0 and upper[j] > 0:
-                return False
-        for j, cv in dv.items():
-            if cv < 0 and lower[j] < 0:
-                return False
-            if cv > 0 and upper[j] > 0:
-                return False
-        return True
-
-    dropped = [False] * len(rows)
-    for sign_part in (1, -1):
-        groups: dict[tuple, list[int]] = {}
-        for i, (items, sense, rhs) in enumerate(rows):
-            if sense != "<=":
-                continue
-            shared = tuple((j, c) for j, c in items if (c > 0) == (sign_part > 0))
-            groups.setdefault((rhs, shared), []).append(i)
-        for members in groups.values():
-            if not 1 < len(members) <= 2000:
-                continue
-            members.sort(key=lambda i: len(rows[i][0]))
-            for a in range(len(members)):
-                ia = members[a]
-                if dropped[ia]:
-                    continue
-                ua, _, ra = rows[ia]
-                for b in range(len(members)):
-                    ib = members[b]
-                    if ib == ia or dropped[ib]:
-                        continue
-                    ub, _, rb = rows[ib]
-                    if implies(ua, ra, ub, rb):
-                        dropped[ib] = True
-    return [row for i, row in enumerate(rows) if not dropped[i]]
-
-
 def _standardize(prob: LpProblem):
-    """Convert to equality standard form with slacks, reducing the row set.
+    """Convert the working rows to equality standard form with slacks.
 
-    All >= rows are negated to <=.  Exactly identical rows (after merging
-    duplicate coefficients) are collapsed, then rows implied by another row
-    over the bound box are dropped; neither step changes the feasible set,
-    and the returned solution is still checked against the original rows.
-    Returns (A, b, slack_of_row) where A has one slack column per
-    surviving inequality row, or None for a constant-false row.
+    The FFC builder marks every failure-scenario capacity row implied, so both
+    capacity modes give the same working rows.  Zero coefficients are dropped,
+    and so is an empty row that holds.  Returns (A, b, slack_of_row) where A
+    has one slack column per remaining inequality row, or None for a
+    constant-false row.
     """
     n = prob.n_vars
-    A, senses, rhss = prob.rows()
-    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-    rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = []
-    seen: set[tuple] = set()
-    for i, (sense, rhs) in enumerate(zip(senses.tolist(), rhss.tolist())):
-        merged: dict[int, float] = {}
-        for k in range(indptr[i], indptr[i + 1]):
-            merged[cols[k]] = merged.get(cols[k], 0.0) + vals[k]
-        items = tuple(sorted((j, c) for j, c in merged.items() if c != 0.0))
-        if sense == ">=":
-            items = tuple((j, -c) for j, c in items)
-            sense, rhs = "<=", -rhs
-        if not items:
-            if (sense == "<=" and rhs < -FEASIBILITY_TOL) or (
-                sense == "=" and abs(rhs) > FEASIBILITY_TOL
-            ):
-                return None  # constant row that can never hold
-            continue
-        key = (sense, rhs, items)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append((items, sense, rhs))
-
-    rows = _prune_implied_rows(rows, prob.lower, prob.upper)
-    ineq = np.flatnonzero([sense == "<=" for _, sense, _ in rows])
-    slack_of_row = np.full(len(rows), -1, dtype=int)
-    slack_of_row[ineq] = n + np.arange(len(ineq))
-    ri = [i for i, (items, _, _) in enumerate(rows) for _ in items] + ineq.tolist()
-    ci = [j for items, _, _ in rows for j, _ in items] + slack_of_row[ineq].tolist()
-    data = [c for items, _, _ in rows for _, c in items] + [1.0] * len(ineq)
-    A = sp.csc_matrix((data, (ri, ci)), shape=(len(rows), n + len(ineq)))
-    b = np.array([rhs for _, _, rhs in rows], dtype=float)
-    return A, b, slack_of_row
+    A, b, ineq = _working_rows(prob)
+    A.eliminate_zeros()
+    filled = np.diff(A.indptr) > 0
+    if (~filled & np.where(ineq, b < -FEASIBILITY_TOL, np.abs(b) > FEASIBILITY_TOL)).any():
+        return None  # constant row that can never hold
+    A, b, ineq = A[filled], b[filled], ineq[filled]
+    n_slack = int(ineq.sum())
+    slack_of_row = np.full(len(b), -1, dtype=int)
+    slack_of_row[ineq] = n + np.arange(n_slack)
+    slacks = sp.csr_matrix((np.ones(n_slack), (np.flatnonzero(ineq), np.arange(n_slack))),
+                           shape=(len(b), n_slack))
+    return sp.hstack([A, slacks], format="csc"), b, slack_of_row
 
 
 class _Simplex:
@@ -531,20 +483,16 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
 def scipy_backend(prob: LpProblem) -> LpSolution:
     """External backend: HiGHS dual simplex through scipy (vertex solutions).
 
-    Constraints are handed over sparse so the backend stays usable on
+    The working rows are handed over sparse so the backend stays usable on
     instances far beyond what the bundled dense-basis simplex can hold.
     """
     from scipy.optimize import linprog
 
     sign = -1.0 if prob.maximize else 1.0
     c = sign * prob.objective_vector()
-    A, senses, rhs = prob.rows()
-    flip = np.where(senses == ">=", -1.0, 1.0)
-    signed = sp.diags(flip) @ A
-    signed.sum_duplicates()
-    ineq = senses != "="
-    a_ub, b_ub = (signed[ineq], flip[ineq] * rhs[ineq]) if ineq.any() else (None, None)
-    a_eq, b_eq = (signed[~ineq], rhs[~ineq]) if not ineq.all() else (None, None)
+    A, b, ineq = _working_rows(prob)
+    a_ub, b_ub = (A[ineq], b[ineq]) if ineq.any() else (None, None)
+    a_eq, b_eq = (A[~ineq], b[~ineq]) if not ineq.all() else (None, None)
     bounds = [
         (lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
         for lo, hi in zip(prob.lower, prob.upper)

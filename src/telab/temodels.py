@@ -10,7 +10,9 @@ zero admitted flow.
 
 Capacity rows can be emitted for every scenario (``all``, the literal
 substitution) or only for the normal state (``normal_only``); failures only
-remove load, so both modes share the same optimum, which tests assert.
+remove load, so both modes share the same optimum, which tests assert.  The
+builder marks the rows another row implies (see ``build_ffc_lp``), so both
+modes also solve the same working rows, while the LP keeps every literal row.
 """
 from __future__ import annotations
 
@@ -121,6 +123,38 @@ def _without_columns(mat: sp.csr_matrix, dead: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
 
 
+def _implied_delivery(own: sp.csr_matrix, alive: np.ndarray) -> np.ndarray:
+    """Scenario x demand: the delivery row is implied by another of the same demand.
+
+    Row (f, q) asks the tunnels of f surviving q to carry b_f, so a scenario
+    that leaves f a subset of them implies it.  Marked: every row with a
+    strictly smaller surviving set elsewhere, and every later repeat of a set.
+    Over f's tunnels, q' leaves a subset of what q leaves exactly when q'
+    kills a superset; two nonempty killed sets can only nest when they share a
+    tunnel, so all candidate pairs are nonzeros of K @ K.T, where K is the
+    sparse (scenario, demand) x tunnel matrix of killed tunnels.
+    """
+    n_scen, n_dem = alive.shape[0], own.shape[0]
+    members = own[:, :alive.shape[1]].tocoo()  # demand x tunnel, one entry per tunnel
+    q, k = np.nonzero(~alive[:, members.col])
+    row = q * n_dem + members.row[k]  # delivery row index, in build order
+    killed = sp.csr_matrix((np.ones(len(k)), (row, members.col[k])),
+                           shape=(n_scen * n_dem, alive.shape[1]))
+    size = np.bincount(row, minlength=n_scen * n_dem)
+    shared = (killed @ killed.T).tocoo()  # same demand only: a tunnel has one demand
+    i, j = shared.row, shared.col
+    inside = shared.data == size[i]  # killed(i) is a subset of killed(j)
+    implied = np.zeros(n_scen * n_dem, dtype=bool)
+    implied[i[inside & ((size[j] > size[i]) | ((size[j] == size[i]) & (j < i)))]] = True
+    # A row whose scenario kills none of the demand's tunnels repeats the
+    # normal-state row, which is implied as soon as some scenario kills one.
+    hit = np.zeros(n_dem, dtype=bool)
+    hit[members.row[k]] = True
+    untouched = (size == 0).reshape(n_scen, n_dem)
+    untouched[0] &= hit
+    return implied.reshape(n_scen, n_dem) | untouched
+
+
 def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
     """Base model: one capacity row per arc, one delivery row per demand."""
     prob = _base_problem(topo, tm, ts, "te")
@@ -143,6 +177,12 @@ def build_ffc_lp(
     Tunnel rates are shared across scenarios.  A demand with no surviving
     tunnel in some scenario gets its admitted flow forced to zero by the
     empty-sum delivery row.
+
+    Rows implied by another row are marked, by construction: every capacity
+    row of a failure scenario (the normal-state row of its arc has a superset
+    of its tunnels and the same capacity), and every delivery row that another
+    scenario's row of the same demand implies (``_implied_delivery``).  Both
+    capacity modes therefore solve the same working rows.
     """
     if capacity_mode not in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY):
         raise ValidationError(f"unknown capacity mode {capacity_mode!r}")
@@ -152,17 +192,19 @@ def build_ffc_lp(
     arcs, own = _row_templates(ts)
     caps = topo.capacities()
     dead_arcs = scen.dead.toarray() != 0
+    alive = surviving_tunnels(ts, scen)
     dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
-    dead_cols[:, :ts.total] = ~surviving_tunnels(ts, scen)
+    dead_cols[:, :ts.total] = ~alive
+    implied = _implied_delivery(own, alive)
 
     n_cap = scen.n if capacity_mode == CAPACITY_MODE_ALL else 1
     for q in range(n_cap):
         live = np.flatnonzero(~dead_arcs[q])
         prob.add_rows(_without_columns(arcs[live], dead_cols[q]), "<=", caps[live],
-                      [f"cap_q{q}_e{e}" for e in live])
+                      [f"cap_q{q}_e{e}" for e in live], implied=np.full(len(live), q > 0))
     for q in range(scen.n):
         prob.add_rows(_without_columns(own, dead_cols[q]), ">=", np.zeros(tm.n),
-                      [f"del_f{f}_q{q}" for f in range(tm.n)])
+                      [f"del_f{f}_q{q}" for f in range(tm.n)], implied=implied[q])
 
     meta = ModelMeta("ffc", ts.policy, capacity_mode, scen.n, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)

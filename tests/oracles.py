@@ -6,7 +6,6 @@ by DFS.  Both are exponential and only meant for tiny instances.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -14,12 +13,32 @@ import numpy as np
 from telab.lpcore import LpProblem
 
 
+def combinations(m: int, k: int, chunk: int):
+    """Every k-subset of range(m), as int arrays of at most ``chunk`` rows.
+
+    Ranks are unranked in the combinatorial number system (colex order), so
+    no Python tuple is built per combination.
+    """
+    table = np.array([[math.comb(x, p) for x in range(m)] for p in range(k + 1)],
+                     dtype=np.int64)
+    total = math.comb(m, k)
+    for start in range(0, total, chunk):
+        rank = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        out = np.empty((len(rank), k), dtype=np.intp)
+        for p in range(k, 0, -1):
+            out[:, p - 1] = np.searchsorted(table[p], rank, side="right") - 1
+            rank -= table[p][out[:, p - 1]]
+        yield out
+
+
 def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float | None:
     """Exhaustively enumerate basic feasible points of a small LP.
 
     Every subset of n active constraints (rows plus variable bounds, with
     equality rows always active) defines a candidate vertex; the best feasible
-    candidate is the optimum of a bounded LP.  Returns None when no feasible
+    candidate is the optimum of a bounded LP.  An all-zero row is never part
+    of a nonsingular subset, so only nonzero inequality rows are combined, but
+    every row is checked for feasibility.  Returns None when no feasible
     vertex exists.  Intended for n <= ~10 variables.
     """
     n = prob.n_vars
@@ -50,24 +69,19 @@ def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float
     b_in = np.array([v for _, v in ineq_rows])
     A_eq = np.array([r for r, _ in eq_rows]) if eq_rows else np.zeros((0, n))
     b_eq = np.array([v for _, v in eq_rows])
+    nonzero = np.flatnonzero(np.abs(A_in).sum(axis=1) > 0)
 
     c = prob.objective_vector()
     sign = 1.0 if prob.maximize else -1.0
     best: float | None = None
 
-    combos = itertools.combinations(range(len(ineq_rows)), need)
-    chunk_size = 20000
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=int)  # (k, need)
+    for idx in combinations(len(nonzero), need, 20000):
+        rows = nonzero[idx]  # (k, need)
         mats = np.concatenate(
-            [np.broadcast_to(A_eq, (len(chunk), n_eq, n)), A_in[idx]], axis=1)
+            [np.broadcast_to(A_eq, (len(rows), n_eq, n)), A_in[rows]], axis=1)
         rhs = np.concatenate(
-            [np.broadcast_to(b_eq, (len(chunk), n_eq)), b_in[idx]], axis=1)
-        dets = np.linalg.det(mats)
-        ok = np.abs(dets) > 1e-9
+            [np.broadcast_to(b_eq, (len(rows), n_eq)), b_in[rows]], axis=1)
+        ok = np.abs(np.linalg.det(mats)) > 1e-9
         if not ok.any():
             continue
         xs = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]  # (k', n)
@@ -149,6 +163,41 @@ def ffc_rows_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[tuple]:
             coeffs = tuple((t, 1.0) for t in alive[d.id]) + ((ts.total + d.id, -1.0),)
             rows.append((f"del_f{d.id}_q{sc.id}", coeffs, ">=", 0.0))
     return rows
+
+
+def ffc_implied_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[bool]:
+    """The literal marking rule of every FFC row, in build order: a failure
+    scenario's capacity row; a delivery row when another scenario leaves the
+    demand a strictly smaller tunnel set, or the same set and comes first."""
+    marks = []
+    cap_scenarios = scen.scenarios if capacity_mode == "all" else scen.scenarios[:1]
+    for sc in cap_scenarios:
+        marks += [sc.id > 0 for arc in topo.arcs if arc.id not in sc.dead_arcs]
+    alive = [[set(ids) for ids in available_tunnels_oracle(ts, scen, q)] for q in range(scen.n)]
+    for q in range(scen.n):
+        for d in tm.demands:
+            mine = alive[q][d.id]
+            marks.append(any(alive[p][d.id] < mine or (alive[p][d.id] == mine and p < q)
+                             for p in range(scen.n)))
+    return marks
+
+
+def row_implies(u, u_rhs, v, v_rhs, lower, upper):
+    """Reference test: the row u x <= u_rhs implies v x <= v_rhs over the box
+    lower <= x <= upper, because u_rhs <= v_rhs and (u - v)_j x_j >= 0 for every
+    variable: the difference is zero, positive on x_j >= 0 or negative on
+    x_j <= 0.  Rows are dense; a 2-D u gives one answer per row of u."""
+    diff = u - v
+    return ((u_rhs <= v_rhs) & ~((diff > 0) & (lower < 0)).any(axis=-1)
+            & ~((diff < 0) & (upper > 0)).any(axis=-1))
+
+
+def le_rows(prob) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of an LP without equality rows, dense, with >= rows negated to <=."""
+    A, senses, rhs = prob.rows()
+    assert not (senses == "=").any()
+    flip = np.where(senses == ">=", -1.0, 1.0)
+    return A.toarray() * flip[:, None], rhs * flip
 
 
 def lp_rows(prob) -> list[tuple]:

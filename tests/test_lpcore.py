@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from telab.errors import ValidationError
 from telab.lpcore import (
     BACKENDS,
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
@@ -166,6 +168,18 @@ def test_backend_registry():
         assert sol.status == OPTIMAL
         assert sol.solution_kind == "vertex"
         assert sol.objective == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_wrong_implied_mark_is_caught_by_the_recheck(backend):
+    p = LpProblem("box")
+    x = p.add_var("x", 0, 1)
+    y = p.add_var("y", 0, 1)
+    p.add_rows(sp.csr_matrix([[1.0, 1.0]]), "<=", [1.0], ["cap"], implied=[True])
+    p.set_objective([(x, 1.0), (y, 1.0)])
+    sol = solve(p, backend)
+    assert sol.status == NUMERICAL_FAILURE
+    assert "re-check: row cap: lhs" in sol.message and "<= rhs 1.0 violated" in sol.message
 
 
 def test_lp_text_export_roundtrip_values():

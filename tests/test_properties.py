@@ -2,7 +2,8 @@
 
 Each property draws a small random topology, traffic matrix and tunnel set
 (or a small random LP) and compares the vectorised result with the literal
-loop from ``oracles.py``, in content and in order.
+loop from ``oracles.py``, in content and in order, or checks an invariant of
+the FFC model on it.
 """
 import json
 
@@ -17,9 +18,10 @@ from telab import (
     enumerate_single_link_scenarios,
     parse_tm,
     parse_topology,
+    solve_model,
     verify_congestion_free,
 )
-from telab.lpcore import LpProblem, check_feasibility
+from telab.lpcore import LpProblem, _standardize, check_feasibility
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import ModelMeta, TeSolution
 from telab.tunnels import available_tunnels
@@ -28,8 +30,11 @@ from oracles import (
     congestion_violations_oracle,
     criticality_scores_oracle,
     feasibility_issues_oracle,
+    ffc_implied_oracle,
     ffc_rows_oracle,
+    le_rows,
     lp_rows,
+    row_implies,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -73,6 +78,44 @@ def test_ffc_rows_match_literal_builder(inst, capacity_mode):
     topo, tm, ts, scen = inst
     model = build_ffc_lp(topo, tm, ts, scen, capacity_mode)
     assert lp_rows(model.problem) == ffc_rows_oracle(topo, tm, ts, scen, capacity_mode)
+
+
+@PROPERTY
+@given(instances(), st.sampled_from(["all", "normal_only"]))
+def test_ffc_marks_follow_the_rule_and_an_unmarked_row_implies_each(inst, capacity_mode):
+    topo, tm, ts, scen = inst
+    prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
+    assert prob.implied.tolist() == ffc_implied_oracle(topo, tm, ts, scen, capacity_mode)
+    A, b = le_rows(prob)
+    lower, upper = np.array(prob.lower), np.array(prob.upper)
+    kept = ~prob.implied
+    for v in np.flatnonzero(prob.implied):
+        assert row_implies(A[kept], b[kept], A[v], b[v], lower, upper).any(), prob.row_names[v]
+
+
+@PROPERTY
+@given(instances())
+def test_capacity_modes_give_the_same_working_rows(inst):
+    topo, tm, ts, scen = inst
+    working = []
+    for capacity_mode in ("all", "normal_only"):
+        prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
+        A, b, slack_of_row = _standardize(prob)
+        working.append(([name for name, m in zip(prob.row_names, prob.implied) if not m],
+                        A.toarray().tolist(), b.tolist(), slack_of_row.tolist()))
+    assert working[0] == working[1]
+
+
+@PROPERTY
+@given(instances(), st.sampled_from(["all", "normal_only"]))
+def test_ffc_optimum_is_congestion_free_and_backends_agree(inst, capacity_mode):
+    topo, tm, ts, scen = inst
+    model = build_ffc_lp(topo, tm, ts, scen, capacity_mode)
+    bundled, highs = (solve_model(model, backend) for backend in ("bundled", "scipy"))
+    assert verify_congestion_free(bundled, ts, scen, topo).ok
+    assert verify_congestion_free(highs, ts, scen, topo).ok
+    want = highs.delivered.sum()
+    assert abs(bundled.delivered.sum() - want) <= 1e-6 * max(1.0, abs(want))
 
 
 @PROPERTY

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from telab import (
     AdaptiveTunnelPolicy,
@@ -17,7 +18,7 @@ from telab import (
     verify_congestion_free,
 )
 from telab.errors import SolveError
-from telab.lpcore import solve, write_lp_text
+from telab.lpcore import _standardize, solve, write_lp_text
 from telab.temodels import (
     CAPACITY_MODE_ALL,
     CAPACITY_MODE_NORMAL_ONLY,
@@ -26,7 +27,7 @@ from telab.temodels import (
     solution_to_dict,
 )
 from conftest import make_tm, make_topology, random_te_instance
-from oracles import vertex_enumeration_optimum
+from oracles import ffc_implied_oracle, vertex_enumeration_optimum
 
 
 def two_node(capacity=10.0, demand=5.0):
@@ -84,6 +85,19 @@ def test_empty_tunnel_set_forces_zero_delivery_te():
     sol = solve_model(build_te_lp(topo, tm, ts))
     assert sol.delivered[0] == 0.0
     assert sol.delivered[1] == pytest.approx(2.0)
+
+
+def test_ffc_marks_keep_the_normal_row_of_an_unroutable_demand():
+    # no scenario kills a tunnel of the demand with none, so only its first row stays
+    topo = make_topology(["a", "b", "c", "d"], [("a", "b", 5), ("c", "d", 5)])
+    tm = make_tm(topo, [("a", "c", 7.0), ("a", "b", 2.0)])
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(2))
+    scen = enumerate_single_link_scenarios(topo)
+    model = build_ffc_lp(topo, tm, ts, scen)
+    assert model.problem.implied.tolist() == ffc_implied_oracle(topo, tm, ts, scen, "all")
+    assert "del_f0_q0" in [name for name, m in zip(model.problem.row_names,
+                                                   model.problem.implied) if not m]
+    assert solve_model(model).delivered.tolist() == [0.0, 0.0]
 
 
 def test_extract_requires_optimal():
@@ -267,3 +281,58 @@ def test_lp_text_is_pinned(b4_topo, b4_tm, diamond_topo, diamond_tm,
         model = build_ffc_lp(topo, tm, ts, enumerate_single_link_scenarios(topo), kind)
     text = write_lp_text(model.problem)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the working LP the bundled simplex starts from, _standardize's
+# (A, b, slack_of_row), recorded while implied rows were still found by a
+# pairwise search over the built rows.  The builder's marks must give the same
+# working rows, in the same order, so the bundled pivots stay pinned too.
+WORKING_LP_SHA256 = [
+    ("fixed:5", "te", "74c2d7d18e90d2e17b414b37f93939813bfb9b337550825616d622aa76828f78"),
+    ("fixed:5", "all", "2223cc44f007be54f5290364341e9a442e2501cef76d69d5bccba2bf1fc77349"),
+    ("fixed:5", "normal_only",
+     "2223cc44f007be54f5290364341e9a442e2501cef76d69d5bccba2bf1fc77349"),
+    ("adaptive", "te", "e3511cb44ad363f99de1dc8c3413647a4c60e2e8ebee586dfcd183d800036bec"),
+    ("adaptive", "all", "7dea099aaff071781cb398aa6f6cbf63b58467819e6189f8f90d16a8d51bd8c8"),
+    ("adaptive", "normal_only",
+     "7dea099aaff071781cb398aa6f6cbf63b58467819e6189f8f90d16a8d51bd8c8"),
+]
+
+
+@pytest.mark.parametrize("policy,kind,digest", WORKING_LP_SHA256)
+def test_working_lp_is_pinned(b4_topo, b4_tm, policy, kind, digest):
+    pol = FixedTunnelPolicy(5) if policy == "fixed:5" else AdaptiveTunnelPolicy()
+    ts = build_tunnel_sets(b4_topo, b4_tm, pol)
+    if kind == "te":
+        model = build_te_lp(b4_topo, b4_tm, ts)
+    else:
+        model = build_ffc_lp(b4_topo, b4_tm, ts, enumerate_single_link_scenarios(b4_topo), kind)
+    A, b, slack_of_row = _standardize(model.problem)
+    A = sp.csc_matrix(A)
+    h = hashlib.sha256()
+    for arr, dtype in ((np.array(A.shape), np.int64), (A.indptr, np.int64),
+                       (A.indices, np.int64), (A.data, np.float64), (b, np.float64),
+                       (slack_of_row, np.int64)):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_capacity_modes_solve_the_same_rows_when_capacities_are_uniform():
+    # A ring plus chords where every link has one capacity: thousands of
+    # capacity rows share a right-hand side, which once switched the search
+    # for implied rows off in ``all`` mode only.
+    rng = np.random.default_rng(0)
+    n = 24
+    links = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    while len(links) < int(1.6 * n):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            links.add((min(u, v), max(u, v)))
+    names = [f"n{i}" for i in range(n)]
+    topo = make_topology(names, [(names[u], names[v], 500.0) for u, v in sorted(links)])
+    tm = make_tm(topo, [(s, t, 1.0) for s in names for t in names if s != t])
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(4))
+    scen = enumerate_single_link_scenarios(topo)
+    working = {mode: _standardize(build_ffc_lp(topo, tm, ts, scen, mode).problem)[0].shape[0]
+               for mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY)}
+    assert working[CAPACITY_MODE_ALL] == working[CAPACITY_MODE_NORMAL_ONLY]
