@@ -1,4 +1,4 @@
-"""Batch experiment harness: calibration, sweeps, and result emission.
+"""Batch experiment harness: calibration (one LP), sweeps, and result emission.
 
 A sweep runs every (model, policy, scale) combination of its config, solving
 each point independently and recording one result row per point.  A failed
@@ -26,12 +26,13 @@ from pathlib import Path
 
 from . import __version__
 from .demands import TrafficMatrix, LognormalFit, generate_lognormal_tm, load_tm, scale_tm
-from .errors import ValidationError
+from .errors import SolveError, ValidationError
 from .lpcore import BACKENDS, OPTIMAL, solve
 from .metrics import METRIC_COLUMNS, MetricsReport, compute_metrics
 from .temodels import (
     CAPACITY_MODE_ALL,
     CAPACITY_MODE_NORMAL_ONLY,
+    build_calibration_lp,
     build_ffc_lp,
     build_te_lp,
     extract_solution,
@@ -175,50 +176,23 @@ class ResultRow:
 
 
 def calibrate_capacities(topo: Topology, tm: TrafficMatrix, ts, *,
-                         backend: str = "bundled", rel_precision: float = 1e-3) -> float:
+                         backend: str = "bundled") -> float:
     """Minimal uniform capacity factor delivering all routable demand.
 
-    Binary search to the requested relative precision, doubling upward from
-    1.0 until feasible.  Demands with no tunnels cannot be delivered at any
-    capacity; they are excluded from the target volume (and reported via the
-    tunnel set's ``unroutable`` list).
+    The optimum of the min-max-utilization LP (``build_calibration_lp``);
+    raises ``SolveError`` if it is not solved to optimality.  Demands with no
+    tunnels cannot be delivered at any capacity; they are excluded from the
+    target volume (and reported via the tunnel set's ``unroutable`` list).
     """
     routable_total = sum(
         d.volume for d in tm.demands if ts.by_demand[d.id]
     )
     if routable_total <= 0:
         return 1.0
-
-    def satisfied(factor: float) -> bool:
-        model = build_te_lp(scale_capacities(topo, factor), tm, ts)
-        lp_sol = solve(model.problem, backend)
-        if lp_sol.status != OPTIMAL:
-            return False
-        return routable_total - lp_sol.objective <= 1e-6 * routable_total
-
-    hi = 1.0
-    doublings = 0
-    while not satisfied(hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise ValidationError("calibration diverged: demand unreachable at any capacity")
-    lo = hi / 2.0 if doublings else 0.0
-    if lo == 0.0:
-        # Already feasible at 1.0; bracket downward before bisecting.
-        lo = hi / 2.0
-        while satisfied(lo):
-            hi = lo
-            lo /= 2.0
-            if lo < 1e-9:
-                return hi
-    while (hi - lo) > rel_precision * hi:
-        mid = (lo + hi) / 2.0
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lp_sol = solve(build_calibration_lp(topo, tm, ts), backend)
+    if lp_sol.status != OPTIMAL:
+        raise SolveError(f"calibration LP: status {lp_sol.status!r}: {lp_sol.message}")
+    return lp_sol.objective
 
 
 def _solve_point(

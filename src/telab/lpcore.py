@@ -181,9 +181,11 @@ def check_feasibility(
     low_bad = np.nonzero(x < lower - bound_tol)[0]
     up_bad = np.nonzero(x > upper + bound_tol)[0]
     for j in low_bad:
-        issues.append(f"var {prob.var_names[j]}: {x[j]!r} below lower bound {lower[j]!r}")
+        issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} below lower bound "
+                      f"{float(lower[j])!r}")
     for j in up_bad:
-        issues.append(f"var {prob.var_names[j]}: {x[j]!r} above upper bound {upper[j]!r}")
+        issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} above upper bound "
+                      f"{float(upper[j])!r}")
     A, senses, rhs = prob.rows()
     lhs = A @ x
     filled = np.diff(A.indptr) > 0
@@ -193,7 +195,7 @@ def check_feasibility(
     bad = np.where(senses == "<=", resid > tol,
                    np.where(senses == ">=", resid < -tol, np.abs(resid) > tol))
     for i in np.flatnonzero(bad):
-        row_lhs = lhs[i] if filled[i] else 0  # an empty sum is the integer 0
+        row_lhs = float(lhs[i]) if filled[i] else 0  # an empty sum is the integer 0
         issues.append(f"row {prob.row_names[i] or i}: lhs {row_lhs!r} {senses[i]} "
                       f"rhs {float(rhs[i])!r} violated")
     return issues

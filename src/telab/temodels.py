@@ -165,6 +165,24 @@ def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
     return TeModel(prob, topo, tm, ts, meta)
 
 
+def build_calibration_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> LpProblem:
+    """Min-max link utilization (minimum congestion) over the fixed tunnels.
+
+    Minimize lam subject to arc load <= c_e * lam and TE's delivery rows, each
+    delivered flow fixed to its volume (0 if unroutable): the least uniform
+    capacity factor at which TE carries all routable demand.
+    """
+    prob = _base_problem(topo, tm, ts, "calibrate")
+    prob.lower[ts.total:] = prob.upper[ts.total:]
+    lam = prob.add_var("lam", 0.0, math.inf)
+    arcs, own = _row_templates(ts)
+    load = sp.hstack([arcs, -topo.capacities()[:, None]], format="csr")
+    prob.add_rows(load, "<=", np.zeros(topo.n_arcs), [f"cap_e{e}" for e in range(topo.n_arcs)])
+    prob.add_rows(own, ">=", np.zeros(tm.n), [f"del_f{f}" for f in range(tm.n)])
+    prob.set_objective([(lam, 1.0)], maximize=False)
+    return prob
+
+
 def build_ffc_lp(
     topo: Topology,
     tm: TrafficMatrix,

@@ -2,7 +2,9 @@
 
 These deliberately avoid the algorithms under test: the LP oracle enumerates
 basic feasible points directly, the path oracle enumerates every simple path
-by DFS.  Both are exponential and only meant for tiny instances.
+by DFS, and the calibration oracle bisects over full TE solves instead of
+solving the min-max-utilization LP.  The first two are exponential and only
+meant for tiny instances.
 """
 from __future__ import annotations
 
@@ -10,7 +12,8 @@ import math
 
 import numpy as np
 
-from telab.lpcore import LpProblem
+from telab import ValidationError, build_te_lp, scale_capacities
+from telab.lpcore import OPTIMAL, LpProblem, solve
 
 
 def combinations(m: int, k: int, chunk: int):
@@ -100,6 +103,51 @@ def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float
     if best is None:
         return None
     return sign * best
+
+
+def calibrate_bisection_oracle(topo, tm, ts, backend: str, rel_precision: float = 1e-3) -> float:
+    """Minimal uniform capacity factor delivering all routable demand, by search.
+
+    Binary search to the requested relative precision, doubling upward from
+    1.0 until feasible, each step one full TE solve.  Returns the upper end of
+    the final bracket.
+    """
+    routable_total = sum(
+        d.volume for d in tm.demands if ts.by_demand[d.id]
+    )
+    if routable_total <= 0:
+        return 1.0
+
+    def satisfied(factor: float) -> bool:
+        model = build_te_lp(scale_capacities(topo, factor), tm, ts)
+        lp_sol = solve(model.problem, backend)
+        if lp_sol.status != OPTIMAL:
+            return False
+        return routable_total - lp_sol.objective <= 1e-6 * routable_total
+
+    hi = 1.0
+    doublings = 0
+    while not satisfied(hi):
+        hi *= 2.0
+        doublings += 1
+        if doublings > 60:
+            raise ValidationError("calibration diverged: demand unreachable at any capacity")
+    lo = hi / 2.0 if doublings else 0.0
+    if lo == 0.0:
+        # Already feasible at 1.0; bracket downward before bisecting.
+        lo = hi / 2.0
+        while satisfied(lo):
+            hi = lo
+            lo /= 2.0
+            if lo < 1e-9:
+                return hi
+    while (hi - lo) > rel_precision * hi:
+        mid = (lo + hi) / 2.0
+        if satisfied(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def all_simple_paths(adjacency, s: int, t: int) -> list[tuple[float, tuple[int, ...]]]:
@@ -240,12 +288,12 @@ def feasibility_issues_oracle(var_names, lower, upper, rows, x, row_tol=1e-6, bo
     issues = []
     for j, v in enumerate(x):
         if v < lower[j] - bound_tol:
-            issues.append(f"var {var_names[j]}: {v!r} below lower bound {np.float64(lower[j])!r}")
+            issues.append(f"var {var_names[j]}: {float(v)!r} below lower bound {float(lower[j])!r}")
     for j, v in enumerate(x):
         if v > upper[j] + bound_tol:
-            issues.append(f"var {var_names[j]}: {v!r} above upper bound {np.float64(upper[j])!r}")
+            issues.append(f"var {var_names[j]}: {float(v)!r} above upper bound {float(upper[j])!r}")
     for i, (coeffs, sense, rhs, name) in enumerate(rows):
-        lhs = sum(c * x[j] for j, c in coeffs)
+        lhs = sum(float(c * x[j]) for j, c in coeffs)  # an empty sum is the integer 0
         scale = max(1.0, max((abs(c) for _, c in coeffs), default=1.0))
         resid = lhs - rhs
         if ((sense == "<=" and resid > row_tol * scale)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from telab import (
     FixedTunnelPolicy,
+    SolveError,
     ValidationError,
     build_te_lp,
     build_tunnel_sets,
@@ -16,8 +18,10 @@ from telab import (
     scale_capacities,
     solve_model,
 )
+from telab import harness
 from telab.cli import cli_main
 from telab.harness import RESULT_COLUMNS, TIMING_COLUMNS, ExperimentConfig, rows_to_csv
+from telab.lpcore import BACKENDS, NUMERICAL_FAILURE, LpSolution, solve
 from conftest import DATA, make_tm, make_topology
 
 
@@ -70,6 +74,43 @@ def test_calibrate_skips_unroutable_demands():
     assert ts.unroutable == (1,)
     factor = calibrate_capacities(topo, tm, ts)
     assert 8.0 <= factor <= 8.0 * (1 + 1e-3)
+
+
+def test_calibrate_without_routable_volume_is_one():
+    topo = make_topology(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)])
+    tm = make_tm(topo, [("a", "b", 0.0), ("a", "c", 5.0)])
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(2))
+    assert calibrate_capacities(topo, tm, ts) == 1.0
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_calibrate_b4_is_the_min_max_utilization_optimum(b4_topo, b4_tm, backend):
+    ts = build_tunnel_sets(b4_topo, b4_tm, FixedTunnelPolicy(5))
+    factor = calibrate_capacities(b4_topo, b4_tm, ts, backend=backend)
+    assert factor == pytest.approx(0.97984941237267, rel=1e-12)
+
+
+def test_calibrate_solves_one_lp(b4_topo, b4_tm, monkeypatch):
+    calls = []
+
+    def counting_solve(prob, backend="bundled"):
+        calls.append(prob.name)
+        return solve(prob, backend)
+
+    monkeypatch.setattr(harness, "solve", counting_solve)
+    ts = build_tunnel_sets(b4_topo, b4_tm, FixedTunnelPolicy(5))
+    calibrate_capacities(b4_topo, b4_tm, ts)
+    assert calls == ["calibrate"]
+
+
+def test_calibrate_raises_on_a_failed_solve(monkeypatch):
+    topo = make_topology(["a", "b"], [("a", "b", 10)])
+    tm = make_tm(topo, [("a", "b", 20.0)])
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(1))
+    monkeypatch.setattr(harness, "solve", lambda prob, backend: LpSolution(
+        NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex", message="stalled"))
+    with pytest.raises(SolveError, match="numerical_failure.*stalled"):
+        calibrate_capacities(topo, tm, ts)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,7 @@ def test_wrong_implied_mark_is_caught_by_the_recheck(backend):
     sol = solve(p, backend)
     assert sol.status == NUMERICAL_FAILURE
     assert "re-check: row cap: lhs" in sol.message and "<= rhs 1.0 violated" in sol.message
+    assert "np." not in sol.message
 
 
 def test_lp_text_export_roundtrip_values():

@@ -3,30 +3,37 @@
 Each property draws a small random topology, traffic matrix and tunnel set
 (or a small random LP) and compares the vectorised result with the literal
 loop from ``oracles.py``, in content and in order, or checks an invariant of
-the FFC model on it.
+the TE and FFC models, the calibration LP or the file formats on it.
 """
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telab import (
     FixedTunnelPolicy,
     build_ffc_lp,
+    build_te_lp,
     build_tunnel_sets,
+    calibrate_capacities,
     enumerate_single_link_scenarios,
     parse_tm,
     parse_topology,
+    scale_capacities,
+    serialize_topology,
     solve_model,
     verify_congestion_free,
 )
-from telab.lpcore import LpProblem, _standardize, check_feasibility
+from telab.demands import tm_to_json
+from telab.lpcore import BACKENDS, LpProblem, _standardize, check_feasibility
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import ModelMeta, TeSolution
 from telab.tunnels import available_tunnels
 from oracles import (
     available_tunnels_oracle,
+    calibrate_bisection_oracle,
     congestion_violations_oracle,
     criticality_scores_oracle,
     feasibility_issues_oracle,
@@ -116,6 +123,45 @@ def test_ffc_optimum_is_congestion_free_and_backends_agree(inst, capacity_mode):
     assert verify_congestion_free(highs, ts, scen, topo).ok
     want = highs.delivered.sum()
     assert abs(bundled.delivered.sum() - want) <= 1e-6 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@PROPERTY
+@given(instances(), st.sampled_from(["all", "normal_only"]))
+def test_ffc_objective_is_at_most_te(backend, inst, capacity_mode):
+    topo, tm, ts, scen = inst
+    te = solve_model(build_te_lp(topo, tm, ts), backend).delivered.sum()
+    ffc = solve_model(build_ffc_lp(topo, tm, ts, scen, capacity_mode), backend).delivered.sum()
+    assert ffc <= te + 1e-6 * max(1.0, te)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@PROPERTY
+@given(instances())
+def test_calibration_lp_is_the_least_factor_that_delivers_everything(backend, inst):
+    topo, tm, ts, _ = inst
+    factor = calibrate_capacities(topo, tm, ts, backend=backend)
+    routable = sum(d.volume for d in tm.demands if ts.by_demand[d.id])
+    if routable <= 0:
+        assert factor == 1.0
+        return
+    hi = calibrate_bisection_oracle(topo, tm, ts, backend)
+    assert hi * (1 - 1e-3) <= factor <= hi * (1 + 1e-6)
+
+    def unmet(f):
+        te = build_te_lp(scale_capacities(topo, f), tm, ts)
+        return routable - solve_model(te, backend).delivered.sum()
+
+    assert unmet(factor) <= 1e-6 * routable
+    assert unmet(factor * (1 - 1e-3)) > 1e-6 * routable
+
+
+@PROPERTY
+@given(instances())
+def test_topology_and_tm_round_trip(inst):
+    topo, tm, _, _ = inst
+    assert parse_topology(serialize_topology(topo)) == topo
+    assert parse_tm(tm_to_json(tm, topo), topo) == tm
 
 
 @PROPERTY
