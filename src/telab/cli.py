@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 missing input file,
-4 schema or validation error, 5 verification found violations, 1 anything
-else unexpected.
+4 schema or validation error, 5 verification found violations, 1 no optimum
+where one was required, or anything else unexpected.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .demands import fit_lognormal, generate_lognormal_tm, load_tm, scale_tm, tm_to_json, LognormalFit
-from .errors import ValidationError
+from .errors import SolveError, ValidationError
 from .harness import ExperimentConfig, calibrate_capacities, run_experiment
 from .lpcore import BACKENDS
 from .metrics import compute_metrics
@@ -32,6 +32,7 @@ from .topology import load_topology
 from .tunnels import build_tunnel_sets, enumerate_single_link_scenarios, parse_policy
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_MISSING_FILE = 3
 EXIT_SCHEMA = 4
 EXIT_VERIFY_FAILED = 5
@@ -103,9 +104,9 @@ def _read_required(path: str) -> Path:
 def _cmd_solve(args) -> int:
     topo = load_topology(_read_required(args.topo))
     tm = load_tm(_read_required(args.tm), topo)
+    ts = build_tunnel_sets(topo, tm, parse_policy(args.tunnels))
     if args.scale != 1.0:
         tm = scale_tm(tm, args.scale)
-    ts = build_tunnel_sets(topo, tm, parse_policy(args.tunnels))
     if args.model == "te":
         model = build_te_lp(topo, tm, ts)
     else:
@@ -213,6 +214,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
+    except SolveError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 def cli_main_entry() -> None:

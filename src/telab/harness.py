@@ -6,15 +6,18 @@ solve is data, not an abort: the row carries the failure status and the sweep
 continues.  So is an exception raised while handling a point: it is logged
 and the point becomes one row with status ``error``.  Rows are merged in
 sorted coordinate order, so reruns with the same config and seed produce
-identical CSV content apart from the timing columns.  Path precomputation is
-shared across points through a cache since it is a one-time operation, while
-per-point LP build and solve times are reported separately (only solve time
-is a solution-quality metric).
+identical CSV content apart from the timing columns.  Each policy's tunnel
+set is built once, from the unscaled matrix, and shared by every point of that
+policy (positive scaling keeps the adaptive order); a tunnel set that raises
+turns each of its policy's points into an ``error`` row.  Each point scales the
+matrix and builds its own LP; per-point LP build and solve times are reported
+separately (only solve time is a solution-quality metric).
 """
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -41,8 +44,8 @@ from .temodels import (
 )
 from .topology import Topology, load_topology, scale_capacities
 from .tunnels import (
-    KspCache,
     ScenarioSet,
+    TunnelSet,
     build_tunnel_sets,
     enumerate_single_link_scenarios,
     parse_policy,
@@ -93,10 +96,13 @@ class ExperimentConfig:
             raise ValidationError(f"models must be a nonempty subset of {MODELS}")
         if not self.policies:
             raise ValidationError("at least one tunnel policy is required")
-        for p in self.policies:
-            parse_policy(p)
+        labels = [parse_policy(p).label for p in self.policies]
+        if len(set(labels)) < len(labels):
+            raise ValidationError(f"policies name the same tunnel policy twice: {labels}")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ValidationError("scales must be positive")
+        if len(set(self.scales)) < len(self.scales):
+            raise ValidationError(f"scales repeat a value: {self.scales}")
         if self.tm is None and self.fit is None:
             raise ValidationError("config needs a tm path or a lognormal fit")
         if self.workers < 1:
@@ -195,53 +201,51 @@ def calibrate_capacities(topo: Topology, tm: TrafficMatrix, ts, *,
     return lp_sol.objective
 
 
-def _solve_point(
-    topo: Topology,
-    tm_scaled: TrafficMatrix,
-    ts,
-    scen: ScenarioSet | None,
-    model_kind: str,
-    capacity_mode: str,
-    backend: str,
-    scale: float,
-    seed: int,
-    capacity_scale: float = 1.0,
-) -> tuple[ResultRow, dict | None]:
-    t0 = time.perf_counter()
-    if model_kind == "te":
-        model = build_te_lp(topo, tm_scaled, ts)
-    else:
-        model = build_ffc_lp(topo, tm_scaled, ts, scen, capacity_mode)
-    build_time = time.perf_counter() - t0
+def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
+                 scen: ScenarioSet | None, tunnel_sets: dict[str, TunnelSet | None],
+                 model_kind: str, policy: str, scale: float) -> tuple[ResultRow, dict | None]:
+    """One sweep point: scale the matrix, build, solve, verify and measure.
 
-    lp_sol = solve(model.problem, backend)
-    base = dict(
-        model=model_kind,
-        policy=ts.policy,
-        scale=scale,
-        seed=seed,
-        backend=backend,
-        capacity_mode=capacity_mode if model_kind == "ffc" else "",
-        variables=model.meta.n_vars,
-        constraints=model.meta.n_constraints,
-        build_time=build_time,
-    )
-    if lp_sol.status != OPTIMAL:
-        row = ResultRow(status=lp_sol.status, objective=float("nan"),
-                        metrics=None, congestion_free="", **base)
-        return row, None
+    An exception is logged and becomes one row with status ``error``, as does
+    every point of a policy whose tunnel set failed to build (``None``).
+    """
+    log.info("solving %s %s scale=%s", model_kind, policy, scale)
+    base = dict(model=model_kind, policy=policy, scale=scale, seed=cfg.seed,
+                backend=cfg.backend,
+                capacity_mode=cfg.capacity_mode if model_kind == "ffc" else "")
+    error_row = ResultRow(status=ERROR, objective=float("nan"), variables=0, constraints=0,
+                          build_time=0.0, metrics=None, congestion_free="", **base)
+    ts = tunnel_sets[policy]
+    if ts is None:
+        return error_row, None
+    try:
+        tm_scaled = scale_tm(tm, scale)
+        t0 = time.perf_counter()
+        if model_kind == "te":
+            model = build_te_lp(topo, tm_scaled, ts)
+        else:
+            model = build_ffc_lp(topo, tm_scaled, ts, scen, cfg.capacity_mode)
+        base.update(variables=model.meta.n_vars, constraints=model.meta.n_constraints,
+                    build_time=time.perf_counter() - t0)
+        lp_sol = solve(model.problem, cfg.backend)
+        if lp_sol.status != OPTIMAL:
+            log.warning("sweep point %s %s scale=%s: status %s: %s", model_kind, policy,
+                        scale, lp_sol.status, lp_sol.message)
+            return ResultRow(status=lp_sol.status, objective=float("nan"), metrics=None,
+                             congestion_free="", **base), None
 
-    sol = extract_solution(lp_sol, model)
-    verdict = ""
-    if model_kind == "ffc":
-        report = verify_congestion_free(sol, ts, scen, topo)
-        verdict = "pass" if report.ok else "fail"
-    report_metrics = compute_metrics(sol, tm_scaled, ts, topo)
-    row = ResultRow(status=lp_sol.status, objective=lp_sol.objective,
-                    metrics=report_metrics, congestion_free=verdict, **base)
-    dump = solution_to_dict(sol, model, scale=scale, seed=seed, backend=backend,
-                            capacity_scale=capacity_scale)
-    return row, dump
+        sol = extract_solution(lp_sol, model)
+        verdict = ""
+        if model_kind == "ffc":
+            verdict = "pass" if verify_congestion_free(sol, ts, scen, topo).ok else "fail"
+        row = ResultRow(status=lp_sol.status, objective=lp_sol.objective,
+                        metrics=compute_metrics(sol, tm_scaled, ts, topo),
+                        congestion_free=verdict, **base)
+        return row, solution_to_dict(sol, model, scale=scale, seed=cfg.seed,
+                                     backend=cfg.backend, capacity_scale=cfg.capacity_scale)
+    except Exception:
+        log.exception("sweep point %s %s scale=%s raised", model_kind, policy, scale)
+        return error_row, None
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -256,49 +260,29 @@ def run_experiment(cfg: ExperimentConfig):
         tm = generate_lognormal_tm(topo, cfg.fit, cfg.seed)
 
     scen = enumerate_single_link_scenarios(topo) if "ffc" in cfg.models else None
-    cache = KspCache(topo)
+    tunnel_sets: dict[str, TunnelSet | None] = {}
+    for text in cfg.policies:
+        policy = parse_policy(text)
+        try:
+            tunnel_sets[policy.label] = build_tunnel_sets(topo, tm, policy)
+        except Exception:
+            log.exception("tunnel set %s raised; its points become error rows", policy.label)
+            tunnel_sets[policy.label] = None
 
-    points = sorted(
-        (model, policy, scale)
-        for model in cfg.models
-        for policy in cfg.policies
-        for scale in cfg.scales
-    )
-    tasks = []
-    for model_kind, policy_label, scale in points:
-        tm_scaled = scale_tm(tm, scale)
-        ts = build_tunnel_sets(topo, tm_scaled, parse_policy(policy_label), cache)
-        tasks.append((topo, tm_scaled, ts, scen, model_kind,
-                      cfg.capacity_mode, cfg.backend, scale, cfg.seed, cfg.capacity_scale))
-
-    results: list[tuple[ResultRow, dict | None]] = []
+    points = sorted((model, policy, scale) for model in cfg.models
+                    for policy in tunnel_sets for scale in cfg.scales)
+    solve_point = functools.partial(_solve_point, cfg, topo, tm, scen, tunnel_sets)
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_solve_point_star, tasks))
+            results = list(pool.map(solve_point, *zip(*points)))
     else:
-        for task in tasks:
-            log.info("solving %s %s scale=%s", task[4], task[2].policy, task[7])
-            results.append(_solve_point_star(task))
+        results = [solve_point(*point) for point in points]
 
     rows = [r for r, _ in results]
     dumps = [d for _, d in results]
     if cfg.out_dir:
         _write_artifacts(cfg, rows, dumps)
     return rows
-
-
-def _solve_point_star(task):
-    """One sweep point; an exception is logged and becomes one row with status ``error``."""
-    try:
-        return _solve_point(*task)
-    except Exception:
-        _, _, ts, _, model_kind, capacity_mode, backend, scale, seed, _ = task
-        log.exception("sweep point %s %s scale=%s raised", model_kind, ts.policy, scale)
-        row = ResultRow(model_kind, ts.policy, scale, seed, backend,
-                        capacity_mode if model_kind == "ffc" else "", ERROR, float("nan"),
-                        variables=0, constraints=0, build_time=0.0, metrics=None,
-                        congestion_free="")
-        return row, None
 
 
 def _format_cell(value) -> str:

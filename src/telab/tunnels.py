@@ -194,29 +194,6 @@ def k_shortest_paths(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, 
     return [p for _, p in accepted]
 
 
-class KspCache:
-    """Memoizes per-pair shortest path lists across policies and sweep points.
-
-    Safe because the enumeration is deterministic: the first k paths of a
-    longer run equal the result of a shorter run.
-    """
-
-    def __init__(self, topo: Topology):
-        self._topo = topo
-        self._paths: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._exhausted: set[tuple[int, int]] = set()
-
-    def get(self, s: int, t: int, k: int) -> list[tuple[int, ...]]:
-        have = self._paths.get((s, t))
-        if have is not None and (len(have) >= k or (s, t) in self._exhausted):
-            return have[:k]
-        paths = k_shortest_paths(self._topo, s, t, k)
-        self._paths[(s, t)] = paths
-        if len(paths) < k:
-            self._exhausted.add((s, t))
-        return paths
-
-
 def _balanced_group_sizes(n: int, groups: int) -> list[int]:
     base, rem = divmod(n, groups)
     return [base + 1 if i < rem else base for i in range(groups)]
@@ -264,22 +241,16 @@ def make_tunnel_set(topo: Topology, policy: str,
     return TunnelSet(policy, tuple(tunnels), tuple(by_demand), unroutable, incidence)
 
 
-def build_tunnel_sets(
-    topo: Topology,
-    tm: TrafficMatrix,
-    policy: TunnelPolicy,
-    cache: KspCache | None = None,
-) -> TunnelSet:
+def build_tunnel_sets(topo: Topology, tm: TrafficMatrix, policy: TunnelPolicy) -> TunnelSet:
     """Precompute ordered tunnel lists for every demand under a policy.
 
     Demands with no path at all get an empty list and are reported in
     ``unroutable``; downstream models force their delivered flow to zero.
     """
-    if cache is None:
-        cache = KspCache(topo)
     counts = tunnel_counts(policy, tm)
     return make_tunnel_set(
-        topo, policy.label, [cache.get(d.src, d.dst, counts[d.id]) for d in tm.demands])
+        topo, policy.label,
+        [k_shortest_paths(topo, d.src, d.dst, counts[d.id]) for d in tm.demands])
 
 
 def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:

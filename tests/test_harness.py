@@ -18,7 +18,7 @@ from telab import (
     scale_capacities,
     solve_model,
 )
-from telab import harness
+from telab import cli, harness, lpcore
 from telab.cli import cli_main
 from telab.harness import RESULT_COLUMNS, TIMING_COLUMNS, ExperimentConfig, rows_to_csv
 from telab.lpcore import BACKENDS, NUMERICAL_FAILURE, LpSolution, solve
@@ -28,6 +28,10 @@ from conftest import DATA, make_tm, make_topology
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
+
+
+def _failed_solve(prob, backend="bundled"):
+    return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex", message="stalled")
 
 
 def test_calibrate_already_satisfied():
@@ -107,8 +111,7 @@ def test_calibrate_raises_on_a_failed_solve(monkeypatch):
     topo = make_topology(["a", "b"], [("a", "b", 10)])
     tm = make_tm(topo, [("a", "b", 20.0)])
     ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(1))
-    monkeypatch.setattr(harness, "solve", lambda prob, backend: LpSolution(
-        NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex", message="stalled"))
+    monkeypatch.setattr(harness, "solve", _failed_solve)
     with pytest.raises(SolveError, match="numerical_failure.*stalled"):
         calibrate_capacities(topo, tm, ts)
 
@@ -252,6 +255,89 @@ def test_sweep_point_exception_becomes_error_row(tmp_path, monkeypatch, caplog, 
     assert len(manifest["solutions"]) == 5
 
 
+def test_sweep_builds_each_tunnel_set_once_from_the_unscaled_matrix(monkeypatch):
+    volumes = []
+    real_build = harness.build_tunnel_sets
+
+    def recording_build(topo, tm, policy):
+        volumes.append((policy.label, tm.total_volume))
+        return real_build(topo, tm, policy)
+
+    monkeypatch.setattr(harness, "build_tunnel_sets", recording_build)
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[0.5, 1.0, 2.0], models=["te", "ffc"],
+                           policies=["fixed:5", "adaptive"])
+    rows = run_experiment(cfg)
+    assert len(rows) == 12 and all(r.status == "optimal" for r in rows)
+    assert volumes == [("fixed:5", 10.0), ("adaptive:3-4-5", 10.0)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tunnel_set_exception_turns_its_points_into_error_rows(tmp_path, monkeypatch, caplog,
+                                                               workers):
+    real_build = harness.build_tunnel_sets
+
+    def build_fails_for_adaptive(topo, tm, policy):
+        if policy.label.startswith("adaptive"):
+            raise RuntimeError("no paths for adaptive")
+        return real_build(topo, tm, policy)
+
+    monkeypatch.setattr(harness, "build_tunnel_sets", build_fails_for_adaptive)
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[0.5, 1.0], models=["te", "ffc"],
+                           policies=["fixed:5", "adaptive"], out_dir=str(tmp_path),
+                           workers=workers)
+    rows = run_experiment(cfg)
+    statuses = {(r.model, r.policy, r.scale): r.status for r in rows}
+    assert len(statuses) == 8
+    assert {s for (_, p, _), s in statuses.items() if p == "adaptive:3-4-5"} == {"error"}
+    assert {s for (_, p, _), s in statuses.items() if p == "fixed:5"} == {"optimal"}
+    assert "no paths for adaptive" in caplog.text
+    assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 8
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(manifest["solutions"]) == 4
+
+
+def test_failed_sweep_point_logs_its_status_and_backend_message(monkeypatch, caplog):
+    monkeypatch.setattr(harness, "solve", _failed_solve)
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[2.0], models=["ffc"], policies=["fixed:5"])
+    with caplog.at_level("WARNING", logger="telab.harness"):
+        rows = run_experiment(cfg)
+    assert [r.status for r in rows] == [NUMERICAL_FAILURE]
+    [record] = [r for r in caplog.records if r.levelname == "WARNING"]
+    message = record.getMessage()
+    for part in ("ffc", "fixed:5", "scale=2.0", NUMERICAL_FAILURE, "stalled"):
+        assert part in message
+
+
+def test_sweep_rows_sorted_by_reported_policy_label():
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[1.0], models=["te"], policies=["adaptive:2-3", "adaptive"])
+    rows = run_experiment(cfg)
+    assert [r.policy for r in rows] == ["adaptive:2-3", "adaptive:3-4-5"]
+
+
+@pytest.mark.parametrize("duplicate", [
+    {"scales": [0.5, 1.0, 0.5]},
+    {"scales": [1, 1.0]},
+    {"policies": ["adaptive", "adaptive:3-4-5"]},
+    {"policies": ["fixed:05", "fixed:5"]},
+])
+def test_config_rejects_duplicate_sweep_points(duplicate):
+    with pytest.raises(ValidationError):
+        ExperimentConfig(topology="x", tm="y", **duplicate).validate()
+
+
+def test_cli_sweep_rejects_repeated_scales(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"topology": str(DATA / "diamond.json"),
+                                    "tm": str(DATA / "diamond_tm.json"), "models": ["te"],
+                                    "policies": ["fixed:2"]}))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--scales", "1,2,1"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(topology="x", tm="y", models=["bogus"]).validate()
@@ -365,6 +451,41 @@ def test_cli_calibrate_and_tm_tools(tmp_path, capsys):
     assert rc == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["n_samples"] == 12
+
+
+def test_cli_solve_scale_keeps_the_unscaled_tunnels(monkeypatch, capsys):
+    volumes = []
+    real_build = cli.build_tunnel_sets
+
+    def recording_build(topo, tm, policy):
+        volumes.append(tm.total_volume)
+        return real_build(topo, tm, policy)
+
+    monkeypatch.setattr(cli, "build_tunnel_sets", recording_build)
+    rc = cli_main(["solve", "--topo", str(DATA / "diamond.json"),
+                   "--tm", str(DATA / "diamond_tm.json"), "--model", "te", "--scale", "3"])
+    assert rc == 0
+    assert volumes == [10.0]
+    assert json.loads(capsys.readouterr().out)["objective"] == pytest.approx(20.0)
+
+
+def test_cli_calibrate_failed_lp_is_an_error_message(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "solve", _failed_solve)
+    rc = cli_main(["calibrate", "--topo", str(DATA / "diamond.json"),
+                   "--tm", str(DATA / "diamond_tm.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "stalled" in err and "Traceback" not in err
+
+
+def test_cli_solve_failed_lp_is_an_error_message(monkeypatch, capsys):
+    monkeypatch.setattr(lpcore, "solve", _failed_solve)
+    rc = cli_main(["solve", "--topo", str(DATA / "diamond.json"),
+                   "--tm", str(DATA / "diamond_tm.json"), "--model", "ffc"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "stalled" in captured.err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
