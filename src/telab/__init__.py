@@ -44,7 +44,6 @@ from .tunnels import (
     AdaptiveTunnelPolicy,
     FixedTunnelPolicy,
     ScenarioSet,
-    Tunnel,
     TunnelSet,
     available_tunnels,
     build_tunnel_sets,
@@ -68,7 +67,6 @@ __all__ = [
     "fit_lognormal",
     "generate_lognormal_tm",
     "scale_tm",
-    "Tunnel",
     "TunnelSet",
     "ScenarioSet",
     "FixedTunnelPolicy",

@@ -76,6 +76,10 @@ RESULT_COLUMNS = [
 TIMING_COLUMNS = ("build_time", "solver_time")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     topology: str
@@ -92,10 +96,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        if not isinstance(self.scales, list) or not all(map(_is_number, self.scales)):
+            raise ValidationError(f"scales must be a list of numbers, got {self.scales!r}")
+        for name in ("seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not _is_number(self.capacity_scale):
+            raise ValidationError(f"capacity_scale must be a number, got {self.capacity_scale!r}")
         if not self.models or any(m not in MODELS for m in self.models):
             raise ValidationError(f"models must be a nonempty subset of {MODELS}")
-        if not self.policies:
-            raise ValidationError("at least one tunnel policy is required")
+        if not self.policies or not all(isinstance(p, str) for p in self.policies):
+            raise ValidationError("policies must be a nonempty list of policy strings")
         labels = [parse_policy(p).label for p in self.policies]
         if len(set(labels)) < len(labels):
             raise ValidationError(f"policies name the same tunnel policy twice: {labels}")
@@ -120,8 +132,12 @@ class ExperimentConfig:
             raise ValidationError(f"malformed experiment config: {e}") from e
         fit = None
         if "fit" in doc:
-            f = doc["fit"]
-            fit = LognormalFit(float(f["mu"]), float(f["sigma"]), int(f.get("n_samples", 0)))
+            try:
+                f = doc["fit"]
+                fit = LognormalFit(float(f["mu"]), float(f["sigma"]), int(f.get("n_samples", 0)))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValidationError(
+                    f"fit needs numeric 'mu' and 'sigma', got {doc['fit']!r}") from e
         known = {
             "topology", "tm", "seed", "scales", "models", "policies",
             "backend", "capacity_mode", "capacity_scale", "out_dir", "workers",

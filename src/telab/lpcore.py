@@ -524,7 +524,8 @@ BACKENDS = {
 
 
 def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
-    """Solve with the named backend; solve_time covers the solve call only.
+    """Solve with the named backend; solve_time covers the solve call only,
+    not the first import of scipy's solvers.
 
     An optimal result is accepted only after direct substitution into the
     original rows and bounds succeeds; otherwise the status is downgraded to
@@ -535,6 +536,8 @@ def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
     except KeyError:
         raise ValidationError(
             f"unknown backend {backend!r}; available: {sorted(BACKENDS)}") from None
+    if backend == "scipy":
+        import scipy.optimize  # noqa: F401  (lazy, and outside solve_time)
     t0 = time.perf_counter()
     sol = fn(prob)
     sol.solve_time = time.perf_counter() - t0

@@ -77,9 +77,8 @@ def criticality_scores(sol: TeSolution, ts: TunnelSet, utilization: np.ndarray) 
     if used.size == 0:
         return scores
     carried = ts.incidence[used].tocoo()  # (used tunnel, arc) pairs
-    demand_of = np.array([ts.tunnels[t].demand_id for t in used], dtype=int)
     candidate_util = np.full((len(ts.by_demand), len(utilization)), -np.inf)
-    candidate_util[demand_of[carried.row], carried.col] = utilization[carried.col]
+    candidate_util[ts.demand_of[used][carried.row], carried.col] = utilization[carried.col]
     best = candidate_util.argmax(axis=1)  # most utilized; the smallest arc id on ties
     scored = (sol.delivered > FLOW_EPS) & np.isfinite(candidate_util.max(axis=1))
     np.add.at(scores, best[scored], sol.delivered[scored] / len(ts.by_demand))

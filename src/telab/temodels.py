@@ -90,8 +90,8 @@ class CongestionReport:
 
 def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet, name: str) -> LpProblem:
     prob = LpProblem(name=name)
-    for t in ts.tunnels:
-        prob.add_var(f"a_{t.demand_id}_{t.id}", 0.0, math.inf)
+    for tid, f in enumerate(ts.demand_of.tolist()):
+        prob.add_var(f"a_{f}_{tid}", 0.0, math.inf)
     for d in tm.demands:
         ub = d.volume if ts.by_demand[d.id] else 0.0
         prob.add_var(f"b_{d.id}", 0.0, ub)
@@ -110,8 +110,8 @@ def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     arcs.sort_indices()
     arcs.resize((arcs.shape[0], ts.total + n_demands))
     members = sp.csr_matrix(
-        (np.ones(ts.total), [t for ids in ts.by_demand for t in ids],
-         np.cumsum([0] + [len(ids) for ids in ts.by_demand])), shape=(n_demands, ts.total))
+        (np.ones(ts.total), np.arange(ts.total),
+         np.searchsorted(ts.demand_of, np.arange(n_demands + 1))), shape=(n_demands, ts.total))
     own = sp.hstack([members, -sp.identity(n_demands)], format="csr")
     return arcs, own
 
@@ -204,7 +204,7 @@ def build_ffc_lp(
     """
     if capacity_mode not in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY):
         raise ValidationError(f"unknown capacity mode {capacity_mode!r}")
-    if scen.n == 0 or scen.scenarios[0].dead_arcs:
+    if scen.n == 0 or scen.dead[0].nnz:
         raise ValidationError("scenario set must start with the normal state")
     prob = _base_problem(topo, tm, ts, "ffc")
     arcs, own = _row_templates(ts)
@@ -308,7 +308,7 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
             for d in tm.demands
         ],
         "tunnels": [
-            [[topo.node_ids[n] for n in ts.tunnels[tid].nodes] for tid in ids]
+            [[topo.node_ids[n] for n in ts.paths[tid]] for tid in ids]
             for ids in ts.by_demand
         ],
         "b": [float(v) for v in sol.delivered],

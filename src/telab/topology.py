@@ -8,6 +8,7 @@ indexing.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -69,6 +70,29 @@ class Topology:
         for a in self.arcs:
             out[a.src].append((a.dst, a.weight))
         return tuple(tuple(sorted(nbrs)) for nbrs in out)
+
+    @cached_property
+    def distances_to(self) -> tuple[tuple[float, ...], ...]:
+        """``distances_to[t][v]``: shortest-path cost from v to t (inf if none),
+        by one reverse Dijkstra per destination."""
+        into: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
+        for a in self.arcs:
+            into[a.dst].append((a.src, a.weight))
+        out = []
+        for t in range(self.n_nodes):
+            dist = [math.inf] * self.n_nodes
+            dist[t] = 0.0
+            heap = [(0.0, t)]
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > dist[v]:
+                    continue
+                for u, w in into[v]:
+                    if d + w < dist[u]:
+                        dist[u] = d + w
+                        heapq.heappush(heap, (d + w, u))
+            out.append(tuple(dist))
+        return tuple(out)
 
     def capacities(self):
         import numpy as np

@@ -2,14 +2,19 @@
 
 Tunnels are loopless paths enumerated with Yen's algorithm in nondecreasing
 cost order, ties broken by lexicographic comparison of node-index sequences,
-so LP column sets are reproducible run to run.  Tunnels are computed once on
-the intact graph.  Per-scenario availability is the product of a tunnel set's
-tunnel x arc incidence and a scenario set's dead arcs: a tunnel survives when
-none of its arcs failed (both directions of a link die together).
+so LP column sets are reproducible run to run.  The tie-break is exact when
+path sums are exact, as with integer weights; otherwise equal-cost paths may
+come out in float-rounding order.  Spur searches are A* over the distances to
+the destination, computed once per topology (``Topology.distances_to``).
+Tunnels are computed once on the intact graph.  Per-scenario availability is
+the product of a tunnel set's tunnel x arc incidence and a scenario set's dead
+arcs: a tunnel survives when none of its arcs failed (both directions of a
+link die together).
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,42 +26,30 @@ from .topology import Topology
 
 
 @dataclass(frozen=True)
-class Tunnel:
-    id: int
-    demand_id: int
-    nodes: tuple[int, ...]
-    arcs: tuple[int, ...]
-    cost: float
-
-
-@dataclass(frozen=True)
 class TunnelSet:
+    """Tunnels numbered consecutively in demand order."""
+
     policy: str
-    tunnels: tuple[Tunnel, ...]
+    paths: tuple[tuple[int, ...], ...]  # node path per tunnel
     by_demand: tuple[tuple[int, ...], ...]  # global tunnel ids per demand id
     unroutable: tuple[int, ...]  # demand ids with no path at all
+    demand_of: np.ndarray = field(compare=False, repr=False)  # demand id per tunnel
     incidence: sp.csr_matrix = field(compare=False, repr=False)  # tunnel x arc, 0/1
 
     @property
     def total(self) -> int:
-        return len(self.tunnels)
+        return len(self.paths)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    id: int
-    dead_pair: int | None  # undirected pair id, None for the normal state
-    dead_arcs: frozenset[int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
-    scenarios: tuple[Scenario, ...]
-    dead: sp.csr_matrix = field(compare=False, repr=False)  # scenario x arc, 0/1
+    """Row 0 is the normal state, row q > 0 fails both arcs of link q - 1."""
+
+    dead: sp.csr_matrix = field(repr=False)  # scenario x arc, 0/1
 
     @property
     def n(self) -> int:
-        return len(self.scenarios)
+        return self.dead.shape[0]
 
 
 @dataclass(frozen=True)
@@ -122,27 +115,33 @@ def parse_policy(text: str) -> TunnelPolicy:
     raise ValidationError(f"unknown tunnel policy {text!r}")
 
 
-def _dijkstra(adjacency, s: int, t: int, banned_nodes, banned_arcs):
-    """Min (cost, node-sequence) path from s to t, or None if unreachable.
+def _spur_path(adjacency, to_t, root: tuple[int, ...], t: int,
+               skip) -> tuple[float, tuple[int, ...]] | None:
+    """Min (cost, node-sequence) path from root[-1] to t, or None if unreachable.
 
-    Heap entries carry the full node tuple so equal-cost paths pop in
-    lexicographic order; with positive weights the first settled label per
-    node is the (cost, lex) minimum.
+    The path avoids the other root nodes and leaves root[-1] by no neighbor in
+    ``skip``.  A* keyed by (cost so far + distance to t, node sequence): the
+    distances are a consistent heuristic, so with exact sums labels pop in
+    nondecreasing key order and the first settled label per node is its
+    (cost, lex) minimum.
     """
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (s,))]
-    settled: set[int] = set()
+    s = root[-1]
+    settled = set(root)
+    heap = [(w + to_t[v], (s, v), w) for v, w in adjacency[s]
+            if v not in settled and v not in skip]
+    heapq.heapify(heap)
     while heap:
-        cost, path = heapq.heappop(heap)
+        _, path, cost = heapq.heappop(heap)
         u = path[-1]
         if u in settled:
             continue
-        settled.add(u)
         if u == t:
             return cost, path
+        settled.add(u)
         for v, w in adjacency[u]:
-            if v in settled or v in banned_nodes or (u, v) in banned_arcs:
-                continue
-            heapq.heappush(heap, (cost + w, path + (v,)))
+            if v not in settled:
+                g = cost + w
+                heapq.heappush(heap, (g + to_t[v], path + (v,), g))
     return None
 
 
@@ -151,47 +150,42 @@ def k_shortest_paths(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, 
 
     Cost is the sum of arc weights.  Returns fewer than k paths when the
     graph admits fewer distinct simple paths, and an empty list for a
-    disconnected pair.  The lexicographic tie-break is exact for strictly
-    positive weights.
+    disconnected pair.  Yen's algorithm with Lawler's rule (an accepted path
+    spurs only from its deviation index onward) and goal-directed spur
+    searches over the topology's distances to t.
     """
     if s == t:
         raise ValidationError("source and destination must differ")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    adjacency = topo.adjacency
-    weight = {(a.src, a.dst): a.weight for a in topo.arcs}
+    adjacency, to_t, arc_of = topo.adjacency, topo.distances_to[t], topo.arc_by_endpoints
 
-    first = _dijkstra(adjacency, s, t, frozenset(), frozenset())
+    first = _spur_path(adjacency, to_t, (s,), t, ())
     if first is None:
         return []
-    accepted: list[tuple[float, tuple[int, ...]]] = [first]
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    queued: set[tuple[int, ...]] = {first[1]}
-
+    accepted = [first[1]]
+    candidates: list[tuple[float, tuple[int, ...], int]] = []  # (cost, path, deviation index)
+    queued = {first[1]}
+    deviation = 0
     while len(accepted) < k:
-        _, prev = accepted[-1]
+        prev = accepted[-1]
         root_cost = 0.0
         for j in range(len(prev) - 1):
-            spur = prev[j]
-            root = prev[: j + 1]
-            banned_arcs = {
-                (p[j], p[j + 1])
-                for _, p in accepted
-                if len(p) > j + 1 and p[: j + 1] == root
-            }
-            banned_nodes = set(root[:-1])
-            res = _dijkstra(adjacency, spur, t, banned_nodes, banned_arcs)
-            if res is not None:
-                spur_cost, spur_path = res
-                full = root[:-1] + spur_path
-                if full not in queued:
-                    queued.add(full)
-                    heapq.heappush(candidates, (root_cost + spur_cost, full))
-            root_cost += weight[(prev[j], prev[j + 1])]
+            if j >= deviation:
+                root = prev[: j + 1]
+                skip = {p[j + 1] for p in accepted if len(p) > j + 1 and p[: j + 1] == root}
+                res = _spur_path(adjacency, to_t, root, t, skip)
+                if res is not None:
+                    full = root[:-1] + res[1]
+                    if full not in queued:
+                        queued.add(full)
+                        heapq.heappush(candidates, (root_cost + res[0], full, j))
+            root_cost += arc_of[(prev[j], prev[j + 1])].weight
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
-    return [p for _, p in accepted]
+        _, path, deviation = heapq.heappop(candidates)
+        accepted.append(path)
+    return accepted
 
 
 def _balanced_group_sizes(n: int, groups: int) -> list[int]:
@@ -219,26 +213,25 @@ def make_tunnel_set(topo: Topology, policy: str,
     """Number every demand's node paths as tunnels, consecutively in demand order,
     and build their tunnel x arc incidence; a path over a missing arc is invalid."""
     arc_of = topo.arc_by_endpoints
-    tunnels: list[Tunnel] = []
-    by_demand: list[tuple[int, ...]] = []
-    for f, paths in enumerate(paths_by_demand):
-        ids = []
-        for nodes in paths:
-            try:
-                arcs = tuple(arc_of[(nodes[i], nodes[i + 1])].id for i in range(len(nodes) - 1))
-            except KeyError:
-                path = [topo.node_ids[n] for n in nodes]
-                raise ValidationError(
-                    f"tunnel path {path!r} uses an arc missing from the topology") from None
-            cost = sum(topo.arcs[a].weight for a in arcs)
-            ids.append(len(tunnels))
-            tunnels.append(Tunnel(ids[-1], f, tuple(nodes), arcs, cost))
-        by_demand.append(tuple(ids))
-    indices = np.array([a for t in tunnels for a in t.arcs], dtype=np.int64)
-    incidence = sp.csr_matrix((np.ones(len(indices)), indices, np.cumsum(
-        [0] + [len(t.arcs) for t in tunnels])), shape=(len(tunnels), topo.n_arcs))
-    unroutable = tuple(f for f, ids in enumerate(by_demand) if not ids)
-    return TunnelSet(policy, tuple(tunnels), tuple(by_demand), unroutable, incidence)
+    paths = tuple(tuple(nodes) for ps in paths_by_demand for nodes in ps)
+    indices: list[int] = []
+    indptr = [0]
+    for nodes in paths:
+        try:
+            indices += [arc_of[hop].id for hop in zip(nodes, nodes[1:])]
+        except KeyError:
+            path = [topo.node_ids[n] for n in nodes]
+            raise ValidationError(
+                f"tunnel path {path!r} uses an arc missing from the topology") from None
+        indptr.append(len(indices))
+    counts = [len(ps) for ps in paths_by_demand]
+    bounds = list(itertools.accumulate(counts, initial=0))
+    by_demand = tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+    incidence = sp.csr_matrix((np.ones(len(indices)), np.array(indices, dtype=np.int64),
+                               np.array(indptr, dtype=np.int64)), shape=(len(paths), topo.n_arcs))
+    unroutable = tuple(f for f, c in enumerate(counts) if not c)
+    demand_of = np.repeat(np.arange(len(counts)), counts)
+    return TunnelSet(policy, paths, by_demand, unroutable, demand_of, incidence)
 
 
 def build_tunnel_sets(topo: Topology, tm: TrafficMatrix, policy: TunnelPolicy) -> TunnelSet:
@@ -255,14 +248,10 @@ def build_tunnel_sets(topo: Topology, tm: TrafficMatrix, policy: TunnelPolicy) -
 
 def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:
     """Normal state plus one scenario per undirected link (both arcs dead)."""
-    scenarios = [Scenario(0, None, frozenset())]
-    for pair in range(topo.n_links):
-        dead = frozenset(a.id for a in topo.arcs if a.pair_id == pair)
-        scenarios.append(Scenario(len(scenarios), pair, dead))
-    rows = [sc.id for sc in scenarios for _ in sc.dead_arcs]
-    cols = [a for sc in scenarios for a in sorted(sc.dead_arcs)]
-    dead = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(scenarios), topo.n_arcs))
-    return ScenarioSet(tuple(scenarios), dead)
+    rows = [a.pair_id + 1 for a in topo.arcs]
+    dead = sp.csr_matrix((np.ones(topo.n_arcs), (rows, range(topo.n_arcs))),
+                         shape=(topo.n_links + 1, topo.n_arcs))
+    return ScenarioSet(dead)
 
 
 def surviving_tunnels(ts: TunnelSet, scen: ScenarioSet) -> np.ndarray:
@@ -283,7 +272,7 @@ def dump_tunnels(ts: TunnelSet, tm: TrafficMatrix, topo: Topology) -> list[dict]
     return [
         {
             "demand": [topo.node_ids[d.src], topo.node_ids[d.dst]],
-            "tunnels": [[topo.node_ids[n] for n in ts.tunnels[t].nodes] for t in ts.by_demand[d.id]],
+            "tunnels": [[topo.node_ids[n] for n in ts.paths[t]] for t in ts.by_demand[d.id]],
         }
         for d in tm.demands
     ]

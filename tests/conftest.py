@@ -2,6 +2,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
@@ -47,6 +48,22 @@ def make_topology(names, links, name="t"):
         entries.append(e)
     doc = {"name": name, "nodes": [{"id": n} for n in names], "links": entries}
     return parse_topology(json.dumps(doc))
+
+
+def syn_topology(n):
+    """The synN benchmark topology: a ring, seeded random chords up to
+    int(1.6*n) links, capacities drawn from integers(200, 800), all from
+    ``default_rng(0)``; unit weights."""
+    rng = np.random.default_rng(0)
+    links = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    while len(links) < int(1.6 * n):
+        u, v = rng.choice(n, size=2, replace=False)
+        links.add(tuple(sorted((int(u), int(v)))))
+    ordered = sorted(links)
+    caps = rng.integers(200, 800, size=len(ordered))
+    names = [f"n{i}" for i in range(n)]
+    return make_topology(names, [(names[u], names[v], c) for (u, v), c in zip(ordered, caps)],
+                         name=f"syn{n}")
 
 
 def make_tm(topo, rows):

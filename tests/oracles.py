@@ -2,12 +2,14 @@
 
 These deliberately avoid the algorithms under test: the LP oracle enumerates
 basic feasible points directly, the path oracle enumerates every simple path
-by DFS, and the calibration oracle bisects over full TE solves instead of
-solving the min-max-utilization LP.  The first two are exponential and only
-meant for tiny instances.
+by DFS, the Yen oracle runs a full Dijkstra for every spur, and the
+calibration oracle bisects over full TE solves instead of solving the
+min-max-utilization LP.  The first two are exponential and only meant for
+tiny instances.
 """
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -179,37 +181,113 @@ def ksp_oracle(topo, s: int, t: int, k: int) -> list[tuple[int, ...]]:
     return [p for _, p in paths[:k]]
 
 
+def _dijkstra(adjacency, s: int, t: int, banned_nodes, banned_arcs):
+    """Min (cost, node-sequence) path from s to t, or None if unreachable.
+
+    Heap entries carry the full node tuple so equal-cost paths pop in
+    lexicographic order; the first settled label per node is the (cost, lex)
+    minimum.
+    """
+    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (s,))]
+    settled: set[int] = set()
+    while heap:
+        cost, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == t:
+            return cost, path
+        for v, w in adjacency[u]:
+            if v in settled or v in banned_nodes or (u, v) in banned_arcs:
+                continue
+            heapq.heappush(heap, (cost + w, path + (v,)))
+    return None
+
+
+def yen_oracle(topo, s: int, t: int, k: int) -> list[tuple[int, ...]]:
+    """Up to k loopless s->t paths by plain Yen: a full Dijkstra for the first
+    path and for every spur node of every accepted path, candidates costed
+    ``root_cost + spur_cost`` and ordered by (cost, node sequence)."""
+    adjacency = topo.adjacency
+    weight = {(a.src, a.dst): a.weight for a in topo.arcs}
+
+    first = _dijkstra(adjacency, s, t, frozenset(), frozenset())
+    if first is None:
+        return []
+    accepted: list[tuple[float, tuple[int, ...]]] = [first]
+    candidates: list[tuple[float, tuple[int, ...]]] = []
+    queued: set[tuple[int, ...]] = {first[1]}
+
+    while len(accepted) < k:
+        _, prev = accepted[-1]
+        root_cost = 0.0
+        for j in range(len(prev) - 1):
+            spur = prev[j]
+            root = prev[: j + 1]
+            banned_arcs = {
+                (p[j], p[j + 1])
+                for _, p in accepted
+                if len(p) > j + 1 and p[: j + 1] == root
+            }
+            banned_nodes = set(root[:-1])
+            res = _dijkstra(adjacency, spur, t, banned_nodes, banned_arcs)
+            if res is not None:
+                spur_cost, spur_path = res
+                full = root[:-1] + spur_path
+                if full not in queued:
+                    queued.add(full)
+                    heapq.heappush(candidates, (root_cost + spur_cost, full))
+            root_cost += weight[(prev[j], prev[j + 1])]
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    return [p for _, p in accepted]
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference loops: the literal definitions, one tunnel and one row at a
-# time, straight from ``Tunnel.arcs`` and ``Scenario.dead_arcs``.
+# time, with a tunnel's arcs read from its node path and a scenario's dead
+# arcs from ``Arc.pair_id`` (scenario q > 0 fails link q - 1).
 # ---------------------------------------------------------------------------
 
 
-def tunnel_survives(tunnel, scenario) -> bool:
-    return not any(a in scenario.dead_arcs for a in tunnel.arcs)
+def path_arcs(topo, nodes) -> list[int]:
+    return [topo.arc_by_endpoints[hop].id for hop in zip(nodes, nodes[1:])]
 
 
-def available_tunnels_oracle(ts, scen, q: int) -> list[list[int]]:
-    sc = scen.scenarios[q]
-    return [[t for t in ids if tunnel_survives(ts.tunnels[t], sc)] for ids in ts.by_demand]
+def path_cost(topo, nodes) -> float:
+    return sum(topo.arc_by_endpoints[hop].weight for hop in zip(nodes, nodes[1:]))
+
+
+def dead_arcs(topo, q: int) -> set[int]:
+    return {a.id for a in topo.arcs if a.pair_id == q - 1}
+
+
+def tunnel_survives(topo, nodes, q: int) -> bool:
+    dead = dead_arcs(topo, q)
+    return not any(a in dead for a in path_arcs(topo, nodes))
+
+
+def available_tunnels_oracle(topo, ts, q: int) -> list[list[int]]:
+    return [[t for t in ids if tunnel_survives(topo, ts.paths[t], q)] for ids in ts.by_demand]
 
 
 def ffc_rows_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[tuple]:
     """(name, ((col, coef), ...), sense, rhs) of every FFC row, in build order."""
     rows = []
-    cap_scenarios = scen.scenarios if capacity_mode == "all" else scen.scenarios[:1]
-    for sc in cap_scenarios:
+    for q in range(scen.n if capacity_mode == "all" else 1):
         for arc in topo.arcs:
-            if arc.id in sc.dead_arcs:
+            if arc.id in dead_arcs(topo, q):
                 continue
-            coeffs = tuple((t.id, 1.0) for t in ts.tunnels
-                           if arc.id in t.arcs and tunnel_survives(t, sc))
-            rows.append((f"cap_q{sc.id}_e{arc.id}", coeffs, "<=", arc.capacity))
-    for sc in scen.scenarios:
-        alive = available_tunnels_oracle(ts, scen, sc.id)
+            coeffs = tuple((t, 1.0) for t, nodes in enumerate(ts.paths)
+                           if arc.id in path_arcs(topo, nodes) and tunnel_survives(topo, nodes, q))
+            rows.append((f"cap_q{q}_e{arc.id}", coeffs, "<=", arc.capacity))
+    for q in range(scen.n):
+        alive = available_tunnels_oracle(topo, ts, q)
         for d in tm.demands:
             coeffs = tuple((t, 1.0) for t in alive[d.id]) + ((ts.total + d.id, -1.0),)
-            rows.append((f"del_f{d.id}_q{sc.id}", coeffs, ">=", 0.0))
+            rows.append((f"del_f{d.id}_q{q}", coeffs, ">=", 0.0))
     return rows
 
 
@@ -218,10 +296,9 @@ def ffc_implied_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[bool]:
     scenario's capacity row; a delivery row when another scenario leaves the
     demand a strictly smaller tunnel set, or the same set and comes first."""
     marks = []
-    cap_scenarios = scen.scenarios if capacity_mode == "all" else scen.scenarios[:1]
-    for sc in cap_scenarios:
-        marks += [sc.id > 0 for arc in topo.arcs if arc.id not in sc.dead_arcs]
-    alive = [[set(ids) for ids in available_tunnels_oracle(ts, scen, q)] for q in range(scen.n)]
+    for q in range(scen.n if capacity_mode == "all" else 1):
+        marks += [q > 0 for arc in topo.arcs if arc.id not in dead_arcs(topo, q)]
+    alive = [[set(ids) for ids in available_tunnels_oracle(topo, ts, q)] for q in range(scen.n)]
     for q in range(scen.n):
         for d in tm.demands:
             mine = alive[q][d.id]
@@ -264,22 +341,24 @@ def congestion_violations_oracle(sol, ts, scen, topo, cap_tol=1e-6, del_tol=1e-6
     """(scenario, kind, index, amount) per violation, scenario by scenario."""
     caps = topo.capacities()
     out = []
-    for sc in scen.scenarios:
-        alive = [tunnel_survives(t, sc) for t in ts.tunnels]
+    for q in range(scen.n):
+        alive = [tunnel_survives(topo, nodes, q) for nodes in ts.paths]
         loads = np.zeros(topo.n_arcs)
-        for t in ts.tunnels:
-            for e in t.arcs:
-                loads[e] += sol.tunnel_rates[t.id] if alive[t.id] else 0.0
+        for t, nodes in enumerate(ts.paths):
+            for e in path_arcs(topo, nodes):
+                loads[e] += sol.tunnel_rates[t] if alive[t] else 0.0
+        dead = dead_arcs(topo, q)
         for e in range(topo.n_arcs):
-            if e not in sc.dead_arcs and loads[e] - caps[e] > cap_tol:
-                out.append((sc.id, "capacity", e, float(loads[e] - caps[e])))
+            if e not in dead and loads[e] - caps[e] > cap_tol:
+                out.append((q, "capacity", e, float(loads[e] - caps[e])))
         surviving = np.zeros(len(ts.by_demand))
-        for t in ts.tunnels:
-            if alive[t.id]:
-                surviving[t.demand_id] += sol.tunnel_rates[t.id]
+        for f, ids in enumerate(ts.by_demand):
+            for t in ids:
+                if alive[t]:
+                    surviving[f] += sol.tunnel_rates[t]
         for f in range(len(ts.by_demand)):
             if sol.delivered[f] - surviving[f] > del_tol:
-                out.append((sc.id, "delivery", f, float(sol.delivered[f] - surviving[f])))
+                out.append((q, "delivery", f, float(sol.delivered[f] - surviving[f])))
     return out
 
 
@@ -303,13 +382,14 @@ def feasibility_issues_oracle(var_names, lower, upper, rows, x, row_tol=1e-6, bo
     return issues
 
 
-def criticality_scores_oracle(sol, ts, utilization, flow_eps=1e-9):
+def criticality_scores_oracle(sol, ts, topo, utilization, flow_eps=1e-9):
     """Per demand, the most utilized arc (smallest id on ties) of its used tunnels."""
     scores = np.zeros(len(utilization))
     for f, ids in enumerate(ts.by_demand):
         if sol.delivered[f] <= flow_eps:
             continue
-        candidates = {a for t in ids if sol.tunnel_rates[t] > flow_eps for a in ts.tunnels[t].arcs}
+        candidates = {a for t in ids if sol.tunnel_rates[t] > flow_eps
+                      for a in path_arcs(topo, ts.paths[t])}
         if candidates:
             best = min(candidates, key=lambda e: (-utilization[e], e))
             scores[best] += sol.delivered[f] / len(ts.by_demand)

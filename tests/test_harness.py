@@ -351,6 +351,28 @@ def test_config_validation():
         ExperimentConfig.from_json(json.dumps({"tm": "y"}))
 
 
+@pytest.mark.parametrize("field", [
+    {"scales": ["1"]},
+    {"scales": 1.0},
+    {"workers": "2"},
+    {"workers": 2.0},
+    {"seed": "7"},
+    {"seed": True},
+    {"capacity_scale": "1.5"},
+    {"policies": [5]},
+    {"fit": {"mu": 1.0}, "tm": None},
+    {"fit": {"sigma": 0.4}, "tm": None},
+    {"fit": {"mu": "x", "sigma": 0.4}, "tm": None},
+])
+def test_cli_sweep_rejects_mistyped_config_fields(tmp_path, capsys, field):
+    doc = {"topology": str(DATA / "diamond.json"), "tm": str(DATA / "diamond_tm.json"),
+           "models": ["te"], "policies": ["fixed:2"], **field}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_rejects_unknown_backend_and_capacity_mode():
     # caught up front: inside a sweep point they would only turn into error rows
     with pytest.raises(ValidationError):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,3 +193,26 @@ def test_lp_text_export_roundtrip_values():
     assert "Maximize" in text and "Subject To" in text and "Bounds" in text
     assert "cap:" in text
     assert repr(1.0) in text
+
+
+def test_scipy_import_stays_lazy_and_outside_solve_time():
+    # a fresh interpreter: importing telab leaves scipy.optimize unloaded, and
+    # solve's timer starts only after the scipy backend's import
+    script = """
+import sys, time
+import telab.lpcore as lpcore
+assert "scipy.optimize" not in sys.modules
+seen = []
+clock = time.perf_counter
+lpcore.time = type("clock", (), {"perf_counter": staticmethod(
+    lambda: seen.append("scipy.optimize" in sys.modules) or clock())})
+prob = lpcore.LpProblem()
+x = prob.add_var("x", 0.0, 1.0)
+prob.set_objective([(x, 1.0)], maximize=True)
+assert lpcore.solve(prob, "scipy").status == lpcore.OPTIMAL
+assert seen and all(seen), seen
+"""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

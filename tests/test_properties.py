@@ -19,6 +19,7 @@ from telab import (
     build_tunnel_sets,
     calibrate_capacities,
     enumerate_single_link_scenarios,
+    k_shortest_paths,
     parse_tm,
     parse_topology,
     scale_capacities,
@@ -42,6 +43,7 @@ from oracles import (
     le_rows,
     lp_rows,
     row_implies,
+    yen_oracle,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -74,9 +76,20 @@ def instances(draw, capacities=st.integers(1, 20)):
 @PROPERTY
 @given(instances())
 def test_available_tunnels_match_scalar_filter(inst):
-    _, _, ts, scen = inst
+    topo, _, ts, scen = inst
     for q in range(scen.n):
-        assert available_tunnels(ts, scen, q) == available_tunnels_oracle(ts, scen, q)
+        assert available_tunnels(ts, scen, q) == available_tunnels_oracle(topo, ts, q)
+
+
+@PROPERTY
+@given(instances())
+def test_tunnel_paths_match_yen(inst):
+    topo, tm, ts, _ = inst
+    for d in tm.demands:
+        want = yen_oracle(topo, d.src, d.dst, 4)
+        assert k_shortest_paths(topo, d.src, d.dst, 4) == want
+        ids = ts.by_demand[d.id]
+        assert [ts.paths[t] for t in ids] == want[:len(ids)]
 
 
 @PROPERTY
@@ -193,7 +206,7 @@ def test_criticality_scores_match_per_demand_loop(inst, data):
                      ModelMeta("te", ts.policy, None, 1, 0, 0))
     util = link_utilization(sol, topo)
     assert np.array_equal(criticality_scores(sol, ts, util),
-                          criticality_scores_oracle(sol, ts, util))
+                          criticality_scores_oracle(sol, ts, topo, util))
 
 
 _coef = st.sampled_from([-2.5, -1.0, 0.5, 1.0, 3.0])

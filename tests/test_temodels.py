@@ -27,7 +27,7 @@ from telab.temodels import (
     solution_to_dict,
 )
 from conftest import make_tm, make_topology, random_te_instance
-from oracles import ffc_implied_oracle, vertex_enumeration_optimum
+from oracles import ffc_implied_oracle, path_arcs, vertex_enumeration_optimum
 
 
 def two_node(capacity=10.0, demand=5.0):
@@ -122,7 +122,7 @@ def test_loads_double_counting_identity():
     for _ in range(8):
         topo, tm, ts = random_te_instance(rng)
         sol = solve_model(build_te_lp(topo, tm, ts))
-        hops = np.array([len(t.arcs) for t in ts.tunnels])
+        hops = np.array([len(p) - 1 for p in ts.paths])
         assert sol.arc_loads.sum() == pytest.approx(float(sol.tunnel_rates @ hops), abs=1e-8)
 
 
@@ -211,8 +211,9 @@ def test_verify_flags_unprotected_te_solution(diamond_topo, diamond_tm):
     report = verify_congestion_free(te, ts, scen, diamond_topo)
     assert not report.ok
     # the single used path dies in the two scenarios failing its links
-    used = next(t for t in ts.tunnels if te.tunnel_rates[t.id] > 0)
-    expect_scenarios = {diamond_topo.arcs[a].pair_id + 1 for a in used.arcs}
+    used = next(t for t in range(ts.total) if te.tunnel_rates[t] > 0)
+    expect_scenarios = {diamond_topo.arcs[a].pair_id + 1
+                        for a in path_arcs(diamond_topo, ts.paths[used])}
     assert {(v.kind, v.index) for v in report.violations} == {("delivery", 0)}
     assert {v.scenario for v in report.violations} == expect_scenarios
     assert all(v.amount == pytest.approx(10.0, abs=1e-6) for v in report.violations)
@@ -227,7 +228,7 @@ def test_verify_reports_injected_capacity_fault(diamond_topo, diamond_tm):
                           sol.solution_kind, sol.meta)
     report = verify_congestion_free(tampered, ts, scen, diamond_topo)
     cap_violations = [v for v in report.violations if v.kind == "capacity"]
-    assert {v.index for v in cap_violations if v.scenario == 0} == set(ts.tunnels[0].arcs)
+    assert {v.index for v in cap_violations if v.scenario == 0} == set(path_arcs(diamond_topo, ts.paths[0]))
     assert all(v.amount == pytest.approx(5.0, abs=1e-6) for v in cap_violations)
 
 

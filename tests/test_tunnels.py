@@ -11,8 +11,8 @@ from telab import (
     k_shortest_paths,
 )
 from telab.tunnels import dump_tunnels, parse_policy, tunnel_counts
-from conftest import make_tm, make_topology, random_te_instance
-from oracles import ksp_oracle
+from conftest import make_tm, make_topology, random_te_instance, syn_topology
+from oracles import all_simple_paths, dead_arcs, ksp_oracle, path_arcs, path_cost, yen_oracle
 
 
 def triangle():
@@ -43,26 +43,93 @@ def test_ksp_rejects_bad_args():
         k_shortest_paths(topo, 0, 1, 0)
 
 
+def random_graph(rng, n, weights):
+    """A random connected graph: a spanning tree plus up to n chords."""
+    names = [f"n{i}" for i in range(n)]
+    links = set()
+    for i in range(1, n):
+        links.add((int(rng.integers(0, i)), i))
+    for _ in range(n):
+        i, j = rng.integers(0, n, 2)
+        if i != j:
+            links.add((min(int(i), int(j)), max(int(i), int(j))))
+    return make_topology(
+        names, [(names[a], names[b], 1.0, float(rng.choice(weights))) for a, b in sorted(links)])
+
+
 def test_ksp_matches_bruteforce_on_random_graphs():
     rng = np.random.default_rng(42)
     for _ in range(25):
         n = int(rng.integers(3, 7))
-        names = [f"n{i}" for i in range(n)]
-        links = set()
-        for i in range(1, n):
-            links.add((int(rng.integers(0, i)), i))
-        for _ in range(n):
-            i, j = rng.integers(0, n, 2)
-            if i != j:
-                links.add((min(int(i), int(j)), max(int(i), int(j))))
-        topo = make_topology(
-            names,
-            [(names[a], names[b], 1.0, float(rng.choice([1.0, 2.0, 3.0]))) for a, b in sorted(links)],
-        )
+        topo = random_graph(rng, n, [1.0, 2.0, 3.0])
         s, t = 0, n - 1
         got = k_shortest_paths(topo, s, t, 4)
         want = ksp_oracle(topo, s, t, 4)
         assert got == want
+        assert got == yen_oracle(topo, s, t, 4)
+
+
+def test_ksp_matches_yen_and_bruteforce_with_zero_weights():
+    # integer weights keep every path sum exact, zero-weight arcs included
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 8))
+        topo = random_graph(rng, n, [0.0, 1.0, 2.0, 3.0])
+        for s in range(n):
+            for t in range(n):
+                if s != t:
+                    got = k_shortest_paths(topo, s, t, 5)
+                    assert got == yen_oracle(topo, s, t, 5) == ksp_oracle(topo, s, t, 5)
+
+
+def test_ksp_costs_match_bruteforce_with_decimal_weights():
+    # inexact sums: equal-cost paths may come out in float-rounding order, so
+    # only the cost list is compared, within 1e-9 relative
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(5, 9))
+        topo = random_graph(rng, n, [0.0, 0.1, 0.2, 0.3, 0.7])
+        for s in range(n):
+            for t in range(n):
+                if s == t:
+                    continue
+                got = k_shortest_paths(topo, s, t, 4)
+                want = ksp_oracle(topo, s, t, 4)
+                assert [path_cost(topo, p) for p in got] == pytest.approx(
+                    [path_cost(topo, p) for p in want], rel=1e-9, abs=0.0)
+                assert all(len(set(p)) == len(p) and p[0] == s and p[-1] == t for p in got)
+                assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("policy", [FixedTunnelPolicy(5), AdaptiveTunnelPolicy()])
+def test_b4_tunnels_match_yen(b4_topo, b4_tm, policy):
+    ts = build_tunnel_sets(b4_topo, b4_tm, policy)
+    counts = tunnel_counts(policy, b4_tm)
+    for d in b4_tm.demands:
+        want = yen_oracle(b4_topo, d.src, d.dst, counts[d.id])
+        assert [ts.paths[t] for t in ts.by_demand[d.id]] == want
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_syn_fixed4_paths_match_yen(n):
+    topo = syn_topology(n)
+    for s in range(n):
+        for t in range(n):
+            if s != t:
+                assert k_shortest_paths(topo, s, t, 4) == yen_oracle(topo, s, t, 4)
+
+
+def test_distances_to_match_bruteforce():
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        n = int(rng.integers(3, 7))
+        topo = random_graph(rng, n, [0.0, 1.0, 2.0, 3.0])
+        for s in range(n):
+            for t in range(n):
+                paths = all_simple_paths(topo.adjacency, s, t) if s != t else [(0.0, (s,))]
+                assert topo.distances_to[t][s] == min(cost for cost, _ in paths)
+    topo = make_topology(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)])
+    assert topo.distances_to[2][0] == float("inf")
 
 
 def test_ksp_ordering_properties(b4_topo):
@@ -170,11 +237,11 @@ def test_unroutable_demand_reported():
 def test_scenarios_single_link(b4_topo):
     scen = enumerate_single_link_scenarios(b4_topo)
     assert scen.n == b4_topo.n_links + 1 == 20
-    assert scen.scenarios[0].dead_arcs == frozenset()
-    for sc in scen.scenarios[1:]:
-        assert len(sc.dead_arcs) == 2
-        arcs = [b4_topo.arcs[a] for a in sorted(sc.dead_arcs)]
-        assert arcs[0].pair_id == arcs[1].pair_id == sc.dead_pair
+    dead = scen.dead.toarray()
+    assert not dead[0].any()
+    for q in range(1, scen.n):
+        assert np.flatnonzero(dead[q]).tolist() == sorted(dead_arcs(b4_topo, q))
+        assert len(dead_arcs(b4_topo, q)) == 2
 
 
 def test_scenarios_one_link_topology():
@@ -190,8 +257,9 @@ def test_available_tunnels_normal_and_failure(diamond_topo, diamond_tm):
     for q in range(1, scen.n):
         alive = available_tunnels(ts, scen, q)[0]
         assert len(alive) == 1
-        dead = scen.scenarios[q].dead_arcs
-        assert all(a not in dead for a in ts.tunnels[alive[0]].arcs)
+        dead = set(np.flatnonzero(scen.dead.toarray()[q]).tolist())
+        assert dead == dead_arcs(diamond_topo, q)
+        assert all(a not in dead for a in path_arcs(diamond_topo, ts.paths[alive[0]]))
 
 
 def test_available_tunnels_can_be_empty():
@@ -218,9 +286,9 @@ def test_random_instances_ksp_invariants():
     rng = np.random.default_rng(5)
     for _ in range(10):
         topo, tm, ts = random_te_instance(rng)
-        for t in ts.tunnels:
-            assert len(set(t.nodes)) == len(t.nodes)
-            assert t.cost == pytest.approx(sum(topo.arcs[a].weight for a in t.arcs))
-        for ids in ts.by_demand:
-            costs = [ts.tunnels[i].cost for i in ids]
+        for p in ts.paths:
+            assert len(set(p)) == len(p)
+        for f, ids in enumerate(ts.by_demand):
+            assert ts.demand_of[list(ids)].tolist() == [f] * len(ids)
+            costs = [path_cost(topo, ts.paths[i]) for i in ids]
             assert costs == sorted(costs)
