@@ -3,10 +3,14 @@
 The backend interface is a function ``backend(problem) -> LpSolution`` looked
 up by name in ``BACKENDS``; backends are interchangeable because solution
 quality, tunnel usage, and runtime all depend on which one is picked.  The
-bundled backend is a bounded-variable two-phase revised simplex (dense basis
-inverse, sparse constraint columns) that always returns a vertex solution and
-falls back to Bland's rule when it stalls on degenerate bases.  The scipy
-backend hands the same rows to HiGHS (dual simplex); both report
+bundled backend is a bounded-variable two-phase revised simplex (sparse
+constraint columns, dense basis inverse) that always returns a vertex solution
+and falls back to Bland's rule when it stalls on degenerate bases.  Its pivots
+are hypersparse: the ratio test and the updates of the basic values and of
+the inverse touch only the rows where the entering column is nonzero, which on
+B4 are a few dozen of hundreds.  It refuses, as a numerical failure,
+a working LP whose dense inverse would pass ``DENSE_INVERSE_BUDGET_BYTES``.
+The scipy backend hands the same rows to HiGHS (dual simplex); both report
 ``solution_kind="vertex"``.  Interior-point methods are deliberately not
 offered.
 
@@ -39,6 +43,15 @@ BOUND_TOL = 1e-9
 FLOW_EPS = 1e-9  # positivity threshold for "carries flow" classification
 
 _SENSES = ("<=", ">=", "=")
+
+# The bundled simplex keeps a dense basis inverse.  It refuses a working LP
+# whose inverse plus one full-update temporary, 16*m*m bytes, passes this.
+DENSE_INVERSE_BUDGET_BYTES = 2 << 30
+# A pivot updates only the inverse rows where the entering column is nonzero,
+# unless they are more than this share of all rows.  Gathering and scattering
+# half the rows costs about 3/4 of one full update and 60% about as much
+# (m = 405 and 1,337, one BLAS thread).
+_FULL_UPDATE_SHARE = 0.5
 
 
 @dataclass(eq=False)
@@ -244,7 +257,15 @@ def _standardize(prob: LpProblem):
 
 
 class _Simplex:
-    """Bounded-variable revised simplex over equality form with artificials."""
+    """Bounded-variable revised simplex over equality form with artificials.
+
+    The basis inverse ``Binv`` is a dense m x m array, updated in product form
+    at every pivot.  Only the rows where the entering column ``w = Binv a_j``
+    is nonzero enter the ratio test and change in ``x_B`` and ``Binv``; every
+    other row would subtract ``0 * y``, so the pivots are those of a full
+    update.  When ``w`` is nonzero in more than half of the rows, one
+    full-matrix update is the cheaper one.
+    """
 
     def __init__(self, A: sp.csc_matrix, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
                  slack_of_row: np.ndarray, max_iter: int):
@@ -369,17 +390,19 @@ class _Simplex:
 
             rows, vals = self._column(j)
             w = self.Binv[:, rows] @ vals
-            swi = sigma * w
+            nz = np.flatnonzero(w)  # the only rows this pivot reads or changes
+            swi = sigma * w[nz]
+            x_nz, basic_nz = self.x_B[nz], self.basis[nz]
 
-            ratios = np.full(m, np.inf)
+            ratios = np.full(len(nz), np.inf)
             dec = swi > piv_tol
             inc = swi < -piv_tol
             if dec.any():
-                ratios[dec] = (self.x_B[dec] - self.lb[self.basis[dec]]) / swi[dec]
+                ratios[dec] = (x_nz[dec] - self.lb[basic_nz[dec]]) / swi[dec]
             if inc.any():
-                ratios[inc] = (self.ub[self.basis[inc]] - self.x_B[inc]) / (-swi[inc])
+                ratios[inc] = (self.ub[basic_nz[inc]] - x_nz[inc]) / (-swi[inc])
             np.maximum(ratios, 0.0, out=ratios)
-            r_min = ratios.min() if m else np.inf
+            r_min = ratios.min() if len(nz) else np.inf
             span = self.ub[j] - self.lb[j]
             t_flip = span if np.isfinite(span) else np.inf
 
@@ -397,20 +420,23 @@ class _Simplex:
 
             if t_flip <= r_min:
                 # Bound flip: variable jumps to its opposite bound, basis unchanged.
-                self.x_B -= swi * t_flip
+                self.x_B[nz] -= swi * t_flip
                 self.status[j] = _AT_UB if self.status[j] == _AT_LB else _AT_LB
                 continue
 
+            # Ties go to the first largest |w| in row order, or under Bland's
+            # rule to the smallest basic column index.
             cand = np.nonzero(ratios <= r_min + 1e-12 * (1.0 + r_min))[0]
             if bland:
-                r = int(cand[np.argmin(self.basis[cand])])
+                k = int(cand[np.argmin(basic_nz[cand])])
             else:
-                r = int(cand[np.argmax(np.abs(w[cand]))])
-            t = float(ratios[r])
+                k = int(cand[np.argmax(np.abs(swi[cand]))])
+            r = int(nz[k])
+            t = float(ratios[k])
 
-            self.x_B -= swi * t
+            self.x_B[nz] -= swi * t
             leave = self.basis[r]
-            self.status[leave] = _AT_LB if swi[r] > 0 else _AT_UB
+            self.status[leave] = _AT_LB if swi[k] > 0 else _AT_UB
             if self.status[j] == _AT_UB:
                 enter_val = self.ub[j] - t
             elif self.status[j] == _AT_LB:
@@ -421,11 +447,14 @@ class _Simplex:
             self.basis[r] = j
             self.x_B[r] = enter_val
 
-            pivot = w[r]
-            self.Binv[r, :] /= pivot
-            col = w.copy()
-            col[r] = 0.0
-            self.Binv -= np.outer(col, self.Binv[r, :])
+            self.Binv[r] /= w[r]
+            others = nz[nz != r]
+            if len(others) > m * _FULL_UPDATE_SHARE:
+                col = w.copy()
+                col[r] = 0.0
+                self.Binv -= np.outer(col, self.Binv[r])
+            else:
+                self.Binv[others] -= np.outer(w[others], self.Binv[r])
             d_j = d[j]
             d -= d_j * (self.AT @ self.Binv[r, :])
             d[j] = 0.0
@@ -437,7 +466,10 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
     """Reference backend: deterministic two-phase bounded revised simplex.
 
     Phase 1 drives artificials to zero when the all-slack start is infeasible;
-    phase 2 optimizes the real objective.  Returns a vertex solution.
+    phase 2 optimizes the real objective.  Returns a vertex solution, or a
+    numerical failure, before allocating anything m x m, when the dense basis
+    inverse and one full-update temporary (16*m*m bytes) would pass
+    ``DENSE_INVERSE_BUDGET_BYTES``.
     """
     n = prob.n_vars
     std = _standardize(prob)
@@ -445,7 +477,12 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
         return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
                           message="constant infeasible row")
     A, b, slack_of_row = std
-    n_cols = A.shape[1]
+    m, n_cols = A.shape
+    if 16 * m * m > DENSE_INVERSE_BUDGET_BYTES:
+        return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex",
+                          message=f"dense basis inverse of {m} working rows needs "
+                                  f"{16 * m * m:,} bytes, over the "
+                                  f"{DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
     lb = np.concatenate([np.asarray(prob.lower, dtype=float), np.zeros(n_cols - n)])
     ub = np.concatenate([np.asarray(prob.upper, dtype=float), np.full(n_cols - n, np.inf)])
 

@@ -311,6 +311,18 @@ def test_failed_sweep_point_logs_its_status_and_backend_message(monkeypatch, cap
         assert part in message
 
 
+def test_sweep_point_over_the_dense_inverse_budget_is_one_failed_row(monkeypatch, caplog):
+    monkeypatch.setattr(lpcore, "DENSE_INVERSE_BUDGET_BYTES", 0)
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[1.0, 2.0], models=["te"], policies=["fixed:5"])
+    with caplog.at_level("WARNING", logger="telab.harness"):
+        rows = run_experiment(cfg)
+    assert [r.status for r in rows] == [NUMERICAL_FAILURE] * 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 2
+    assert all("dense basis inverse of" in w and "byte budget" in w for w in warnings)
+
+
 def test_sweep_rows_sorted_by_reported_policy_label():
     cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
                            scales=[1.0], models=["te"], policies=["adaptive:2-3", "adaptive"])
@@ -508,6 +520,17 @@ def test_cli_solve_failed_lp_is_an_error_message(monkeypatch, capsys):
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "stalled" in captured.err
+
+
+def test_cli_solve_over_the_dense_inverse_budget_is_an_error_message(monkeypatch, capsys):
+    monkeypatch.setattr(lpcore, "DENSE_INVERSE_BUDGET_BYTES", 0)
+    rc = cli_main(["solve", "--topo", str(DATA / "diamond.json"),
+                   "--tm", str(DATA / "diamond_tm.json"), "--model", "te"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dense basis inverse of" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -8,6 +8,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from telab import (
+    AdaptiveTunnelPolicy,
+    FixedTunnelPolicy,
+    build_ffc_lp,
+    build_te_lp,
+    build_tunnel_sets,
+    enumerate_single_link_scenarios,
+    scale_capacities,
+    scale_tm,
+)
+from telab import lpcore
 from telab.errors import ValidationError
 from telab.lpcore import (
     BACKENDS,
@@ -16,6 +27,8 @@ from telab.lpcore import (
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
+    _Simplex,
+    _standardize,
     bundled_simplex,
     check_feasibility,
     solve,
@@ -216,3 +229,102 @@ assert seen and all(seen), seen
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# The B4 sweep's capacities: ``telab calibrate`` on B4 with fixed:5 tunnels.
+B4_CAPACITY_SCALE = 0.9798494123726679
+
+
+def _calibrated_b4_lp(b4_topo, b4_tm, model, policy, scale):
+    topo = scale_capacities(b4_topo, B4_CAPACITY_SCALE)
+    pol = FixedTunnelPolicy(5) if policy == "fixed:5" else AdaptiveTunnelPolicy()
+    ts = build_tunnel_sets(topo, b4_tm, pol)
+    tm = scale_tm(b4_tm, scale)
+    if model == "te":
+        return build_te_lp(topo, tm, ts).problem
+    return build_ffc_lp(topo, tm, ts, enumerate_single_link_scenarios(topo), "all").problem
+
+
+# Recorded from the dense-update simplex (every pivot updated all m rows of the
+# basis inverse).  A change to how the inverse is updated must keep the pivot
+# sequence, so the iteration counts match exactly and the objectives to round-off.
+B4_PIVOT_PATH = [
+    ("te", "fixed:5", 0.5, 266, 1854.419951855716),
+    ("te", "fixed:5", 2.0, 263, 5425.829492953708),
+    ("ffc", "fixed:5", 0.5, 404, 1691.4310618889542),
+    ("ffc", "fixed:5", 2.0, 681, 3467.132991809054),
+    ("te", "adaptive", 0.5, 266, 1854.4199518557161),
+    ("te", "adaptive", 2.0, 258, 5425.829492953708),
+    ("ffc", "adaptive", 0.5, 350, 1618.177760594112),
+    ("ffc", "adaptive", 2.0, 508, 3433.307533663618),
+]
+
+
+@pytest.mark.parametrize("model,policy,scale,iterations,objective", B4_PIVOT_PATH)
+def test_bundled_pivot_path_is_pinned_on_calibrated_b4(b4_topo, b4_tm, model, policy, scale,
+                                                       iterations, objective):
+    sol = bundled_simplex(_calibrated_b4_lp(b4_topo, b4_tm, model, policy, scale))
+    assert sol.status == OPTIMAL
+    assert sol.iterations == iterations
+    assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def _dense_lp(m=40, n=60, seed=3):
+    """Positive dense rows: every entering column is nonzero in most rows."""
+    rng = np.random.default_rng(seed)
+    p = LpProblem("dense")
+    for j in range(n):
+        p.add_var(f"x{j}")
+    p.add_rows(rng.uniform(0.1, 1.0, (m, n)), "<=", rng.uniform(1.0, 2.0, m),
+               [f"r{i}" for i in range(m)])
+    p.set_objective([(j, float(c)) for j, c in enumerate(rng.uniform(0.5, 1.0, n))])
+    return p
+
+
+@pytest.mark.parametrize("lp,branch", [("te", "rows"), ("ffc", "rows"), ("dense", "full")])
+def test_basis_inverse_stays_exact_under_both_update_branches(b4_topo, b4_tm, monkeypatch,
+                                                              lp, branch):
+    prob = (_dense_lp() if lp == "dense"
+            else _calibrated_b4_lp(b4_topo, b4_tm, lp, "fixed:5", 2.0))
+    A, b, slack_of_row = _standardize(prob)
+    n, n_cols = prob.n_vars, A.shape[1]
+    lb = np.concatenate([np.asarray(prob.lower, dtype=float), np.zeros(n_cols - n)])
+    ub = np.concatenate([np.asarray(prob.upper, dtype=float), np.full(n_cols - n, np.inf)])
+    sx = _Simplex(A, b, lb, ub, slack_of_row, max_iter=200_000)
+    assert sx.n_art == 0  # the all-slack start is feasible: one phase
+
+    # Every inverse update is one np.outer; its first factor has all m rows
+    # in the full-matrix branch and fewer in the row-restricted one.
+    update_rows = []
+    real_outer = np.outer
+
+    def outer(a, b):
+        update_rows.append(len(a))
+        return real_outer(a, b)
+
+    monkeypatch.setattr(np, "outer", outer)
+    c = np.zeros(sx.n_total)
+    c[:n] = prob.objective_vector()
+    assert sx.optimize(c) == OPTIMAL
+    monkeypatch.undo()
+
+    full = update_rows.count(sx.m)
+    assert (len(update_rows) - full if branch == "rows" else full) > 0
+    basis = sx.A[:, sx.basis].toarray()
+    np.testing.assert_allclose(sx.Binv @ basis, np.eye(sx.m), rtol=0, atol=1e-8)
+
+
+def test_dense_inverse_over_the_memory_budget_is_refused(monkeypatch):
+    p = simple_box_lp()  # one working row: 16 bytes for the inverse and a temporary
+    monkeypatch.setattr(lpcore, "DENSE_INVERSE_BUDGET_BYTES", 16)
+    assert solve(p, "bundled").status == OPTIMAL
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("the dense basis inverse was allocated")
+
+    monkeypatch.setattr(lpcore, "_Simplex", no_simplex)
+    monkeypatch.setattr(lpcore, "DENSE_INVERSE_BUDGET_BYTES", 15)
+    sol = solve(p, "bundled")
+    assert sol.status == NUMERICAL_FAILURE and sol.values is None
+    assert sol.message == ("dense basis inverse of 1 working rows needs 16 bytes, "
+                           "over the 15-byte budget")
