@@ -45,13 +45,9 @@ FLOW_EPS = 1e-9  # positivity threshold for "carries flow" classification
 _SENSES = ("<=", ">=", "=")
 
 # The bundled simplex keeps a dense basis inverse.  It refuses a working LP
-# whose inverse plus one full-update temporary, 16*m*m bytes, passes this.
+# whose inverse plus the two temporaries of one update (the gathered rows and
+# the outer product, each up to m x m), 24*m*m bytes, passes this.
 DENSE_INVERSE_BUDGET_BYTES = 2 << 30
-# A pivot updates only the inverse rows where the entering column is nonzero,
-# unless they are more than this share of all rows.  Gathering and scattering
-# half the rows costs about 3/4 of one full update and 60% about as much
-# (m = 405 and 1,337, one BLAS thread).
-_FULL_UPDATE_SHARE = 0.5
 
 
 @dataclass(eq=False)
@@ -263,8 +259,7 @@ class _Simplex:
     at every pivot.  Only the rows where the entering column ``w = Binv a_j``
     is nonzero enter the ratio test and change in ``x_B`` and ``Binv``; every
     other row would subtract ``0 * y``, so the pivots are those of a full
-    update.  When ``w`` is nonzero in more than half of the rows, one
-    full-matrix update is the cheaper one.
+    update.
     """
 
     def __init__(self, A: sp.csc_matrix, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
@@ -354,7 +349,6 @@ class _Simplex:
         update and recomputed exactly on a fixed cadence and before any
         claim of optimality.
         """
-        m = self.m
         dual_tol = 1e-9
         piv_tol = 1e-10
         stall = 0
@@ -449,17 +443,20 @@ class _Simplex:
 
             self.Binv[r] /= w[r]
             others = nz[nz != r]
-            if len(others) > m * _FULL_UPDATE_SHARE:
-                col = w.copy()
-                col[r] = 0.0
-                self.Binv -= np.outer(col, self.Binv[r])
-            else:
-                self.Binv[others] -= np.outer(w[others], self.Binv[r])
+            self.Binv[others] -= np.outer(w[others], self.Binv[r])
             d_j = d[j]
             d -= d_j * (self.AT @ self.Binv[r, :])
             d[j] = 0.0
             d_exact = False
         return NUMERICAL_FAILURE
+
+
+def _column_bounds(prob: LpProblem, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the standardized columns: the variables', then slacks in [0, inf)."""
+    n_slack = n_cols - prob.n_vars
+    lb = np.concatenate([np.asarray(prob.lower, dtype=float), np.zeros(n_slack)])
+    ub = np.concatenate([np.asarray(prob.upper, dtype=float), np.full(n_slack, np.inf)])
+    return lb, ub
 
 
 def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
@@ -468,7 +465,7 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
     Phase 1 drives artificials to zero when the all-slack start is infeasible;
     phase 2 optimizes the real objective.  Returns a vertex solution, or a
     numerical failure, before allocating anything m x m, when the dense basis
-    inverse and one full-update temporary (16*m*m bytes) would pass
+    inverse and the temporaries of one update (24*m*m bytes) would pass
     ``DENSE_INVERSE_BUDGET_BYTES``.
     """
     n = prob.n_vars
@@ -478,15 +475,12 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
                           message="constant infeasible row")
     A, b, slack_of_row = std
     m, n_cols = A.shape
-    if 16 * m * m > DENSE_INVERSE_BUDGET_BYTES:
+    if 24 * m * m > DENSE_INVERSE_BUDGET_BYTES:
         return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex",
                           message=f"dense basis inverse of {m} working rows needs "
-                                  f"{16 * m * m:,} bytes, over the "
+                                  f"{24 * m * m:,} bytes, over the "
                                   f"{DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
-    lb = np.concatenate([np.asarray(prob.lower, dtype=float), np.zeros(n_cols - n)])
-    ub = np.concatenate([np.asarray(prob.upper, dtype=float), np.full(n_cols - n, np.inf)])
-
-    sx = _Simplex(A, b, lb, ub, slack_of_row, max_iter)
+    sx = _Simplex(A, b, *_column_bounds(prob, n_cols), slack_of_row, max_iter)
 
     if sx.n_art:
         c1 = np.zeros(sx.n_total)
