@@ -129,14 +129,18 @@ def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_json(_read_required(args.config).read_text())
     if args.out:
         cfg.out_dir = args.out
-    if args.workers:
+    if args.workers is not None:
         cfg.workers = args.workers
     if args.backend:
         cfg.backend = args.backend
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.scales:
-        cfg.scales = [float(s) for s in args.scales.split(",")]
+    if args.scales is not None:
+        try:
+            cfg.scales = [float(s) for s in args.scales.split(",")]
+        except ValueError:
+            raise ValidationError(f"--scales needs comma-separated numbers, "
+                                  f"got {args.scales!r}") from None
     rows = run_experiment(cfg)
     failed = [r for r in rows if r.status != "optimal"]
     print(f"{len(rows)} sweep points, {len(failed)} failed"

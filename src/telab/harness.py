@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -111,8 +112,8 @@ class ExperimentConfig:
         labels = [parse_policy(p).label for p in self.policies]
         if len(set(labels)) < len(labels):
             raise ValidationError(f"policies name the same tunnel policy twice: {labels}")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValidationError("scales must be positive")
+        if not self.scales or not all(math.isfinite(s) and s > 0 for s in self.scales):
+            raise ValidationError(f"scales must be finite and positive, got {self.scales}")
         if len(set(self.scales)) < len(self.scales):
             raise ValidationError(f"scales repeat a value: {self.scales}")
         if self.tm is None and self.fit is None:
@@ -130,6 +131,8 @@ class ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValidationError(f"malformed experiment config: {e}") from e
+        if not isinstance(doc, dict):
+            raise ValidationError(f"experiment config must be a JSON object, got {doc!r}")
         fit = None
         if "fit" in doc:
             try:

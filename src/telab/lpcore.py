@@ -3,14 +3,18 @@
 The backend interface is a function ``backend(problem) -> LpSolution`` looked
 up by name in ``BACKENDS``; backends are interchangeable because solution
 quality, tunnel usage, and runtime all depend on which one is picked.  The
-bundled backend is a bounded-variable two-phase revised simplex (sparse
-constraint columns, dense basis inverse) that always returns a vertex solution
-and falls back to Bland's rule when it stalls on degenerate bases.  Its pivots
-are hypersparse: the ratio test and the updates of the basic values and of
-the inverse touch only the rows where the entering column is nonzero, which on
-B4 are a few dozen of hundreds.  It refuses, as a numerical failure,
-a working LP whose dense inverse would pass ``DENSE_INVERSE_BUDGET_BYTES``.
-The scipy backend hands the same rows to HiGHS (dual simplex); both report
+bundled backend is a bounded dual simplex (sparse constraint columns, dense
+basis inverse, implicit logical columns) that always returns a vertex
+solution and falls back to Bland's rule when it stalls on degenerate bases.
+It starts from the all-logical basis with every column at the bound its
+objective favours, which is dual feasible on every LP telab builds, so it has
+one phase and no artificial columns.  A hand-built LP whose favoured bound is
+infinite gets an artificial bound there, widened while a verdict rests on it.
+Its pivots are hypersparse: the updates of the basic values and of the
+inverse touch only the rows where the entering column is nonzero, which on B4
+are a few dozen of hundreds.  It refuses, as a numerical failure, a working
+LP whose dense inverse would pass ``DENSE_INVERSE_BUDGET_BYTES``.  The scipy
+backend hands the same rows to HiGHS (dual simplex); both report
 ``solution_kind="vertex"``.  Interior-point methods are deliberately not
 offered.
 
@@ -187,6 +191,8 @@ def check_feasibility(
     issues: list[str] = []
     lower = np.asarray(prob.lower)
     upper = np.asarray(prob.upper)
+    for j in np.flatnonzero(~np.isfinite(x)):
+        issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} is not finite")
     low_bad = np.nonzero(x < lower - bound_tol)[0]
     up_bad = np.nonzero(x > upper + bound_tol)[0]
     for j in low_bad:
@@ -222,295 +228,277 @@ def _working_rows(prob: LpProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Bundled revised simplex
+# Bundled dual simplex
 # ---------------------------------------------------------------------------
 
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 
+# Stand-in for an infinite bound that a column's objective favours: it puts the
+# column at a finite start that keeps the all-logical basis dual feasible.  It
+# is widened tenfold whenever an infeasible or unbounded verdict would rest
+# on it, up to ARTIFICIAL_BOUND_CAP.
+ARTIFICIAL_BOUND = 1e7
+ARTIFICIAL_BOUND_CAP = 1e13
+
 
 def _standardize(prob: LpProblem):
-    """Convert the working rows to equality standard form with slacks.
+    """The working rows the bundled simplex solves, as (A, b, ineq).
 
     The FFC builder marks every failure-scenario capacity row implied, so both
     capacity modes give the same working rows.  Zero coefficients are dropped,
-    and so is an empty row that holds.  Returns (A, b, slack_of_row) where A
-    has one slack column per remaining inequality row, or None for a
-    constant-false row.
+    and so is an empty row that holds; None for a constant-false row.
     """
-    n = prob.n_vars
     A, b, ineq = _working_rows(prob)
     A.eliminate_zeros()
     filled = np.diff(A.indptr) > 0
     if (~filled & np.where(ineq, b < -FEASIBILITY_TOL, np.abs(b) > FEASIBILITY_TOL)).any():
         return None  # constant row that can never hold
-    A, b, ineq = A[filled], b[filled], ineq[filled]
-    n_slack = int(ineq.sum())
-    slack_of_row = np.full(len(b), -1, dtype=int)
-    slack_of_row[ineq] = n + np.arange(n_slack)
-    slacks = sp.csr_matrix((np.ones(n_slack), (np.flatnonzero(ineq), np.arange(n_slack))),
-                           shape=(len(b), n_slack))
-    return sp.hstack([A, slacks], format="csc"), b, slack_of_row
+    return A[filled], b[filled], ineq[filled]
 
 
 class _Simplex:
-    """Bounded-variable revised simplex over equality form with artificials.
+    """Bounded dual simplex on ``A x + s = b``, maximizing ``c @ x``.
 
-    The basis inverse ``Binv`` is a dense m x m array, updated in product form
-    at every pivot.  Only the rows where the entering column ``w = Binv a_j``
-    is nonzero enter the ratio test and change in ``x_B`` and ``Binv``; every
-    other row would subtract ``0 * y``, so the pivots are those of a full
-    update.
+    Row i has an implicit logical column ``e_i`` in [0, inf) for an inequality
+    and [0, 0] for an equality; logicals are numbered after the structurals.
+    The start is the all-logical basis (``Binv = I``) with every structural at
+    the bound its objective favours, which is dual feasible, so there is no
+    phase 1.  The basis inverse ``Binv`` is a dense m x m array, updated in
+    product form at every pivot.  Only the rows where the entering column
+    ``w = Binv a_q`` is nonzero change in ``x_B`` and ``Binv``; every other row
+    would subtract ``0 * y``.
     """
 
-    def __init__(self, A: sp.csc_matrix, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                 slack_of_row: np.ndarray, max_iter: int):
-        self.m, n_cols = A.shape
+    def __init__(self, A: sp.csr_matrix, b: np.ndarray, ineq: np.ndarray, lb: np.ndarray,
+                 ub: np.ndarray, c: np.ndarray, max_iter: int):
+        self.m, self.n = m, n = A.shape
         self.max_iter = max_iter
-        m = self.m
-
-        # Nonbasic start: finite lower bound, else finite upper, else free at 0.
-        status = np.full(n_cols, _AT_LB, dtype=np.int8)
-        start = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        status[~np.isfinite(lb) & np.isfinite(ub)] = _AT_UB
-        status[~np.isfinite(lb) & ~np.isfinite(ub)] = _FREE
-
-        resid = b - A @ start
-
-        basis = np.empty(m, dtype=int)
-        x_B = np.empty(m)
-        art_sign = np.zeros(m)
-        art_rows: list[int] = []
-        for i in range(m):
-            s_col = slack_of_row[i]
-            if s_col >= 0 and resid[i] >= 0.0:
-                basis[i] = s_col
-                x_B[i] = resid[i]
-                status[s_col] = _BASIC
-            else:
-                art_rows.append(i)
-                art_sign[i] = 1.0 if resid[i] >= 0.0 else -1.0
-                x_B[i] = abs(resid[i])
-
-        n_art = len(art_rows)
-        if n_art:
-            art_data = art_sign[art_rows]
-            art_mat = sp.csc_matrix((art_data, (art_rows, np.arange(n_art))), shape=(m, n_art))
-            A = sp.hstack([A, art_mat], format="csc")
-            lb = np.concatenate([lb, np.zeros(n_art)])
-            ub = np.concatenate([ub, np.full(n_art, np.inf)])
-            status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
-            for k, i in enumerate(art_rows):
-                basis[i] = n_cols + k
-
-        self.A = A
+        self.A = A.tocsc()
         self.AT = A.T.tocsr()
         self.b = b
-        self.lb = lb
-        self.ub = ub
+        self.c = np.concatenate([c, np.zeros(m)])
+        lb = np.concatenate([lb, np.zeros(m)])
+        ub = np.concatenate([ub, np.where(ineq, np.inf, 0.0)])
+        up, down = self.c > 0, self.c < 0
+        # A favoured bound that is infinite becomes an artificial one.
+        self.art_ub, self.art_lb = up & np.isinf(ub), down & np.isinf(lb)
+        self.art_bound = ARTIFICIAL_BOUND
+        ub = np.where(self.art_ub, np.where(np.isfinite(lb), lb, 0.0) + ARTIFICIAL_BOUND, ub)
+        lb = np.where(self.art_lb, np.where(np.isfinite(ub), ub, 0.0) - ARTIFICIAL_BOUND, lb)
+        self.lb, self.ub = lb, ub
+        status = np.where(up | (~down & np.isinf(lb)), _AT_UB, _AT_LB).astype(np.int8)
+        status[np.isinf(lb) & np.isinf(ub)] = _FREE
+        status[n:] = _BASIC
         self.status = status
-        self.basis = basis
-        self.x_B = x_B
-        self.n_total = A.shape[1]
-        self.n_art = n_art
-        self.art_cols = np.arange(n_cols, n_cols + n_art)
+        self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
-        for i in art_rows:
-            if art_sign[i] < 0:
-                self.Binv[i, i] = -1.0
-        self.total_iters = 0
+        self.iterations = 0
+        self.message = ""
+        self._refresh()
 
-    def _column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        a, z = self.A.indptr[j], self.A.indptr[j + 1]
-        return self.A.indices[a:z], self.A.data[a:z]
+    def _widen(self, what: str) -> bool:
+        """Move the artificial bounds ten times further out; False at the cap."""
+        if self.art_bound >= ARTIFICIAL_BOUND_CAP:
+            self.message = f"{what} rests on an artificial bound"
+            return False
+        self.ub[self.art_ub] += 9.0 * self.art_bound
+        self.lb[self.art_lb] -= 9.0 * self.art_bound
+        self.art_bound *= 10.0
+        self._refresh()
+        return True
+
+    def _at_artificial_bound(self) -> np.ndarray:
+        return ((self.art_ub & (self.status == _AT_UB))
+                | (self.art_lb & (self.status == _AT_LB)))
+
+    def _has_unbounded_ray(self, tol: float) -> bool:
+        """Whether widening the artificial bounds without end keeps the basic
+        columns within their real bounds.  The widening moves the point
+        along a ray that gains the reduced cost of each column it pushes, so
+        such a ray proves the LP unbounded."""
+        out = np.flatnonzero(self._at_artificial_bound())
+        r = -(self.Binv @ (self.A[:, out] @ np.where(self.art_ub[out], 1.0, -1.0)))
+        lo = np.where(self.art_lb[self.basis], -np.inf, self.lb[self.basis])
+        hi = np.where(self.art_ub[self.basis], np.inf, self.ub[self.basis])
+        return not (((r < -tol) & np.isfinite(lo)) | ((r > tol) & np.isfinite(hi))).any()
 
     def _nonbasic_point(self) -> np.ndarray:
-        x = np.where(self.status == _AT_UB, self.ub, np.where(np.isfinite(self.lb), self.lb, 0.0))
-        x[self.status == _FREE] = 0.0
-        x[self.status == _BASIC] = 0.0
+        x = np.where(self.status == _AT_UB, self.ub, self.lb)
+        x[(self.status == _BASIC) | (self.status == _FREE)] = 0.0
         return x
 
-    def _refresh_basics(self) -> None:
-        resid = self.b - self.A @ self._nonbasic_point()
-        self.x_B = self.Binv @ resid
+    def _refresh(self) -> None:
+        """Recompute the basic values and the reduced costs from ``Binv``."""
+        x = self._nonbasic_point()
+        self.x_B = self.Binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
+        y = self.Binv.T @ self.c[self.basis]
+        self.d = self.c - np.concatenate([self.AT @ y, y])
+        self.d[self.basis] = 0.0
 
     def solution(self) -> np.ndarray:
+        """The current point, with one step of iterative refinement of the
+        basic values against the rounding in ``Binv``."""
         x = self._nonbasic_point()
         x[self.basis] = self.x_B
+        x[self.basis] += self.Binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
         return x
 
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = self.Binv.T @ c[self.basis]
-        return c - self.AT @ y
+    def optimize(self) -> str:
+        """Run dual simplex pivots to an optimal basis; returns a status string.
 
-    def optimize(self, c: np.ndarray) -> str:
-        """Maximize c @ x from the current basis; returns a status string.
-
-        Reduced costs are carried between iterations with the pivot-row
-        update and recomputed exactly on a fixed cadence and before any
-        claim of optimality.
+        The leaving row is the one with the largest bound violation; the
+        entering column comes from a plain dual ratio test over the pivot
+        row.  Basic values and reduced costs are updated at every pivot and
+        recomputed every 100 pivots and before optimality is claimed.  An
+        optimum is kept only if its exact reduced costs are dual feasible.
+        A verdict that rests on an artificial bound (an infeasibility proof
+        whose row or pivot row touches one, or an optimum where a column's
+        reduced cost pushes against one) widens the artificial bounds and
+        goes on from the same basis, unless widening them moves the point
+        along an unbounded ray.  At the cap either verdict becomes a
+        numerical failure.
         """
+        primal_tol = 1e-9
         dual_tol = 1e-9
-        piv_tol = 1e-10
+        piv_tol = 1e-9
+        m, n = self.m, self.n
+        lb, ub, status = self.lb, self.ub, self.status
+        movable = ub > lb
         stall = 0
         bland = False
-        with np.errstate(invalid="ignore"):
-            fixed = (self.ub - self.lb) <= 0  # fixed columns can never change value
-        d = self._reduced_costs(c)
-        d_exact = True
-        iters_left = self.max_iter - self.total_iters
+        exact = True
 
-        for _ in range(max(iters_left, 0)):
-            self.total_iters += 1
-            if self.total_iters % 100 == 0:
-                self._refresh_basics()
-                d = self._reduced_costs(c)
-                d_exact = True
-            up = (d > dual_tol) & ((self.status == _AT_LB) | (self.status == _FREE)) & ~fixed
-            down = (d < -dual_tol) & ((self.status == _AT_UB) | (self.status == _FREE)) & ~fixed
-            eligible = up | down
-            if not eligible.any():
-                if not d_exact:
-                    d = self._reduced_costs(c)
-                    d_exact = True
-                    continue
-                self._refresh_basics()
-                return OPTIMAL
+        while True:
+            if self.iterations % 100 == 0 and not exact:
+                self._refresh()
+                exact = True
+            lo, hi = lb[self.basis], ub[self.basis]
+            infeas = np.maximum(lo - self.x_B, self.x_B - hi)
             if bland:
-                j = int(np.nonzero(eligible)[0][0])
+                rows = np.flatnonzero(infeas > primal_tol)
+                r = int(rows[np.argmin(self.basis[rows])]) if len(rows) else 0
             else:
-                score = np.where(eligible, np.abs(d), 0.0)
-                j = int(np.argmax(score))
-            sigma = 1.0 if up[j] else -1.0
+                r = int(np.argmax(infeas)) if m else 0
+            if not m or infeas[r] <= primal_tol:
+                if not exact:
+                    self._refresh()
+                    exact = True
+                    continue
+                verdict = self._check_optimum(movable, dual_tol)
+                if verdict != UNBOUNDED or self._has_unbounded_ray(primal_tol):
+                    return verdict
+                if self._widen("optimum"):
+                    continue
+                return NUMERICAL_FAILURE
+            if self.iterations >= self.max_iter:
+                return NUMERICAL_FAILURE
 
-            rows, vals = self._column(j)
-            w = self.Binv[:, rows] @ vals
-            nz = np.flatnonzero(w)  # the only rows this pivot reads or changes
-            swi = sigma * w[nz]
-            x_nz, basic_nz = self.x_B[nz], self.basis[nz]
+            # The leaving variable rises to its lower bound (s = 1) or falls to
+            # its upper bound (s = -1); the reduced costs move by -t * s * alpha.
+            s = 1.0 if self.x_B[r] < lo[r] else -1.0
+            rho = self.Binv[r]
+            s_alpha = s * np.concatenate([self.AT @ rho, rho])
+            at_lb = (status == _AT_LB) | (status == _FREE)
+            at_ub = (status == _AT_UB) | (status == _FREE)
+            cand = np.flatnonzero(movable & ((at_lb & (s_alpha < -piv_tol))
+                                             | (at_ub & (s_alpha > piv_tol))))
+            if not len(cand):
+                if not exact:
+                    self._refresh()
+                    exact = True
+                    continue
+                leave = self.basis[r]
+                if not ((self.art_lb[leave] if s > 0 else self.art_ub[leave])
+                        or (self._at_artificial_bound() & (np.abs(s_alpha) > piv_tol)).any()):
+                    return INFEASIBLE
+                if self._widen("infeasibility proof"):
+                    continue
+                return NUMERICAL_FAILURE
+            ratios = np.maximum(self.d[cand] / s_alpha[cand], 0.0)
+            t = ratios.min()
+            # Ties go to the largest |alpha|, or under Bland's rule to the
+            # smallest column index.
+            ties = cand[ratios <= t + 1e-12 * (1.0 + t)]
+            q = int(ties[0] if bland else ties[np.argmax(np.abs(s_alpha[ties]))])
 
-            ratios = np.full(len(nz), np.inf)
-            dec = swi > piv_tol
-            inc = swi < -piv_tol
-            if dec.any():
-                ratios[dec] = (x_nz[dec] - self.lb[basic_nz[dec]]) / swi[dec]
-            if inc.any():
-                ratios[inc] = (self.ub[basic_nz[inc]] - x_nz[inc]) / (-swi[inc])
-            np.maximum(ratios, 0.0, out=ratios)
-            r_min = ratios.min() if len(nz) else np.inf
-            span = self.ub[j] - self.lb[j]
-            t_flip = span if np.isfinite(span) else np.inf
-
-            if not np.isfinite(min(r_min, t_flip)):
-                return UNBOUNDED
-
-            gain = abs(d[j]) * min(r_min, t_flip)
-            if gain <= 1e-12:
+            if t * infeas[r] <= 1e-12:
                 stall += 1
-                if stall >= 300:
-                    bland = True
+                bland = bland or stall >= 300
             else:
                 stall = 0
                 bland = False
 
-            if t_flip <= r_min:
-                # Bound flip: variable jumps to its opposite bound, basis unchanged.
-                self.x_B[nz] -= swi * t_flip
-                self.status[j] = _AT_UB if self.status[j] == _AT_LB else _AT_LB
-                continue
-
-            # Ties go to the first largest |w| in row order, or under Bland's
-            # rule to the smallest basic column index.
-            cand = np.nonzero(ratios <= r_min + 1e-12 * (1.0 + r_min))[0]
-            if bland:
-                k = int(cand[np.argmin(basic_nz[cand])])
+            if q < n:
+                a, z = self.A.indptr[q], self.A.indptr[q + 1]
+                w = self.Binv[:, self.A.indices[a:z]] @ self.A.data[a:z]
             else:
-                k = int(cand[np.argmax(np.abs(swi[cand]))])
-            r = int(nz[k])
-            t = float(ratios[k])
-
-            self.x_B[nz] -= swi * t
+                w = self.Binv[:, q - n].copy()
+            nz = np.flatnonzero(w)  # the only rows this pivot changes
             leave = self.basis[r]
-            self.status[leave] = _AT_LB if swi[k] > 0 else _AT_UB
-            if self.status[j] == _AT_UB:
-                enter_val = self.ub[j] - t
-            elif self.status[j] == _AT_LB:
-                enter_val = self.lb[j] + t
-            else:
-                enter_val = sigma * t
-            self.status[j] = _BASIC
-            self.basis[r] = j
+            step = (self.x_B[r] - (lo[r] if s > 0 else hi[r])) / w[r]
+            enter_val = (0.0 if status[q] == _FREE else
+                         ub[q] if status[q] == _AT_UB else lb[q]) + step
+            self.x_B[nz] -= w[nz] * step
             self.x_B[r] = enter_val
+            status[leave] = _AT_LB if s > 0 else _AT_UB
+            status[q] = _BASIC
+            self.basis[r] = q
+
+            self.d -= t * s_alpha
+            self.d[self.basis] = 0.0
+            self.d[leave] = -s * t
 
             self.Binv[r] /= w[r]
             others = nz[nz != r]
             self.Binv[others] -= np.outer(w[others], self.Binv[r])
-            d_j = d[j]
-            d -= d_j * (self.AT @ self.Binv[r, :])
-            d[j] = 0.0
-            d_exact = False
-        return NUMERICAL_FAILURE
+            self.iterations += 1
+            exact = False
 
-
-def _column_bounds(prob: LpProblem, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the standardized columns: the variables', then slacks in [0, inf)."""
-    n_slack = n_cols - prob.n_vars
-    lb = np.concatenate([np.asarray(prob.lower, dtype=float), np.zeros(n_slack)])
-    ub = np.concatenate([np.asarray(prob.upper, dtype=float), np.full(n_slack, np.inf)])
-    return lb, ub
+    def _check_optimum(self, movable: np.ndarray, dual_tol: float) -> str:
+        d, status = self.d, self.status
+        wrong = np.where(status == _AT_LB, d > dual_tol,
+                         np.where(status == _AT_UB, d < -dual_tol,
+                                  (status == _FREE) & (np.abs(d) > dual_tol)))
+        if (wrong & movable).any():
+            return NUMERICAL_FAILURE
+        if (self._at_artificial_bound() & (np.abs(d) > dual_tol)).any():
+            return UNBOUNDED
+        return OPTIMAL
 
 
 def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
-    """Reference backend: deterministic two-phase bounded revised simplex.
+    """Reference backend: deterministic bounded dual simplex.
 
-    Phase 1 drives artificials to zero when the all-slack start is infeasible;
-    phase 2 optimizes the real objective.  Returns a vertex solution, or a
-    numerical failure, before allocating anything m x m, when the dense basis
-    inverse and the temporaries of one update (24*m*m bytes) would pass
+    One phase from the all-logical basis, which every LP telab builds makes
+    dual feasible.  Returns a vertex solution, or a numerical failure, before
+    allocating anything m x m, when the dense basis inverse and the
+    temporaries of one update (24*m*m bytes) would pass
     ``DENSE_INVERSE_BUDGET_BYTES``.
     """
-    n = prob.n_vars
     std = _standardize(prob)
     if std is None:
         return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
                           message="constant infeasible row")
-    A, b, slack_of_row = std
-    m, n_cols = A.shape
+    A, b, ineq = std
+    m = A.shape[0]
     if 24 * m * m > DENSE_INVERSE_BUDGET_BYTES:
         return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex",
                           message=f"dense basis inverse of {m} working rows needs "
                                   f"{24 * m * m:,} bytes, over the "
                                   f"{DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
-    sx = _Simplex(A, b, *_column_bounds(prob, n_cols), slack_of_row, max_iter)
-
-    if sx.n_art:
-        c1 = np.zeros(sx.n_total)
-        c1[sx.art_cols] = -1.0
-        status = sx.optimize(c1)
-        if status != OPTIMAL:
-            return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex",
-                              iterations=sx.total_iters,
-                              message=f"phase 1 ended with {status}")
-        infeas = float(sx.solution()[sx.art_cols].sum())
-        if infeas > 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
-                              iterations=sx.total_iters,
-                              message=f"phase 1 residual {infeas:.3e}")
-        sx.ub[sx.art_cols] = 0.0
-
+    lower, upper = np.asarray(prob.lower, dtype=float), np.asarray(prob.upper, dtype=float)
     sign = 1.0 if prob.maximize else -1.0
-    c2 = np.zeros(sx.n_total)
-    c2[:n] = sign * prob.objective_vector()
-    status = sx.optimize(c2)
+    sx = _Simplex(A, b, ineq, lower, upper, sign * prob.objective_vector(), max_iter)
+    status = sx.optimize()
     if status != OPTIMAL:
-        return LpSolution(status, math.nan, None, 0.0, "vertex",
-                          iterations=sx.total_iters,
-                          message=f"simplex ended with {status}")
+        return LpSolution(status, math.nan, None, 0.0, "vertex", iterations=sx.iterations,
+                          message=sx.message or f"simplex ended with {status}")
 
-    x = sx.solution()[:n]
+    x = sx.solution()[:prob.n_vars]
     # Snap round-off noise at the bounds.
-    np.clip(x, np.asarray(prob.lower), np.asarray(prob.upper), out=x)
+    np.clip(x, lower, upper, out=x)
     obj = float(prob.objective_vector() @ x)
-    return LpSolution(OPTIMAL, obj, x, 0.0, "vertex", iterations=sx.total_iters)
+    return LpSolution(OPTIMAL, obj, x, 0.0, "vertex", iterations=sx.iterations)
 
 
 def scipy_backend(prob: LpProblem) -> LpSolution:

@@ -350,6 +350,28 @@ def test_cli_sweep_rejects_repeated_scales(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("override", [
+    ["--workers", "0"],
+    ["--scales", ""],
+    ["--scales", "nan"],
+    ["--scales", "inf,1"],
+])
+def test_cli_sweep_rejects_bad_overrides(tmp_path, capsys, override):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"topology": str(DATA / "diamond.json"),
+                                    "tm": str(DATA / "diamond_tm.json"), "models": ["te"],
+                                    "policies": ["fixed:2"]}))
+    assert cli_main(["sweep", "--config", str(cfg_path), *override]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_sweep_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text("5")
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 4
+    assert capsys.readouterr().err == "error: experiment config must be a JSON object, got 5\n"
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(topology="x", tm="y", models=["bogus"]).validate()

@@ -20,6 +20,7 @@ from telab import (
 )
 from telab import lpcore
 from telab.errors import ValidationError
+from telab.temodels import build_calibration_lp
 from telab.lpcore import (
     BACKENDS,
     INFEASIBLE,
@@ -27,8 +28,8 @@ from telab.lpcore import (
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
+    LpSolution,
     _Simplex,
-    _column_bounds,
     _standardize,
     bundled_simplex,
     check_feasibility,
@@ -69,6 +70,99 @@ def test_unbounded_detected():
     x = p.add_var("x")
     p.set_objective([(x, 1.0)])
     assert solve(p).status == UNBOUNDED
+
+
+def test_unbounded_lp_with_rows_matches_highs():
+    # x starts at its artificial bound; y enters to restore x - y <= 1 and
+    # leaves x's reduced cost positive at that bound.
+    p = LpProblem()
+    x = p.add_var("x")
+    y = p.add_var("y")
+    p.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0)
+    p.add_constraint([(x, 1.0), (y, 1.0)], ">=", 2.0)
+    p.set_objective([(x, 1.0)])
+    assert [solve(p, backend).status for backend in ("bundled", "scipy")] == [UNBOUNDED] * 2
+
+
+def _max_x(*rows):
+    p = LpProblem()
+    x = p.add_var("x")
+    for sense, rhs in rows:
+        p.add_constraint([(x, 1.0)], sense, rhs)
+    p.set_objective([(x, 1.0)])
+    return p
+
+
+@pytest.mark.parametrize("rows,status,objective", [
+    ([("<=", 5e7)], OPTIMAL, 5e7),                 # binds past the artificial bound
+    ([(">=", 2e7), ("<=", 3e7)], OPTIMAL, 3e7),    # violated row needs x past it
+    ([(">=", 2e7)], UNBOUNDED, None),
+    ([("<=", 5e12)], OPTIMAL, 5e12),               # just under the widening cap
+], ids=["le-5e7", "ge-2e7-le-3e7", "ge-2e7", "le-5e12"])
+def test_verdicts_resting_on_an_artificial_bound_match_highs(rows, status, objective):
+    bundled, highs = solve(_max_x(*rows), "bundled"), solve(_max_x(*rows), "scipy")
+    assert bundled.status == highs.status == status
+    if objective is not None:
+        assert bundled.objective == highs.objective == objective
+
+
+def test_unbounded_ray_moving_two_artificial_columns_together():
+    # Neither column alone can leave its artificial bound (each row blocks
+    # it), but widening moves both and keeps every row: an unbounded ray.
+    p = LpProblem()
+    a = p.add_var("a")
+    b = p.add_var("b")
+    p.add_constraint([(a, 1.0), (b, -1.0)], "<=", 1.0)
+    p.add_constraint([(a, -1.0), (b, 1.0)], "<=", 1.0)
+    p.set_objective([(a, 1.0), (b, 1.0)])
+    assert [solve(p, backend).status for backend in ("bundled", "scipy")] == [UNBOUNDED] * 2
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([("<=", 5e14)], "optimum rests on an artificial bound"),
+    ([(">=", 2e14)], "infeasibility proof rests on an artificial bound"),
+], ids=["le-5e14", "ge-2e14"])
+def test_verdicts_past_the_widening_cap_are_numerical_failures(rows, message):
+    # HiGHS finds an optimum and an unbounded LP; past ARTIFICIAL_BOUND_CAP
+    # the bundled simplex says it cannot tell rather than give a wrong status.
+    assert lpcore.ARTIFICIAL_BOUND_CAP < abs(rows[0][1])
+    sol = solve(_max_x(*rows), "bundled")
+    assert (sol.status, sol.message) == (NUMERICAL_FAILURE, message)
+
+
+def test_basic_values_are_refined_against_the_rounding_of_the_inverse():
+    # The unique point of three equalities with right-hand sides near 1e8:
+    # unrefined, row 0 misses its right-hand side by 4.8e-6 and fails the
+    # re-check.
+    p = LpProblem()
+    x = [p.add_var("x0", -math.inf, math.inf), p.add_var("x1"),
+         p.add_var("x2", -math.inf, math.inf)]
+    p.add_constraint([(x[0], 2.0), (x[1], 3.0), (x[2], 3.0)], "=", -345e6)
+    p.add_constraint([(x[1], 3.0), (x[0], 3.0), (x[2], -1.0)], "=", 278e6)
+    p.add_constraint([(x[0], -1.0), (x[1], -2.0), (x[2], -3.0)], "=", 139e6)
+    p.set_objective([(x[0], 1.0), (x[1], 2.0), (x[2], -1.0)])
+    bundled, highs = solve(p, "bundled"), solve(p, "scipy")
+    assert bundled.status == highs.status == OPTIMAL
+    assert bundled.objective == pytest.approx(highs.objective, rel=1e-12)
+
+
+def test_bounded_lp_with_free_columns_matches_highs():
+    # x and w are free with a nonzero cost (artificial bounds at the start),
+    # z is free with none (nonbasic at 0); all three end up basic.
+    p = LpProblem()
+    x = p.add_var("x", -math.inf, math.inf)
+    w = p.add_var("w", -math.inf, math.inf)
+    z = p.add_var("z", -math.inf, math.inf)
+    y = p.add_var("y", 0.0, 4.0)
+    p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 3.0)
+    p.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0)
+    p.add_constraint([(z, 1.0), (x, -1.0)], "=", 0.0)
+    p.add_constraint([(w, 1.0), (z, 1.0)], ">=", -4.0)
+    p.set_objective([(x, 1.0), (w, -1.0)])
+    bundled, highs = solve(p, "bundled"), solve(p, "scipy")
+    assert bundled.status == highs.status == OPTIMAL
+    assert bundled.objective == pytest.approx(highs.objective, rel=1e-12) == 8.0
+    np.testing.assert_allclose(bundled.values, [2.0, -6.0, 2.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_degenerate_redundant_rows_terminate():
@@ -167,6 +261,21 @@ def test_optimal_solutions_pass_substitution_check():
             assert check_feasibility(p, sol.values) == []
 
 
+def test_non_finite_values_are_violations():
+    p = simple_box_lp()
+    assert check_feasibility(p, np.array([np.nan, 0.5])) == ["var x: nan is not finite"]
+    assert check_feasibility(p, np.array([0.5, np.inf]))[0] == "var y: inf is not finite"
+
+
+def test_nan_optimum_is_downgraded_by_the_recheck(monkeypatch):
+    values = np.array([np.nan, 0.5])
+    monkeypatch.setitem(BACKENDS, "bundled",
+                        lambda prob: LpSolution(OPTIMAL, 0.5, values, 0.0, "vertex"))
+    sol = solve(simple_box_lp())
+    assert sol.status == NUMERICAL_FAILURE and sol.values is None
+    assert sol.message == "solution failed feasibility re-check: var x: nan is not finite"
+
+
 def test_equality_rows():
     p = LpProblem()
     x = p.add_var("x", -5, 5)
@@ -246,22 +355,24 @@ def _calibrated_b4_lp(b4_topo, b4_tm, model, policy, scale):
     return build_ffc_lp(topo, tm, ts, enumerate_single_link_scenarios(topo), "all").problem
 
 
-# Recorded from the dense-update simplex (every pivot updated all m rows of the
-# basis inverse).  A change to how the inverse is updated must keep the pivot
-# sequence, so the iteration counts match exactly and the objectives to round-off.
+# The objectives were recorded from the two-phase primal simplex this backend
+# replaced; the iteration counts are the dual simplex's.  A change to how the
+# inverse is updated must keep the pivot sequence, so the iteration counts
+# match exactly and the objectives to round-off.
 B4_PIVOT_PATH = [
-    ("te", "fixed:5", 0.5, 266, 1854.419951855716),
-    ("te", "fixed:5", 2.0, 263, 5425.829492953708),
-    ("ffc", "fixed:5", 0.5, 404, 1691.4310618889542),
-    ("ffc", "fixed:5", 2.0, 681, 3467.132991809054),
-    ("te", "adaptive", 0.5, 266, 1854.4199518557161),
-    ("te", "adaptive", 2.0, 258, 5425.829492953708),
-    ("ffc", "adaptive", 0.5, 350, 1618.177760594112),
-    ("ffc", "adaptive", 2.0, 508, 3433.307533663618),
+    ("te", "fixed:5", 0.5, 132, 1854.419951855716),
+    ("te", "fixed:5", 2.0, 211, 5425.829492953708),
+    ("ffc", "fixed:5", 0.5, 284, 1691.4310618889542),
+    ("ffc", "fixed:5", 2.0, 483, 3467.132991809054),
+    ("te", "adaptive", 0.5, 132, 1854.4199518557161),
+    ("te", "adaptive", 2.0, 205, 5425.829492953708),
+    ("ffc", "adaptive", 0.5, 248, 1618.177760594112),
+    ("ffc", "adaptive", 2.0, 370, 3433.307533663618),
 ]
 
 
-@pytest.mark.parametrize("model,policy,scale,iterations,objective", B4_PIVOT_PATH)
+@pytest.mark.parametrize("model,policy,scale,iterations,objective", B4_PIVOT_PATH,
+                         ids=[f"{m}-{p}-{s}" for m, p, s, *_ in B4_PIVOT_PATH])
 def test_bundled_pivot_path_is_pinned_on_calibrated_b4(b4_topo, b4_tm, model, policy, scale,
                                                        iterations, objective):
     sol = bundled_simplex(_calibrated_b4_lp(b4_topo, b4_tm, model, policy, scale))
@@ -282,18 +393,36 @@ def _dense_lp(m=40, n=60, seed=3):
     return p
 
 
+def _simplex(prob):
+    A, b, ineq = _standardize(prob)
+    sign = 1.0 if prob.maximize else -1.0
+    return _Simplex(A, b, ineq, np.array(prob.lower), np.array(prob.upper),
+                    sign * prob.objective_vector(), max_iter=200_000)
+
+
 @pytest.mark.parametrize("lp", ["te", "ffc", "dense"])
 def test_basis_inverse_stays_exact_under_row_restricted_updates(b4_topo, b4_tm, lp):
     prob = (_dense_lp() if lp == "dense"
             else _calibrated_b4_lp(b4_topo, b4_tm, lp, "fixed:5", 2.0))
-    A, b, slack_of_row = _standardize(prob)
-    sx = _Simplex(A, b, *_column_bounds(prob, A.shape[1]), slack_of_row, max_iter=200_000)
-    assert sx.n_art == 0  # the all-slack start is feasible: one phase
-    c = np.zeros(sx.n_total)
-    c[:prob.n_vars] = prob.objective_vector()
-    assert sx.optimize(c) == OPTIMAL
-    basis = sx.A[:, sx.basis].toarray()
+    sx = _simplex(prob)
+    assert sx.optimize() == OPTIMAL
+    basis = sp.hstack([sx.A, sp.eye(sx.m)], format="csc")[:, sx.basis].toarray()
     np.testing.assert_allclose(sx.Binv @ basis, np.eye(sx.m), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("lp", ["te", "ffc", "calibration"])
+def test_slack_start_is_dual_feasible_without_artificial_bounds(b4_topo, b4_tm, lp):
+    if lp == "calibration":
+        ts = build_tunnel_sets(b4_topo, b4_tm, FixedTunnelPolicy(5))
+        prob = build_calibration_lp(b4_topo, b4_tm, ts)
+    else:
+        prob = _calibrated_b4_lp(b4_topo, b4_tm, lp, "fixed:5", 1.0)
+    sx = _simplex(prob)
+    assert not (sx.art_ub | sx.art_lb).any()
+    assert sx.basis.tolist() == list(range(sx.n, sx.n + sx.m))
+    assert (sx.d[sx.status == lpcore._AT_LB] <= 0).all()
+    assert (sx.d[sx.status == lpcore._AT_UB] >= 0).all()
+    assert (sx.d[sx.status == lpcore._FREE] == 0).all()
 
 
 def test_dense_inverse_over_the_memory_budget_is_refused(monkeypatch):

@@ -120,9 +120,9 @@ def test_capacity_modes_give_the_same_working_rows(inst):
     working = []
     for capacity_mode in ("all", "normal_only"):
         prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
-        A, b, slack_of_row = _standardize(prob)
+        A, b, ineq = _standardize(prob)
         working.append(([name for name, m in zip(prob.row_names, prob.implied) if not m],
-                        A.toarray().tolist(), b.tolist(), slack_of_row.tolist()))
+                        A.toarray().tolist(), b.tolist(), ineq.tolist()))
     assert working[0] == working[1]
 
 

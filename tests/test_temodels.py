@@ -284,10 +284,11 @@ def test_lp_text_is_pinned(b4_topo, b4_tm, diamond_topo, diamond_tm,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# sha256 of the working LP the bundled simplex starts from, _standardize's
-# (A, b, slack_of_row), recorded while implied rows were still found by a
-# pairwise search over the built rows.  The builder's marks must give the same
-# working rows, in the same order, so the bundled pivots stay pinned too.
+# sha256 of the working LP the bundled simplex starts from, in equality form
+# with one slack column per inequality row, (A | slacks, b, slack_of_row),
+# recorded while implied rows were still found by a pairwise search over the
+# built rows.  The builder's marks must give the same working rows, in the
+# same order, so the bundled pivots stay pinned too.
 WORKING_LP_SHA256 = [
     ("fixed:5", "te", "74c2d7d18e90d2e17b414b37f93939813bfb9b337550825616d622aa76828f78"),
     ("fixed:5", "all", "2223cc44f007be54f5290364341e9a442e2501cef76d69d5bccba2bf1fc77349"),
@@ -308,8 +309,13 @@ def test_working_lp_is_pinned(b4_topo, b4_tm, policy, kind, digest):
         model = build_te_lp(b4_topo, b4_tm, ts)
     else:
         model = build_ffc_lp(b4_topo, b4_tm, ts, enumerate_single_link_scenarios(b4_topo), kind)
-    A, b, slack_of_row = _standardize(model.problem)
-    A = sp.csc_matrix(A)
+    A, b, ineq = _standardize(model.problem)
+    n_slack = int(ineq.sum())
+    slack_of_row = np.full(len(b), -1)
+    slack_of_row[ineq] = A.shape[1] + np.arange(n_slack)
+    slacks = sp.csr_matrix((np.ones(n_slack), (np.flatnonzero(ineq), np.arange(n_slack))),
+                           shape=(len(b), n_slack))
+    A = sp.hstack([A, slacks], format="csc")
     h = hashlib.sha256()
     for arr, dtype in ((np.array(A.shape), np.int64), (A.indptr, np.int64),
                        (A.indices, np.int64), (A.data, np.float64), (b, np.float64),
