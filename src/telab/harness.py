@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from . import __version__
@@ -133,31 +133,20 @@ class ExperimentConfig:
             raise ValidationError(f"malformed experiment config: {e}") from e
         if not isinstance(doc, dict):
             raise ValidationError(f"experiment config must be a JSON object, got {doc!r}")
-        fit = None
-        if "fit" in doc:
-            try:
-                f = doc["fit"]
-                fit = LognormalFit(float(f["mu"]), float(f["sigma"]), int(f.get("n_samples", 0)))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValidationError(
-                    f"fit needs numeric 'mu' and 'sigma', got {doc['fit']!r}") from e
-        known = {
-            "topology", "tm", "seed", "scales", "models", "policies",
-            "backend", "capacity_mode", "capacity_scale", "out_dir", "workers",
-        }
-        kwargs = {k: doc[k] for k in known if k in doc}
+        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         if "topology" not in kwargs:
             raise ValidationError("experiment config needs a 'topology' path")
-        cfg = cls(fit=fit, **kwargs)
+        fit = kwargs.get("fit")  # null, as a manifest writes a config without a fit
+        if fit is not None:
+            try:
+                kwargs["fit"] = LognormalFit(float(fit["mu"]), float(fit["sigma"]),
+                                             int(fit.get("n_samples", 0)))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValidationError(
+                    f"fit needs numeric 'mu' and 'sigma', got {fit!r}") from e
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
-
-    def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        if self.fit is not None:
-            doc["fit"] = {"mu": self.fit.mu, "sigma": self.fit.sigma,
-                          "n_samples": self.fit.n_samples}
-        return doc
 
 
 @dataclass
@@ -175,29 +164,13 @@ class ResultRow:
     build_time: float
     metrics: MetricsReport | None
     congestion_free: str  # "pass" | "fail" | "" (base TE rows)
+    dump: dict | None = None  # the solution dump of an optimal point; not a column
 
     def as_record(self) -> dict:
-        rec = {
-            "model": self.model,
-            "policy": self.policy,
-            "scale": self.scale,
-            "seed": self.seed,
-            "backend": self.backend,
-            "capacity_mode": self.capacity_mode,
-            "status": self.status,
-            "objective": self.objective,
-            "variables": self.variables,
-            "constraints": self.constraints,
-            "build_time": self.build_time,
-            "congestion_free": self.congestion_free,
-        }
-        if self.metrics is not None:
-            for col in METRIC_COLUMNS:
-                rec[col] = float(getattr(self.metrics, col))
-        else:
-            for col in METRIC_COLUMNS:
-                rec[col] = ""
-        return rec
+        """The row's cells in ``RESULT_COLUMNS`` order; metric cells are "" without metrics."""
+        return {col: getattr(self, col) if col not in METRIC_COLUMNS
+                else ("" if self.metrics is None else float(getattr(self.metrics, col)))
+                for col in RESULT_COLUMNS}
 
 
 def calibrate_capacities(topo: Topology, tm: TrafficMatrix, ts, *,
@@ -222,8 +195,8 @@ def calibrate_capacities(topo: Topology, tm: TrafficMatrix, ts, *,
 
 def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
                  scen: ScenarioSet | None, tunnel_sets: dict[str, TunnelSet | None],
-                 model_kind: str, policy: str, scale: float) -> tuple[ResultRow, dict | None]:
-    """One sweep point: scale the matrix, build, solve, verify and measure.
+                 model_kind: str, policy: str, scale: float) -> ResultRow:
+    """One sweep point: scale the matrix, build, solve, verify, measure and dump.
 
     An exception is logged and becomes one row with status ``error``, as does
     every point of a policy whose tunnel set failed to build (``None``).
@@ -236,7 +209,7 @@ def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
                           build_time=0.0, metrics=None, congestion_free="", **base)
     ts = tunnel_sets[policy]
     if ts is None:
-        return error_row, None
+        return error_row
     try:
         tm_scaled = scale_tm(tm, scale)
         t0 = time.perf_counter()
@@ -251,20 +224,22 @@ def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
             log.warning("sweep point %s %s scale=%s: status %s: %s", model_kind, policy,
                         scale, lp_sol.status, lp_sol.message)
             return ResultRow(status=lp_sol.status, objective=float("nan"), metrics=None,
-                             congestion_free="", **base), None
+                             congestion_free="", **base)
 
         sol = extract_solution(lp_sol, model)
         verdict = ""
         if model_kind == "ffc":
             verdict = "pass" if verify_congestion_free(sol, ts, scen, topo).ok else "fail"
-        row = ResultRow(status=lp_sol.status, objective=lp_sol.objective,
-                        metrics=compute_metrics(sol, tm_scaled, ts, topo),
-                        congestion_free=verdict, **base)
-        return row, solution_to_dict(sol, model, scale=scale, seed=cfg.seed,
-                                     backend=cfg.backend, capacity_scale=cfg.capacity_scale)
+        return ResultRow(status=lp_sol.status, objective=lp_sol.objective,
+                         metrics=compute_metrics(sol, tm_scaled, ts, topo),
+                         congestion_free=verdict,
+                         dump=solution_to_dict(sol, model, scale=scale, seed=cfg.seed,
+                                               backend=cfg.backend,
+                                               capacity_scale=cfg.capacity_scale),
+                         **base)
     except Exception:
         log.exception("sweep point %s %s scale=%s raised", model_kind, policy, scale)
-        return error_row, None
+        return error_row
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -293,14 +268,11 @@ def run_experiment(cfg: ExperimentConfig):
     solve_point = functools.partial(_solve_point, cfg, topo, tm, scen, tunnel_sets)
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(solve_point, *zip(*points)))
+            rows = list(pool.map(solve_point, *zip(*points)))
     else:
-        results = [solve_point(*point) for point in points]
-
-    rows = [r for r, _ in results]
-    dumps = [d for _, d in results]
+        rows = [solve_point(*point) for point in points]
     if cfg.out_dir:
-        _write_artifacts(cfg, rows, dumps)
+        _write_artifacts(cfg, rows)
     return rows
 
 
@@ -315,8 +287,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     for row in rows:
-        rec = row.as_record()
-        writer.writerow([_format_cell(rec[col]) for col in RESULT_COLUMNS])
+        writer.writerow([_format_cell(cell) for cell in row.as_record().values()])
     return buf.getvalue()
 
 
@@ -326,14 +297,13 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_artifacts(cfg: ExperimentConfig, rows: list[ResultRow],
-                     dumps: list[dict | None]) -> None:
+def _write_artifacts(cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "results.csv", rows_to_csv(rows))
     _atomic_write(out / "results.json",
                   json.dumps([r.as_record() for r in rows], indent=2))
-    config_doc = cfg.to_json_dict()
+    config_doc = asdict(cfg)
     manifest = {
         "seed": cfg.seed,
         "config": config_doc,
@@ -346,10 +316,10 @@ def _write_artifacts(cfg: ExperimentConfig, rows: list[ResultRow],
     }
     sol_dir = out / "solutions"
     sol_dir.mkdir(exist_ok=True)
-    for row, dump in zip(rows, dumps):
-        if dump is None:
+    for row in rows:
+        if row.dump is None:
             continue
         name = f"sol_{row.model}_{row.policy.replace(':', '')}_{row.scale}.json"
-        _atomic_write(sol_dir / name, json.dumps(dump))
+        _atomic_write(sol_dir / name, json.dumps(row.dump))
         manifest["solutions"].append(f"solutions/{name}")
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2))

@@ -181,20 +181,15 @@ class LpSolution:
     message: str = ""
 
 
-def check_feasibility(
-    prob: LpProblem,
-    x: np.ndarray,
-    row_tol: float = FEASIBILITY_TOL,
-    bound_tol: float = BOUND_TOL,
-) -> list[str]:
+def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
     """Substitute x into the original rows and bounds; return violations."""
     issues: list[str] = []
     lower = np.asarray(prob.lower)
     upper = np.asarray(prob.upper)
     for j in np.flatnonzero(~np.isfinite(x)):
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} is not finite")
-    low_bad = np.nonzero(x < lower - bound_tol)[0]
-    up_bad = np.nonzero(x > upper + bound_tol)[0]
+    low_bad = np.nonzero(x < lower - BOUND_TOL)[0]
+    up_bad = np.nonzero(x > upper + BOUND_TOL)[0]
     for j in low_bad:
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} below lower bound "
                       f"{float(lower[j])!r}")
@@ -206,7 +201,7 @@ def check_feasibility(
     filled = np.diff(A.indptr) > 0
     scale = np.ones(len(rhs))  # max(1, largest |coefficient|) per row
     scale[filled] = np.maximum(1.0, np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled]))
-    resid, tol = lhs - rhs, row_tol * scale
+    resid, tol = lhs - rhs, FEASIBILITY_TOL * scale
     bad = np.where(senses == "<=", resid > tol,
                    np.where(senses == ">=", resid < -tol, np.abs(resid) > tol))
     for i in np.flatnonzero(bad):
@@ -216,15 +211,26 @@ def check_feasibility(
     return issues
 
 
-def _working_rows(prob: LpProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """What both backends solve: the rows not marked implied, >= rows negated
-    to <= and duplicate coefficients merged, as (A, b, inequality mask)."""
+def _standardize(prob: LpProblem):
+    """The working rows both backends solve, as (A, b, ineq), or None for a
+    constant row that can never hold.
+
+    The rows not marked implied, with >= rows negated to <=, duplicate
+    coefficients merged, zero coefficients dropped, and an empty row that
+    holds dropped.  The FFC builder marks every failure-scenario capacity row
+    implied, so both capacity modes give the same working rows.
+    """
     A, senses, rhs = prob.rows()
     keep = ~prob.implied
     flip = np.where(senses[keep] == ">=", -1.0, 1.0)
     A = sp.diags(flip) @ A[keep]
     A.sum_duplicates()
-    return A, flip * rhs[keep], senses[keep] != "="
+    A.eliminate_zeros()
+    b, ineq = flip * rhs[keep], senses[keep] != "="
+    filled = np.diff(A.indptr) > 0
+    if (~filled & np.where(ineq, b < -FEASIBILITY_TOL, np.abs(b) > FEASIBILITY_TOL)).any():
+        return None
+    return A[filled], b[filled], ineq[filled]
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +245,7 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 # on it, up to ARTIFICIAL_BOUND_CAP.
 ARTIFICIAL_BOUND = 1e7
 ARTIFICIAL_BOUND_CAP = 1e13
-
-
-def _standardize(prob: LpProblem):
-    """The working rows the bundled simplex solves, as (A, b, ineq).
-
-    The FFC builder marks every failure-scenario capacity row implied, so both
-    capacity modes give the same working rows.  Zero coefficients are dropped,
-    and so is an empty row that holds; None for a constant-false row.
-    """
-    A, b, ineq = _working_rows(prob)
-    A.eliminate_zeros()
-    filled = np.diff(A.indptr) > 0
-    if (~filled & np.where(ineq, b < -FEASIBILITY_TOL, np.abs(b) > FEASIBILITY_TOL)).any():
-        return None  # constant row that can never hold
-    return A[filled], b[filled], ineq[filled]
+MAX_ITERATIONS = 200_000  # pivots before the bundled simplex reports a numerical failure
 
 
 class _Simplex:
@@ -466,7 +458,7 @@ class _Simplex:
         return OPTIMAL
 
 
-def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
+def bundled_simplex(prob: LpProblem) -> LpSolution:
     """Reference backend: deterministic bounded dual simplex.
 
     One phase from the all-logical basis, which every LP telab builds makes
@@ -488,7 +480,7 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
                                   f"{DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
     lower, upper = np.asarray(prob.lower, dtype=float), np.asarray(prob.upper, dtype=float)
     sign = 1.0 if prob.maximize else -1.0
-    sx = _Simplex(A, b, ineq, lower, upper, sign * prob.objective_vector(), max_iter)
+    sx = _Simplex(A, b, ineq, lower, upper, sign * prob.objective_vector(), MAX_ITERATIONS)
     status = sx.optimize()
     if status != OPTIMAL:
         return LpSolution(status, math.nan, None, 0.0, "vertex", iterations=sx.iterations,
@@ -504,29 +496,21 @@ def bundled_simplex(prob: LpProblem, max_iter: int = 200_000) -> LpSolution:
 def scipy_backend(prob: LpProblem) -> LpSolution:
     """External backend: HiGHS dual simplex through scipy (vertex solutions).
 
-    The working rows are handed over sparse so the backend stays usable on
-    instances far beyond what the bundled dense-basis simplex can hold.
+    It solves the bundled simplex's working rows, handed over sparse so the
+    backend stays usable on instances far beyond what the bundled dense-basis
+    simplex can hold.
     """
     from scipy.optimize import linprog
 
+    std = _standardize(prob)
+    if std is None:
+        return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
+                          message="constant infeasible row")
+    A, b, ineq = std
     sign = -1.0 if prob.maximize else 1.0
-    c = sign * prob.objective_vector()
-    A, b, ineq = _working_rows(prob)
-    a_ub, b_ub = (A[ineq], b[ineq]) if ineq.any() else (None, None)
-    a_eq, b_eq = (A[~ineq], b[~ineq]) if not ineq.all() else (None, None)
-    bounds = [
-        (lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
-        for lo, hi in zip(prob.lower, prob.upper)
-    ]
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs-ds",
-    )
+    res = linprog(sign * prob.objective_vector(), A_ub=A[ineq], b_ub=b[ineq],
+                  A_eq=A[~ineq], b_eq=b[~ineq],
+                  bounds=np.column_stack([prob.lower, prob.upper]), method="highs-ds")
     if res.status == 0:
         x = np.asarray(res.x)
         obj = float(prob.objective_vector() @ x)

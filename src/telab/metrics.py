@@ -2,11 +2,12 @@
 
 The criticality score of an arc accumulates, over all demands with positive
 admitted flow, the demand's share of delivered traffic whenever that arc is
-the most utilized arc among the demand's flow-carrying tunnels (ties go to
-the smallest arc id).  Arcs with high scores are the bottlenecks of the
-solution.  Network criticality divides each positive score by the arc's
-utilization and sums: more satisfied demand or lower link stress both raise
-it, so falling values signal congestion.
+the most utilized arc among the demand's flow-carrying tunnels.  Arcs within
+``FLOW_EPS`` of the largest utilization tie, and a tie goes to the smallest
+arc id, so round-off in the solution does not pick the arc.  Arcs with high
+scores are the bottlenecks of the solution.  Network criticality divides each
+positive score by the arc's utilization and sums: more satisfied demand or
+lower link stress both raise it, so falling values signal congestion.
 
 Ratios are computed on directed arcs.  The overprovisioning ratio is the
 rate reservation beyond admitted flow over total demand, which is zero for a
@@ -79,8 +80,10 @@ def criticality_scores(sol: TeSolution, ts: TunnelSet, utilization: np.ndarray) 
     carried = ts.incidence[used].tocoo()  # (used tunnel, arc) pairs
     candidate_util = np.full((len(ts.by_demand), len(utilization)), -np.inf)
     candidate_util[ts.demand_of[used][carried.row], carried.col] = utilization[carried.col]
-    best = candidate_util.argmax(axis=1)  # most utilized; the smallest arc id on ties
-    scored = (sol.delivered > FLOW_EPS) & np.isfinite(candidate_util.max(axis=1))
+    top = candidate_util.max(axis=1)
+    # The smallest arc id within FLOW_EPS of the most utilized arc.
+    best = (candidate_util >= top[:, None] - FLOW_EPS).argmax(axis=1)
+    scored = (sol.delivered > FLOW_EPS) & np.isfinite(top)
     np.add.at(scores, best[scored], sol.delivered[scored] / len(ts.by_demand))
     return scores
 

@@ -207,6 +207,58 @@ def test_sweep_parallel_matches_serial(small_sweep_cfg):
     assert _strip_timing(a) == _strip_timing(b)
 
 
+def _dumps_without_solve_time(out: Path) -> dict[str, dict]:
+    manifest = json.loads((out / "manifest.json").read_text())
+    dumps = {}
+    for name in manifest["solutions"]:
+        dumps[name] = json.loads((out / name).read_text())
+        del dumps[name]["solve_time"]
+    return dumps
+
+
+def test_sweep_parallel_writes_the_serial_dumps_and_manifest(small_sweep_cfg, tmp_path):
+    for workers in (1, 2):
+        run_experiment(ExperimentConfig(**{**small_sweep_cfg.__dict__, "workers": workers,
+                                           "out_dir": str(tmp_path / str(workers))}))
+    manifests = [json.loads((tmp_path / w / "manifest.json").read_text()) for w in "12"]
+    assert manifests[0]["solutions"] == manifests[1]["solutions"]
+    assert len(manifests[0]["solutions"]) == 12
+    assert _dumps_without_solve_time(tmp_path / "1") == _dumps_without_solve_time(tmp_path / "2")
+
+
+def test_results_json_records_equal_the_csv_cells(tmp_path, monkeypatch):
+    real_build = harness.build_ffc_lp
+
+    def build_fails_at_scale_one(topo, tm, ts, scen, capacity_mode):
+        if tm.total_volume == 10.0:  # the diamond demand at scale 1.0
+            raise MemoryError("dense basis does not fit")
+        return real_build(topo, tm, ts, scen, capacity_mode)
+
+    monkeypatch.setattr(harness, "build_ffc_lp", build_fails_at_scale_one)
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[0.5, 1.0], models=["te", "ffc"], policies=["fixed:5"],
+                           out_dir=str(tmp_path))
+    run_experiment(cfg)
+    header, *cells = list(csv.reader(io.StringIO((tmp_path / "results.csv").read_text())))
+    records = json.loads((tmp_path / "results.json").read_text())
+    assert [r["status"] for r in records] == ["optimal", "error", "optimal", "optimal"]
+    assert len(records) == len(cells)
+    for record, row in zip(records, cells):
+        assert list(record) == header == RESULT_COLUMNS
+        assert [harness._format_cell(v) for v in record.values()] == row
+
+
+@pytest.mark.parametrize("fit", [None, {"mu": 1.0, "sigma": 0.4}])
+def test_manifest_config_reads_back_as_the_config(tmp_path, fit):
+    doc = {"topology": str(DATA / "diamond.json"), "seed": 3, "scales": [1.0],
+           "models": ["te"], "policies": ["fixed:2"], "out_dir": str(tmp_path)}
+    doc.update({"fit": fit} if fit else {"tm": str(DATA / "diamond_tm.json")})
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert ExperimentConfig.from_json(json.dumps(manifest["config"])) == cfg
+
+
 def test_sweep_survives_failed_points(tmp_path):
     # an unroutable-demand TM still sweeps; rows record statuses per point
     topo_doc = {

@@ -65,6 +65,19 @@ def test_contradictory_constraints_infeasible():
     assert solve(p).status == INFEASIBLE
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("sense, rhs", [("<=", -1.0), (">=", 1.0), ("=", 0.5)])
+def test_constant_rows_are_decided_before_either_backend(backend, sense, rhs):
+    p = LpProblem()
+    x = p.add_var("x", 0, 1)
+    p.add_constraint([], "<=", 0.0, "always")  # an empty row that holds is dropped
+    p.set_objective([(x, 1.0)])
+    assert solve(p, backend).objective == 1.0
+    p.add_constraint([(x, 0.0)], sense, rhs, "never")  # a zero coefficient is no term
+    sol = solve(p, backend)
+    assert (sol.status, sol.message) == (INFEASIBLE, "constant infeasible row")
+
+
 def test_unbounded_detected():
     p = LpProblem()
     x = p.add_var("x")

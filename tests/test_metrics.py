@@ -96,6 +96,19 @@ def test_criticality_tie_breaks_to_smallest_arc_id():
     assert s[0] == pytest.approx(5.0) and s[2] == 0.0
 
 
+def test_criticality_near_tie_goes_to_smallest_arc_id():
+    # arc a->b is one ulp wider than arc b->c, so its utilization is one
+    # rounding step below 1.0; the two tie within FLOW_EPS
+    topo = make_topology(["a", "b", "c"], [("a", "b", np.nextafter(10.0, 11.0)), ("b", "c", 10)])
+    tm = make_tm(topo, [("a", "c", 10.0)])
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(1))
+    sol = _manual_solution(topo, ts, [10.0], [10.0])
+    u = link_utilization(sol, topo)
+    assert u[0] < u[2] == 1.0
+    s = criticality_scores(sol, ts, u)
+    assert s[0] == pytest.approx(10.0) and s[2] == 0.0
+
+
 def test_score_mass_identity_on_random_solutions():
     rng = np.random.default_rng(21)
     for _ in range(8):
