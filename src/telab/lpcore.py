@@ -14,9 +14,12 @@ Its pivots are hypersparse: the updates of the basic values and of the
 inverse touch only the rows where the entering column is nonzero, which on B4
 are a few dozen of hundreds.  It refuses, as a numerical failure, a working
 LP whose dense inverse would pass ``DENSE_INVERSE_BUDGET_BYTES``.  The scipy
-backend hands the same rows to HiGHS (dual simplex); both report
-``solution_kind="vertex"``.  Interior-point methods are deliberately not
-offered.
+backend hands the same rows to a HiGHS simplex, the one the problem's
+``simplex`` field names: the primal on FFC LPs, which are feasible at x = 0,
+so it starts there with no phase 1 and takes about half the dual's time on
+syn40; the dual on TE, calibration and hand-built LPs, which it solves
+faster.  Both backends report ``solution_kind="vertex"``.  Interior-point
+methods are deliberately not offered.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +51,8 @@ BOUND_TOL = 1e-9
 FLOW_EPS = 1e-9  # positivity threshold for "carries flow" classification
 
 _SENSES = ("<=", ">=", "=")
+# HiGHS's simplex_strategy for each value of LpProblem.simplex.
+_HIGHS_SIMPLEX_STRATEGY = {"dual": 1, "primal": 4}
 
 # The bundled simplex keeps a dense basis inverse.  It refuses a working LP
 # whose inverse plus the two temporaries of one update (the gathered rows and
@@ -61,7 +67,8 @@ class LpProblem:
     The rows are one CSR store, appended in blocks that share a sense by
     ``add_rows`` (one row: ``add_constraint``) and read back whole by ``rows``.
     Each row also carries its builder's mark "implied by another row"
-    (``implied``, default False).
+    (``implied``, default False).  ``simplex`` ("dual" or "primal") names the
+    simplex a backend that has both should run.
     """
 
     name: str = ""
@@ -71,10 +78,16 @@ class LpProblem:
     row_names: list[str] = field(default_factory=list)
     objective: list[tuple[int, float]] = field(default_factory=list)
     maximize: bool = True
+    simplex: str = "dual"
     _blocks: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=lambda: [(sp.csr_matrix((0, 0)), np.empty(0, "<U2"), np.empty(0),
                                   np.empty(0, dtype=bool))],
         init=False, repr=False)
+
+    def __post_init__(self):
+        if self.simplex not in _HIGHS_SIMPLEX_STRATEGY:
+            raise ValidationError(f"unknown simplex {self.simplex!r}; "
+                                  f"available: {sorted(_HIGHS_SIMPLEX_STRATEGY)}")
 
     @property
     def n_vars(self) -> int:
@@ -462,7 +475,8 @@ def bundled_simplex(prob: LpProblem) -> LpSolution:
     """Reference backend: deterministic bounded dual simplex.
 
     One phase from the all-logical basis, which every LP telab builds makes
-    dual feasible.  Returns a vertex solution, or a numerical failure, before
+    dual feasible.  It has no primal simplex, so ``prob.simplex`` does not
+    apply to it.  Returns a vertex solution, or a numerical failure, before
     allocating anything m x m, when the dense basis inverse and the
     temporaries of one update (24*m*m bytes) would pass
     ``DENSE_INVERSE_BUDGET_BYTES``.
@@ -494,23 +508,31 @@ def bundled_simplex(prob: LpProblem) -> LpSolution:
 
 
 def scipy_backend(prob: LpProblem) -> LpSolution:
-    """External backend: HiGHS dual simplex through scipy (vertex solutions).
+    """External backend: HiGHS simplex through scipy (vertex solutions).
 
     It solves the bundled simplex's working rows, handed over sparse so the
     backend stays usable on instances far beyond what the bundled dense-basis
-    simplex can hold.
+    simplex can hold.  ``method="highs-ds"`` keeps HiGHS off its interior-point
+    solver; ``prob.simplex`` becomes HiGHS's ``simplex_strategy``, which scipy
+    passes on verbatim with an "Unrecognized options" warning, filtered here
+    by that message alone.  An LP without variables is optimal at objective 0.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import OptimizeWarning, linprog
 
     std = _standardize(prob)
     if std is None:
         return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
                           message="constant infeasible row")
+    if not prob.n_vars:
+        return LpSolution(OPTIMAL, 0.0, np.zeros(0), 0.0, "vertex")
     A, b, ineq = std
     sign = -1.0 if prob.maximize else 1.0
-    res = linprog(sign * prob.objective_vector(), A_ub=A[ineq], b_ub=b[ineq],
-                  A_eq=A[~ineq], b_eq=b[~ineq],
-                  bounds=np.column_stack([prob.lower, prob.upper]), method="highs-ds")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+        res = linprog(sign * prob.objective_vector(), A_ub=A[ineq], b_ub=b[ineq],
+                      A_eq=A[~ineq], b_eq=b[~ineq],
+                      bounds=np.column_stack([prob.lower, prob.upper]), method="highs-ds",
+                      options={"simplex_strategy": _HIGHS_SIMPLEX_STRATEGY[prob.simplex]})
     if res.status == 0:
         x = np.asarray(res.x)
         obj = float(prob.objective_vector() @ x)

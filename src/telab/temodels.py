@@ -207,6 +207,7 @@ def build_ffc_lp(
     if scen.n == 0 or scen.dead[0].nnz:
         raise ValidationError("scenario set must start with the normal state")
     prob = _base_problem(topo, tm, ts, "ffc")
+    prob.simplex = "primal"  # starts at the feasible x = 0; TE stays faster on the dual
     arcs, own = _row_templates(ts)
     caps = topo.capacities()
     dead_arcs = scen.dead.toarray() != 0

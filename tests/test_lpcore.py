@@ -206,6 +206,15 @@ def test_problem_validation():
         p.set_objective([(7, 1.0)])
     with pytest.raises(ValidationError):
         solve(p, backend="nope")
+    assert LpProblem().simplex == "dual"
+    with pytest.raises(ValidationError, match="unknown simplex 'barrier'"):
+        LpProblem(simplex="barrier")
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_empty_lp_is_optimal_at_zero_on_every_backend(backend):
+    sol = solve(LpProblem(), backend)
+    assert (sol.status, sol.objective, sol.values.shape) == (OPTIMAL, 0.0, (0,))
 
 
 def _random_box_lp(rng):

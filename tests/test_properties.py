@@ -28,7 +28,7 @@ from telab import (
     verify_congestion_free,
 )
 from telab.demands import tm_to_json
-from telab.lpcore import BACKENDS, LpProblem, _standardize, check_feasibility
+from telab.lpcore import BACKENDS, OPTIMAL, LpProblem, _standardize, check_feasibility, solve
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import ModelMeta, TeSolution
 from telab.tunnels import available_tunnels
@@ -136,6 +136,20 @@ def test_ffc_optimum_is_congestion_free_and_backends_agree(inst, capacity_mode):
     assert verify_congestion_free(highs, ts, scen, topo).ok
     want = highs.delivered.sum()
     assert abs(bundled.delivered.sum() - want) <= 1e-6 * max(1.0, abs(want))
+
+
+@PROPERTY
+@given(instances())
+def test_highs_reaches_the_same_optimum_on_either_simplex(inst):
+    topo, tm, ts, scen = inst
+    for prob in (build_te_lp(topo, tm, ts).problem, build_ffc_lp(topo, tm, ts, scen).problem):
+        objectives = []
+        for simplex in ("dual", "primal"):
+            prob.simplex = simplex
+            sol = solve(prob, "scipy")
+            assert sol.status == OPTIMAL
+            objectives.append(sol.objective)
+        assert abs(objectives[0] - objectives[1]) <= 1e-9 * max(1.0, abs(objectives[0]))
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

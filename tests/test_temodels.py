@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from telab.temodels import (
     CAPACITY_MODE_ALL,
     CAPACITY_MODE_NORMAL_ONLY,
     TeSolution,
+    build_calibration_lp,
     solution_from_dict,
     solution_to_dict,
 )
@@ -124,6 +126,24 @@ def test_loads_double_counting_identity():
         sol = solve_model(build_te_lp(topo, tm, ts))
         hops = np.array([len(p) - 1 for p in ts.paths])
         assert sol.arc_loads.sum() == pytest.approx(float(sol.tunnel_rates @ hops), abs=1e-8)
+
+
+def test_ffc_lps_ask_for_the_primal_simplex_and_the_rest_for_the_dual(b4_topo, b4_tm):
+    ts = build_tunnel_sets(b4_topo, b4_tm, FixedTunnelPolicy(5))
+    scen = enumerate_single_link_scenarios(b4_topo)
+    for mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY):
+        assert build_ffc_lp(b4_topo, b4_tm, ts, scen, mode).problem.simplex == "primal"
+    assert build_te_lp(b4_topo, b4_tm, ts).problem.simplex == "dual"
+    assert build_calibration_lp(b4_topo, b4_tm, ts).simplex == "dual"
+
+
+def test_ffc_solve_on_scipy_emits_no_warning(diamond_topo, diamond_tm):
+    ts, scen = diamond_setup(diamond_topo, diamond_tm)
+    model = build_ffc_lp(diamond_topo, diamond_tm, ts, scen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_model(model, "scipy")
+    assert verify_congestion_free(sol, ts, scen, diamond_topo).ok
 
 
 def test_ffc_diamond_full_duplication(diamond_topo, diamond_tm):
