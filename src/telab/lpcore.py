@@ -12,8 +12,10 @@ one phase and no artificial columns.  A hand-built LP whose favoured bound is
 infinite gets an artificial bound there, widened while a verdict rests on it.
 Its pivots are hypersparse: the updates of the basic values and of the
 inverse touch only the rows where the entering column is nonzero, which on B4
-are a few dozen of hundreds.  It refuses, as a numerical failure, a working
-LP whose dense inverse would pass ``DENSE_INVERSE_BUDGET_BYTES``.  The scipy
+are a few dozen of hundreds, and the inverse update only the columns where
+the pivot row is nonzero, which on B4 is one column in the median.  It
+refuses, as a numerical failure, a working LP whose dense inverse would pass
+``DENSE_INVERSE_BUDGET_BYTES``.  The scipy
 backend hands the same rows to a HiGHS simplex, the one the problem's
 ``simplex`` field names: the primal on FFC LPs, which are feasible at x = 0,
 so it starts there with no phase 1 and takes about half the dual's time on
@@ -55,8 +57,9 @@ _SENSES = ("<=", ">=", "=")
 _HIGHS_SIMPLEX_STRATEGY = {"dual": 1, "primal": 4}
 
 # The bundled simplex keeps a dense basis inverse.  It refuses a working LP
-# whose inverse plus the two temporaries of one update (the gathered rows and
-# the outer product, each up to m x m), 24*m*m bytes, passes this.
+# whose inverse plus the two temporaries of one update (the flat indices and
+# the outer product of the entries it touches, each up to m x m), 24*m*m
+# bytes, passes this.
 DENSE_INVERSE_BUDGET_BYTES = 2 << 30
 
 
@@ -97,13 +100,24 @@ class LpProblem:
     def n_constraints(self) -> int:
         return len(self.row_names)
 
+    def add_vars(self, names: list[str], lower, upper) -> int:
+        """Append a block of variables; returns the index of the first."""
+        lower = np.array(lower, dtype=float).reshape(-1)
+        upper = np.array(upper, dtype=float).reshape(-1)
+        if not len(names) == len(lower) == len(upper):
+            raise ValidationError(f"variable block: {len(names)} names, {len(lower)} lower "
+                                  f"and {len(upper)} upper bounds")
+        bad = ~(lower <= upper) | (lower == math.inf) | (upper == -math.inf)  # NaN fails <=
+        if bad.any():
+            raise ValidationError(f"variable {names[int(bad.argmax())]!r}: "
+                                  "bounds must satisfy lb <= ub")
+        self.var_names.extend(names)
+        self.lower.extend(lower.tolist())
+        self.upper.extend(upper.tolist())
+        return self.n_vars - len(names)
+
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
-        if math.isnan(lb) or math.isnan(ub) or lb > ub or lb == math.inf or ub == -math.inf:
-            raise ValidationError(f"variable {name!r}: bounds must satisfy lb <= ub")
-        self.var_names.append(name)
-        self.lower.append(float(lb))
-        self.upper.append(float(ub))
-        return len(self.var_names) - 1
+        return self.add_vars([name], [lb], [ub])
 
     def add_rows(self, matrix, sense: str, rhs, names: list[str], implied=None) -> int:
         """Append a block of rows sharing one sense; returns the first new row index.
@@ -270,8 +284,11 @@ class _Simplex:
     the bound its objective favours, which is dual feasible, so there is no
     phase 1.  The basis inverse ``Binv`` is a dense m x m array, updated in
     product form at every pivot.  Only the rows where the entering column
-    ``w = Binv a_q`` is nonzero change in ``x_B`` and ``Binv``; every other row
-    would subtract ``0 * y``.
+    ``w = Binv a_q`` is nonzero change in ``x_B`` and ``Binv``, and in ``Binv``
+    only the columns where the pivot row ``Binv[r]`` is nonzero; every other
+    entry would subtract ``0 * y``.  The bounds of the basic columns
+    (``lo_B``, ``hi_B``) and the way each nonbasic column may move are kept
+    up to date at the columns a pivot swaps.
     """
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray, ineq: np.ndarray, lb: np.ndarray,
@@ -339,6 +356,7 @@ class _Simplex:
         y = self.Binv.T @ self.c[self.basis]
         self.d = self.c - np.concatenate([self.AT @ y, y])
         self.d[self.basis] = 0.0
+        self.lo_B, self.hi_B = self.lb[self.basis], self.ub[self.basis]
 
     def solution(self) -> np.ndarray:
         """The current point, with one step of iterative refinement of the
@@ -369,6 +387,13 @@ class _Simplex:
         m, n = self.m, self.n
         lb, ub, status = self.lb, self.ub, self.status
         movable = ub > lb
+        # The way each nonbasic column may move: +1 up from its lower bound,
+        # -1 down from its upper bound, 0 when basic or fixed.  Free nonbasic
+        # columns may move either way and are listed apart.
+        direction = movable * np.where(status == _AT_LB, 1.0,
+                                       np.where(status == _AT_UB, -1.0, 0.0))
+        free = np.flatnonzero(status == _FREE)
+        flat = self.Binv.reshape(-1)
         stall = 0
         bland = False
         exact = True
@@ -377,13 +402,13 @@ class _Simplex:
             if self.iterations % 100 == 0 and not exact:
                 self._refresh()
                 exact = True
-            lo, hi = lb[self.basis], ub[self.basis]
+            lo, hi = self.lo_B, self.hi_B
             infeas = np.maximum(lo - self.x_B, self.x_B - hi)
             if bland:
                 rows = np.flatnonzero(infeas > primal_tol)
                 r = int(rows[np.argmin(self.basis[rows])]) if len(rows) else 0
             else:
-                r = int(np.argmax(infeas)) if m else 0
+                r = int(infeas.argmax()) if m else 0
             if not m or infeas[r] <= primal_tol:
                 if not exact:
                     self._refresh()
@@ -399,14 +424,16 @@ class _Simplex:
                 return NUMERICAL_FAILURE
 
             # The leaving variable rises to its lower bound (s = 1) or falls to
-            # its upper bound (s = -1); the reduced costs move by -t * s * alpha.
+            # its upper bound (s = -1); the reduced costs move by -t * s * alpha,
+            # so a column enters only if that pushes it the way it may move.
             s = 1.0 if self.x_B[r] < lo[r] else -1.0
             rho = self.Binv[r]
-            s_alpha = s * np.concatenate([self.AT @ rho, rho])
-            at_lb = (status == _AT_LB) | (status == _FREE)
-            at_ub = (status == _AT_UB) | (status == _FREE)
-            cand = np.flatnonzero(movable & ((at_lb & (s_alpha < -piv_tol))
-                                             | (at_ub & (s_alpha > piv_tol))))
+            rnz = rho.nonzero()[0]  # the only columns of Binv this pivot changes
+            alpha = np.concatenate([self.AT @ rho, rho])
+            push = direction * alpha
+            cand = (push < -piv_tol if s > 0 else push > piv_tol).nonzero()[0]
+            if len(free):
+                cand = np.union1d(cand, free[np.abs(alpha[free]) > piv_tol])
             if not len(cand):
                 if not exact:
                     self._refresh()
@@ -414,17 +441,19 @@ class _Simplex:
                     continue
                 leave = self.basis[r]
                 if not ((self.art_lb[leave] if s > 0 else self.art_ub[leave])
-                        or (self._at_artificial_bound() & (np.abs(s_alpha) > piv_tol)).any()):
+                        or (self._at_artificial_bound() & (np.abs(alpha) > piv_tol)).any()):
                     return INFEASIBLE
                 if self._widen("infeasibility proof"):
                     continue
                 return NUMERICAL_FAILURE
-            ratios = np.maximum(self.d[cand] / s_alpha[cand], 0.0)
+            s_alpha = s * alpha[cand]
+            ratios = np.maximum(self.d[cand] / s_alpha, 0.0)
             t = ratios.min()
             # Ties go to the largest |alpha|, or under Bland's rule to the
             # smallest column index.
-            ties = cand[ratios <= t + 1e-12 * (1.0 + t)]
-            q = int(ties[0] if bland else ties[np.argmax(np.abs(s_alpha[ties]))])
+            tied = ratios <= t + 1e-12 * (1.0 + t)
+            k = tied.argmax() if bland else np.where(tied, np.abs(s_alpha), -1.0).argmax()
+            q = int(cand[k])
 
             if t * infeas[r] <= 1e-12:
                 stall += 1
@@ -438,24 +467,34 @@ class _Simplex:
                 w = self.Binv[:, self.A.indices[a:z]] @ self.A.data[a:z]
             else:
                 w = self.Binv[:, q - n].copy()
-            nz = np.flatnonzero(w)  # the only rows this pivot changes
+            nz = w.nonzero()[0]  # the only rows this pivot changes
+            w_nz = w[nz]
             leave = self.basis[r]
             step = (self.x_B[r] - (lo[r] if s > 0 else hi[r])) / w[r]
             enter_val = (0.0 if status[q] == _FREE else
                          ub[q] if status[q] == _AT_UB else lb[q]) + step
-            self.x_B[nz] -= w[nz] * step
+            self.x_B[nz] -= w_nz * step
             self.x_B[r] = enter_val
+            lo[r], hi[r] = lb[q], ub[q]
+            if status[q] == _FREE:
+                free = free[free != q]
             status[leave] = _AT_LB if s > 0 else _AT_UB
             status[q] = _BASIC
+            direction[leave] = s * movable[leave]
+            direction[q] = 0.0
             self.basis[r] = q
 
-            self.d -= t * s_alpha
+            self.d -= (t * s) * alpha
             self.d[self.basis] = 0.0
             self.d[leave] = -s * t
 
-            self.Binv[r] /= w[r]
-            others = nz[nz != r]
-            self.Binv[others] -= np.outer(w[others], self.Binv[r])
+            # Rank-1 update of Binv at rows nz and columns rnz, in place through
+            # flat indices; every other entry would subtract w_i * 0.  Row r is
+            # then set to rho / w_r.
+            pivot_row = rho[rnz] / w[r]
+            np.subtract.at(flat, (nz[:, None] * m + rnz).reshape(-1),
+                           (w_nz[:, None] * pivot_row).reshape(-1))
+            self.Binv[r, rnz] = pivot_row
             self.iterations += 1
             exact = False
 

@@ -52,9 +52,6 @@ class MetricsReport:
     critical_link_fraction: float
     network_criticality: float
 
-    def scalar_row(self) -> list[float]:
-        return [getattr(self, col) for col in METRIC_COLUMNS]
-
     def to_json_dict(self) -> dict:
         doc = {col: float(getattr(self, col)) for col in METRIC_COLUMNS}
         doc["link_utilizations"] = [float(u) for u in self.link_utilizations]

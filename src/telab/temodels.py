@@ -90,11 +90,10 @@ class CongestionReport:
 
 def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet, name: str) -> LpProblem:
     prob = LpProblem(name=name)
-    for tid, f in enumerate(ts.demand_of.tolist()):
-        prob.add_var(f"a_{f}_{tid}", 0.0, math.inf)
-    for d in tm.demands:
-        ub = d.volume if ts.by_demand[d.id] else 0.0
-        prob.add_var(f"b_{d.id}", 0.0, ub)
+    names = ([f"a_{f}_{tid}" for tid, f in enumerate(ts.demand_of.tolist())]
+             + [f"b_{d.id}" for d in tm.demands])
+    volumes = [d.volume if ts.by_demand[d.id] else 0.0 for d in tm.demands]
+    prob.add_vars(names, np.zeros(len(names)), np.r_[np.full(ts.total, math.inf), volumes])
     prob.set_objective([(ts.total + d.id, 1.0) for d in tm.demands], maximize=True)
     return prob
 
@@ -109,17 +108,19 @@ def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     arcs = ts.incidence.T.tocsr()
     arcs.sort_indices()
     arcs.resize((arcs.shape[0], ts.total + n_demands))
-    members = sp.csr_matrix(
-        (np.ones(ts.total), np.arange(ts.total),
-         np.searchsorted(ts.demand_of, np.arange(n_demands + 1))), shape=(n_demands, ts.total))
-    own = sp.hstack([members, -sp.identity(n_demands)], format="csr")
+    ends = np.searchsorted(ts.demand_of, np.arange(1, n_demands + 1))  # past each demand's tunnels
+    own = sp.csr_matrix(
+        (np.insert(np.ones(ts.total), ends, -1.0),
+         np.insert(np.arange(ts.total), ends, ts.total + np.arange(n_demands)),
+         np.r_[0, ends + np.arange(1, n_demands + 1)]), shape=(n_demands, ts.total + n_demands))
     return arcs, own
 
 
-def _without_columns(mat: sp.csr_matrix, dead: np.ndarray) -> sp.csr_matrix:
-    """Copy of mat without its entries in dead columns; rows and their order kept."""
-    keep = ~dead[mat.indices]
-    indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+def _without_columns(mat: sp.csr_matrix, dead: np.ndarray, scenario: np.ndarray) -> sp.csr_matrix:
+    """Copy of mat without the entries of each row in its scenario's dead columns
+    (``dead[scenario[i]]`` for row i); rows and their order kept."""
+    keep = ~dead[np.repeat(scenario, np.diff(mat.indptr)), mat.indices]
+    indptr = np.concatenate([[0], np.cumsum(keep, dtype=mat.indptr.dtype)])[mat.indptr]
     return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
 
 
@@ -216,14 +217,16 @@ def build_ffc_lp(
     dead_cols[:, :ts.total] = ~alive
     implied = _implied_delivery(own, alive)
 
+    # Rows in scenario order: the alive arcs' capacity rows, then every
+    # demand's delivery row, each over the scenario's surviving tunnels.
     n_cap = scen.n if capacity_mode == CAPACITY_MODE_ALL else 1
-    for q in range(n_cap):
-        live = np.flatnonzero(~dead_arcs[q])
-        prob.add_rows(_without_columns(arcs[live], dead_cols[q]), "<=", caps[live],
-                      [f"cap_q{q}_e{e}" for e in live], implied=np.full(len(live), q > 0))
-    for q in range(scen.n):
-        prob.add_rows(_without_columns(own, dead_cols[q]), ">=", np.zeros(tm.n),
-                      [f"del_f{f}_q{q}" for f in range(tm.n)], implied=implied[q])
+    q, e = np.nonzero(~dead_arcs[:n_cap])  # scenario and arc of each capacity row
+    prob.add_rows(_without_columns(arcs[e], dead_cols, q), "<=", caps[e],
+                  [f"cap_q{i}_e{j}" for i, j in zip(q.tolist(), e.tolist())], implied=q > 0)
+    q = np.repeat(np.arange(scen.n), tm.n)  # scenario of each delivery row
+    prob.add_rows(_without_columns(own[np.tile(np.arange(tm.n), scen.n)], dead_cols, q), ">=",
+                  np.zeros(len(q)), [f"del_f{f}_q{i}" for i in range(scen.n) for f in range(tm.n)],
+                  implied=implied.reshape(-1))
 
     meta = ModelMeta("ffc", ts.policy, capacity_mode, scen.n, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)

@@ -94,6 +94,12 @@ class Topology:
             out.append(tuple(dist))
         return tuple(out)
 
+    @cached_property
+    def paths_memo(self) -> dict[tuple[int, int], tuple[list[tuple[int, ...]], bool]]:
+        """Per (s, t): the loopless paths ``k_shortest_paths`` found last, in
+        order, and whether they are all there are."""
+        return {}
+
     def capacities(self):
         import numpy as np
 

@@ -6,10 +6,11 @@ so LP column sets are reproducible run to run.  The tie-break is exact when
 path sums are exact, as with integer weights; otherwise equal-cost paths may
 come out in float-rounding order.  Spur searches are A* over the distances to
 the destination, computed once per topology (``Topology.distances_to``).
-Tunnels are computed once on the intact graph.  Per-scenario availability is
-the product of a tunnel set's tunnel x arc incidence and a scenario set's dead
-arcs: a tunnel survives when none of its arcs failed (both directions of a
-link die together).
+Tunnels are computed once on the intact graph, and Yen runs once per demand
+per topology: a smaller k slices the list kept in ``Topology.paths_memo``.
+Per-scenario availability is the product of a tunnel set's tunnel x arc
+incidence and a scenario set's dead arcs: a tunnel survives when none of its
+arcs failed (both directions of a link die together).
 """
 from __future__ import annotations
 
@@ -152,14 +153,24 @@ def k_shortest_paths(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, 
     graph admits fewer distinct simple paths, and an empty list for a
     disconnected pair.  Yen's algorithm with Lawler's rule (an accepted path
     spurs only from its deviation index onward) and goal-directed spur
-    searches over the topology's distances to t.
+    searches over the topology's distances to t.  Yen stops at k and never
+    looks ahead, so the first k of a longer list are the answer for k: each
+    (s, t) list is kept in ``topo.paths_memo`` and sliced for a smaller k.
     """
     if s == t:
         raise ValidationError("source and destination must differ")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    adjacency, to_t, arc_of = topo.adjacency, topo.distances_to[t], topo.arc_by_endpoints
+    known, exhausted = topo.paths_memo.get((s, t), ([], False))
+    if len(known) >= k or exhausted:
+        return known[:k]
+    accepted = _yen(topo, s, t, k)
+    topo.paths_memo[(s, t)] = (accepted, len(accepted) < k)
+    return accepted[:]
 
+
+def _yen(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, ...]]:
+    adjacency, to_t, arc_of = topo.adjacency, topo.distances_to[t], topo.arc_by_endpoints
     first = _spur_path(adjacency, to_t, (s,), t, ())
     if first is None:
         return []
@@ -265,14 +276,3 @@ def available_tunnels(ts: TunnelSet, scen: ScenarioSet, q: int) -> list[list[int
         raise ValidationError(f"scenario id {q} out of range")
     alive = surviving_tunnels(ts, scen)[q]
     return [[tid for tid in ids if alive[tid]] for ids in ts.by_demand]
-
-
-def dump_tunnels(ts: TunnelSet, tm: TrafficMatrix, topo: Topology) -> list[dict]:
-    """Audit dump: one entry per demand with tunnel node-id paths."""
-    return [
-        {
-            "demand": [topo.node_ids[d.src], topo.node_ids[d.dst]],
-            "tunnels": [[topo.node_ids[n] for n in ts.paths[t]] for t in ts.by_demand[d.id]],
-        }
-        for d in tm.demands
-    ]

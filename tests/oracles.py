@@ -13,9 +13,12 @@ import heapq
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from telab import ValidationError, build_te_lp, scale_capacities
 from telab.lpcore import OPTIMAL, LpProblem, solve
+from telab.temodels import _implied_delivery
+from telab.tunnels import surviving_tunnels
 
 
 def combinations(m: int, k: int, chunk: int):
@@ -305,6 +308,42 @@ def ffc_implied_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[bool]:
             marks.append(any(alive[p][d.id] < mine or (alive[p][d.id] == mine and p < q)
                              for p in range(scen.n)))
     return marks
+
+
+def ffc_lp_oracle(topo, tm, ts, scen, capacity_mode: str) -> LpProblem:
+    """The FFC LP built one column and one scenario at a time: each scenario's
+    alive-arc capacity rows and delivery rows filtered to its surviving tunnels."""
+    prob = LpProblem(name="ffc", simplex="primal")
+    for tid, f in enumerate(ts.demand_of.tolist()):
+        prob.add_var(f"a_{f}_{tid}", 0.0, math.inf)
+    for d in tm.demands:
+        prob.add_var(f"b_{d.id}", 0.0, d.volume if ts.by_demand[d.id] else 0.0)
+    prob.set_objective([(ts.total + d.id, 1.0) for d in tm.demands], maximize=True)
+    arcs = ts.incidence.T.tocsr()
+    arcs.sort_indices()
+    arcs.resize((arcs.shape[0], prob.n_vars))
+    members = sp.csr_matrix(
+        (np.ones(ts.total), np.arange(ts.total),
+         np.searchsorted(ts.demand_of, np.arange(tm.n + 1))), shape=(tm.n, ts.total))
+    own = sp.hstack([members, -sp.identity(tm.n)], format="csr")
+    dead_arcs = scen.dead.toarray() != 0
+    dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
+    dead_cols[:, :ts.total] = ~surviving_tunnels(ts, scen)
+    implied = _implied_delivery(own, ~dead_cols[:, :ts.total])
+
+    def without_dead(mat, q):
+        keep = ~dead_cols[q][mat.indices]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+        return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
+
+    for q in range(scen.n if capacity_mode == "all" else 1):
+        live = np.flatnonzero(~dead_arcs[q])
+        prob.add_rows(without_dead(arcs[live], q), "<=", topo.capacities()[live],
+                      [f"cap_q{q}_e{e}" for e in live], implied=np.full(len(live), q > 0))
+    for q in range(scen.n):
+        prob.add_rows(without_dead(own, q), ">=", np.zeros(tm.n),
+                      [f"del_f{f}_q{q}" for f in range(tm.n)], implied=implied[q])
+    return prob
 
 
 def row_implies(u, u_rhs, v, v_rhs, lower, upper):

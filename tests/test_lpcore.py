@@ -211,6 +211,33 @@ def test_problem_validation():
         LpProblem(simplex="barrier")
 
 
+@pytest.mark.parametrize("lb,ub", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
+                                   (math.inf, math.inf), (-math.inf, -math.inf)],
+                         ids=["nan-lb", "nan-ub", "lb-over-ub", "inf-lb", "minus-inf-ub"])
+def test_add_vars_rejects_the_bounds_add_var_rejects_with_its_message(lb, ub):
+    message = "variable 'y': bounds must satisfy lb <= ub"
+    p = LpProblem()
+    with pytest.raises(ValidationError) as one:
+        p.add_var("y", lb, ub)
+    with pytest.raises(ValidationError) as block:
+        p.add_vars(["x", "y", "z"], [0.0, lb, 0.0], [1.0, ub, 1.0])
+    assert str(one.value) == str(block.value) == message
+    assert (p.var_names, p.lower, p.upper) == ([], [], [])
+
+
+def test_add_vars_appends_what_add_var_appends_one_by_one():
+    one, block = LpProblem(), LpProblem()
+    bounds = [(0, math.inf), (-math.inf, 2), (-math.inf, math.inf), (1.5, 1.5)]
+    assert [one.add_var(f"x{j}", lb, ub) for j, (lb, ub) in enumerate(bounds)] == [0, 1, 2, 3]
+    assert block.add_vars([f"x{j}" for j in range(4)], *zip(*bounds)) == 0
+    assert block.add_vars(["y"], [0.0], [1.0]) == 4
+    one.add_var("y", 0, 1)
+    assert (one.var_names, one.lower, one.upper) == (block.var_names, block.lower, block.upper)
+    assert all(type(v) is float for v in block.lower + block.upper)
+    with pytest.raises(ValidationError, match="2 names, 1 lower and 2 upper bounds"):
+        block.add_vars(["u", "v"], [0.0], [1.0, 1.0])
+
+
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_empty_lp_is_optimal_at_zero_on_every_backend(backend):
     sol = solve(LpProblem(), backend)

@@ -12,6 +12,7 @@ from telab import (
     utilization_histogram,
 )
 from telab.errors import ValidationError
+from telab.harness import RESULT_COLUMNS, ResultRow
 from telab.metrics import (
     METRIC_COLUMNS,
     critical_link_fraction,
@@ -268,4 +269,9 @@ def test_report_serialization_shapes(b4_topo, b4_tm):
     doc = mr.to_json_dict()
     assert set(METRIC_COLUMNS) <= set(doc)
     assert len(doc["link_utilizations"]) == b4_topo.n_arcs
-    assert len(mr.scalar_row()) == len(METRIC_COLUMNS)
+    row = ResultRow(model="te", policy="fixed:3", scale=1.0, seed=0, backend="bundled",
+                    capacity_mode="", status="optimal", objective=0.0, variables=0,
+                    constraints=0, build_time=0.0, metrics=mr, congestion_free="")
+    record = row.as_record()
+    assert list(record) == RESULT_COLUMNS
+    assert [record[col] for col in METRIC_COLUMNS] == [doc[col] for col in METRIC_COLUMNS]

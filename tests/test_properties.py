@@ -28,7 +28,8 @@ from telab import (
     verify_congestion_free,
 )
 from telab.demands import tm_to_json
-from telab.lpcore import BACKENDS, OPTIMAL, LpProblem, _standardize, check_feasibility, solve
+from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _standardize, bundled_simplex,
+                          check_feasibility, solve, write_lp_text)
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import ModelMeta, TeSolution
 from telab.tunnels import available_tunnels
@@ -39,6 +40,7 @@ from oracles import (
     criticality_scores_oracle,
     feasibility_issues_oracle,
     ffc_implied_oracle,
+    ffc_lp_oracle,
     ffc_rows_oracle,
     le_rows,
     lp_rows,
@@ -98,6 +100,17 @@ def test_ffc_rows_match_literal_builder(inst, capacity_mode):
     topo, tm, ts, scen = inst
     model = build_ffc_lp(topo, tm, ts, scen, capacity_mode)
     assert lp_rows(model.problem) == ffc_rows_oracle(topo, tm, ts, scen, capacity_mode)
+
+
+@PROPERTY
+@given(instances(), st.sampled_from(["all", "normal_only"]))
+def test_one_pass_ffc_build_equals_the_per_scenario_build(inst, capacity_mode):
+    topo, tm, ts, scen = inst
+    prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
+    want = ffc_lp_oracle(topo, tm, ts, scen, capacity_mode)
+    assert write_lp_text(prob) == write_lp_text(want)
+    assert prob.implied.tolist() == want.implied.tolist()
+    assert prob.simplex == want.simplex
 
 
 @PROPERTY
@@ -245,6 +258,42 @@ def lps_with_points(draw):
     x = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1e-7, 2e-6, 1.0, 3.0, 5.0]),
                                min_size=n, max_size=n)))
     return prob, rows, x
+
+
+@st.composite
+def mixed_lps(draw):
+    """A seeded LP over free, half-bounded, boxed and fixed columns, with <=, >=
+    and = rows whose right-hand sides are of order 1: most rows hold at a point
+    inside the bounds, some by a margin that may be negative."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    prob = LpProblem(name="mixed")
+    point = np.zeros(n)
+    for j in range(n):
+        lo, hi = np.sort(rng.integers(-6, 7, 2) / 2.0)
+        kind = rng.choice(["free", "lower", "upper", "boxed", "fixed"])
+        lb = -np.inf if kind in ("free", "upper") else lo
+        ub = {"free": np.inf, "lower": np.inf, "fixed": lo}.get(kind, hi)
+        prob.add_var(f"x{j}", lb, ub)
+        point[j] = np.clip(rng.integers(-6, 7) / 2.0, lb, ub)
+    A = rng.choice([-2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 3.0], (m, n))
+    for i, sense in enumerate(rng.choice(["<=", ">=", "="], m)):
+        margin = rng.choice([0.0, 0.0, 0.25, 1.0, -0.5])
+        rhs = A[i] @ point + (-margin if sense == ">=" else margin)
+        prob.add_rows(A[i:i + 1], str(sense), [rhs], [f"r{i}"])
+    c = rng.choice([-2.0, -1.0, 0.0, 1.0, 1.5], n)
+    prob.set_objective([(j, float(v)) for j, v in enumerate(c)], maximize=bool(rng.random() < 0.5))
+    return prob
+
+
+@settings(PROPERTY, max_examples=300)
+@given(mixed_lps())
+def test_bundled_agrees_with_highs_on_every_column_kind(prob):
+    bundled, highs = bundled_simplex(prob), solve(prob, "scipy")
+    assert bundled.status == highs.status
+    if bundled.status == OPTIMAL:
+        assert abs(bundled.objective - highs.objective) <= 1e-9 * max(1.0, abs(highs.objective))
+        assert check_feasibility(prob, bundled.values) == []
 
 
 @settings(PROPERTY, max_examples=300)

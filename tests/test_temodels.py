@@ -252,6 +252,14 @@ def test_verify_reports_injected_capacity_fault(diamond_topo, diamond_tm):
     assert all(v.amount == pytest.approx(5.0, abs=1e-6) for v in cap_violations)
 
 
+def test_solution_dump_lists_each_demands_tunnel_node_paths(diamond_topo, diamond_tm):
+    ts = build_tunnel_sets(diamond_topo, diamond_tm, FixedTunnelPolicy(5))
+    model = build_te_lp(diamond_topo, diamond_tm, ts)
+    doc = solution_to_dict(solve_model(model), model)
+    assert doc["demands"] == [{"src": "a", "dst": "d", "volume": 10.0}]
+    assert doc["tunnels"] == [[["a", "b", "d"], ["a", "c", "d"]]]
+
+
 def test_solution_dump_roundtrip(diamond_topo, diamond_tm):
     ts, scen = diamond_setup(diamond_topo, diamond_tm)
     model = build_ffc_lp(diamond_topo, diamond_tm, ts, scen)

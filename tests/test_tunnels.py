@@ -10,8 +10,10 @@ from telab import (
     enumerate_single_link_scenarios,
     k_shortest_paths,
 )
-from telab.tunnels import dump_tunnels, parse_policy, tunnel_counts
-from conftest import make_tm, make_topology, random_te_instance, syn_topology
+from telab import tunnels
+from telab.topology import load_topology
+from telab.tunnels import parse_policy, tunnel_counts
+from conftest import DATA, make_tm, make_topology, random_te_instance, syn_topology
 from oracles import all_simple_paths, dead_arcs, ksp_oracle, path_arcs, path_cost, yen_oracle
 
 
@@ -276,10 +278,30 @@ def test_determinism_of_tunnel_sets(b4_topo, b4_tm):
     assert a == b
 
 
-def test_dump_tunnels_format(diamond_topo, diamond_tm):
-    ts = build_tunnel_sets(diamond_topo, diamond_tm, FixedTunnelPolicy(5))
-    dump = dump_tunnels(ts, diamond_tm, diamond_topo)
-    assert dump == [{"demand": ["a", "d"], "tunnels": [["a", "b", "d"], ["a", "c", "d"]]}]
+def test_ksp_for_a_smaller_k_slices_the_memo_exactly(b4_topo):
+    pairs = [(s, t) for s in range(b4_topo.n_nodes) for t in range(b4_topo.n_nodes) if s != t]
+    for s, t in pairs:
+        k_shortest_paths(b4_topo, s, t, 5)
+    fresh = load_topology(DATA / "b4.json")
+    for s, t in pairs:
+        assert k_shortest_paths(b4_topo, s, t, 3) == k_shortest_paths(fresh, s, t, 3)
+        assert k_shortest_paths(b4_topo, s, t, 5)[:3] == k_shortest_paths(fresh, s, t, 3)
+
+
+def test_ksp_memo_returns_copies_and_knows_when_paths_run_out(monkeypatch):
+    topo = make_topology(["a", "b", "c", "d"],
+                         [("a", "b", 1), ("b", "d", 1), ("a", "c", 1), ("c", "d", 1)])
+    paths = k_shortest_paths(topo, 0, 3, 1)
+    paths.append((9,))
+    assert k_shortest_paths(topo, 0, 3, 1) == [(0, 1, 3)]
+    assert k_shortest_paths(topo, 0, 3, 3) == [(0, 1, 3), (0, 2, 3)]  # k grew: Yen again
+
+    def no_yen(*args):
+        raise AssertionError("Yen ran although the memo holds every path")
+
+    monkeypatch.setattr(tunnels, "_yen", no_yen)
+    assert k_shortest_paths(topo, 0, 3, 7) == [(0, 1, 3), (0, 2, 3)]
+    assert k_shortest_paths(topo, 0, 3, 2) == [(0, 1, 3), (0, 2, 3)]
 
 
 def test_random_instances_ksp_invariants():
