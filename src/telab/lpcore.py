@@ -1,33 +1,38 @@
 """Sparse linear programs, the solver backend contract, and a bundled simplex.
 
-The backend interface is a function ``backend(problem) -> LpSolution`` looked
-up by name in ``BACKENDS``; backends are interchangeable because solution
-quality, tunnel usage, and runtime all depend on which one is picked.  The
-bundled backend is a bounded dual simplex (sparse constraint columns, dense
-basis inverse, implicit logical columns) that always returns a vertex
+``solve`` is the one path from an ``LpProblem`` to its ``LpSolution``.  It
+hands the working rows (below) to a backend named in ``BACKENDS``, as
+``backend(prob, A, b, ineq, c) -> (status, x, iterations, message)``: rows
+``A x <= b`` where ``ineq`` holds and ``A x = b`` elsewhere, ``c`` the
+objective in maximizing form, bounds and ``simplex`` read from ``prob``.
+Backends are interchangeable because solution quality, tunnel usage, and
+runtime all depend on which one is picked.
+
+The bundled backend is a bounded dual simplex (sparse constraint columns,
+dense basis inverse, implicit logical columns) that always returns a vertex
 solution and falls back to Bland's rule when it stalls on degenerate bases.
 It starts from the all-logical basis with every column at the bound its
 objective favours, which is dual feasible on every LP telab builds, so it has
 one phase and no artificial columns.  A hand-built LP whose favoured bound is
 infinite gets an artificial bound there, widened while a verdict rests on it.
-Its pivots are hypersparse: the updates of the basic values and of the
-inverse touch only the rows where the entering column is nonzero, which on B4
-are a few dozen of hundreds, and the inverse update only the columns where
-the pivot row is nonzero, which on B4 is one column in the median.  It
-refuses, as a numerical failure, a working LP whose dense inverse would pass
-``DENSE_INVERSE_BUDGET_BYTES``.  The scipy
-backend hands the same rows to a HiGHS simplex, the one the problem's
-``simplex`` field names: the primal on FFC LPs, which are feasible at x = 0,
-so it starts there with no phase 1 and takes about half the dual's time on
-syn40; the dual on TE, calibration and hand-built LPs, which it solves
-faster.  Both backends report ``solution_kind="vertex"``.  Interior-point
-methods are deliberately not offered.
+Its pivots are hypersparse: the updates of the basic values and of the inverse
+touch only the rows where the entering column is nonzero, which on B4 are a
+few dozen of hundreds, and the inverse update only the columns where the pivot
+row is nonzero, which on B4 is one column in the median.  It refuses, as a
+numerical failure, a working LP whose dense inverse would pass
+``DENSE_INVERSE_BUDGET_BYTES``.  The scipy backend hands the same rows to a
+HiGHS simplex, the one the problem's ``simplex`` field names: the primal on
+FFC LPs, which are feasible at x = 0, so it starts there with no phase 1 and
+takes about half the dual's time on syn40; the dual on TE, calibration and
+hand-built LPs, which it solves faster.  Both backends return vertices
+(``solution_kind="vertex"``).  Interior-point methods are deliberately not
+offered.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
 only the unmarked (working) rows, while ``rows``, the LP text export and the
 row count keep every literal row.  Every optimal solution is re-verified by
-direct substitution into all the original rows before it leaves this module,
+direct substitution into all the original rows before ``solve`` returns it,
 so a wrong mark, like any other fault, is reported as a numerical failure,
 never as a silent wrong answer.
 """
@@ -67,30 +72,27 @@ DENSE_INVERSE_BUDGET_BYTES = 2 << 30
 class LpProblem:
     """A sparse LP built incrementally: variables, constraint rows, objective.
 
-    The rows are one CSR store, appended in blocks that share a sense by
-    ``add_rows`` (one row: ``add_constraint``) and read back whole by ``rows``.
-    Each row also carries its builder's mark "implied by another row"
-    (``implied``, default False).  ``simplex`` ("dual" or "primal") names the
-    simplex a backend that has both should run.
+    The columns are float64 arrays of length ``n_vars``: the bounds ``lower``
+    and ``upper`` and the objective ``c``, which ``add_vars`` extends with
+    zeros.  The rows are one CSR store, appended in blocks that share a sense
+    by ``add_rows`` (one row: ``add_constraint``) and read back whole by
+    ``rows``.  Each row also carries its builder's mark "implied by another
+    row" (``implied``, default False).  ``simplex`` ("dual" or "primal") names
+    the simplex a backend that has both should run; ``solve`` checks it.
     """
 
     name: str = ""
     var_names: list[str] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
+    lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    c: np.ndarray = field(default_factory=lambda: np.zeros(0))
     row_names: list[str] = field(default_factory=list)
-    objective: list[tuple[int, float]] = field(default_factory=list)
     maximize: bool = True
     simplex: str = "dual"
     _blocks: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=lambda: [(sp.csr_matrix((0, 0)), np.empty(0, "<U2"), np.empty(0),
                                   np.empty(0, dtype=bool))],
         init=False, repr=False)
-
-    def __post_init__(self):
-        if self.simplex not in _HIGHS_SIMPLEX_STRATEGY:
-            raise ValidationError(f"unknown simplex {self.simplex!r}; "
-                                  f"available: {sorted(_HIGHS_SIMPLEX_STRATEGY)}")
 
     @property
     def n_vars(self) -> int:
@@ -112,8 +114,9 @@ class LpProblem:
             raise ValidationError(f"variable {names[int(bad.argmax())]!r}: "
                                   "bounds must satisfy lb <= ub")
         self.var_names.extend(names)
-        self.lower.extend(lower.tolist())
-        self.upper.extend(upper.tolist())
+        self.lower = np.concatenate([self.lower, lower])
+        self.upper = np.concatenate([self.upper, upper])
+        self.c = np.concatenate([self.c, np.zeros(len(names))])
         return self.n_vars - len(names)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
@@ -182,19 +185,16 @@ class LpProblem:
         return self._merged()[3]
 
     def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
-        for j, c in coeffs:
+        """Set ``c`` from (column, coefficient) pairs, summing a repeated column's."""
+        c = np.zeros(self.n_vars)
+        for j, v in coeffs:
             if not 0 <= j < self.n_vars:
                 raise ValidationError(f"objective: unknown variable index {j}")
-            if not math.isfinite(c):
+            if not math.isfinite(v):
                 raise ValidationError("objective: non-finite coefficient")
-        self.objective = list(coeffs)
-        self.maximize = maximize
-
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_vars)
-        for j, v in self.objective:
             c[j] += v
-        return c
+        self.c = c
+        self.maximize = maximize
 
 
 @dataclass
@@ -211,18 +211,16 @@ class LpSolution:
 def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
     """Substitute x into the original rows and bounds; return violations."""
     issues: list[str] = []
-    lower = np.asarray(prob.lower)
-    upper = np.asarray(prob.upper)
     for j in np.flatnonzero(~np.isfinite(x)):
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} is not finite")
-    low_bad = np.nonzero(x < lower - BOUND_TOL)[0]
-    up_bad = np.nonzero(x > upper + BOUND_TOL)[0]
+    low_bad = np.nonzero(x < prob.lower - BOUND_TOL)[0]
+    up_bad = np.nonzero(x > prob.upper + BOUND_TOL)[0]
     for j in low_bad:
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} below lower bound "
-                      f"{float(lower[j])!r}")
+                      f"{float(prob.lower[j])!r}")
     for j in up_bad:
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} above upper bound "
-                      f"{float(upper[j])!r}")
+                      f"{float(prob.upper[j])!r}")
     A, senses, rhs = prob.rows()
     lhs = A @ x
     filled = np.diff(A.indptr) > 0
@@ -295,8 +293,8 @@ class _Simplex:
                  ub: np.ndarray, c: np.ndarray, max_iter: int):
         self.m, self.n = m, n = A.shape
         self.max_iter = max_iter
-        self.A = A.tocsc()
         self.AT = A.T.tocsr()
+        self.A = self.AT.T  # A in CSC, over the same arrays
         self.b = b
         self.c = np.concatenate([c, np.zeros(m)])
         lb = np.concatenate([lb, np.zeros(m)])
@@ -510,110 +508,108 @@ class _Simplex:
         return OPTIMAL
 
 
-def bundled_simplex(prob: LpProblem) -> LpSolution:
-    """Reference backend: deterministic bounded dual simplex.
+def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | None, int, str]:
+    """Reference backend: deterministic bounded dual simplex, maximizing ``c @ x``
+    over the working rows.
 
     One phase from the all-logical basis, which every LP telab builds makes
     dual feasible.  It has no primal simplex, so ``prob.simplex`` does not
-    apply to it.  Returns a vertex solution, or a numerical failure, before
-    allocating anything m x m, when the dense basis inverse and the
-    temporaries of one update (24*m*m bytes) would pass
-    ``DENSE_INVERSE_BUDGET_BYTES``.
+    apply to it.  The optimum is clipped to the bounds, against round-off.
+    Returns a numerical failure, before allocating anything m x m, when the
+    dense basis inverse and the temporaries of one update (24*m*m bytes)
+    would pass ``DENSE_INVERSE_BUDGET_BYTES``.
     """
-    std = _standardize(prob)
-    if std is None:
-        return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
-                          message="constant infeasible row")
-    A, b, ineq = std
     m = A.shape[0]
     if 24 * m * m > DENSE_INVERSE_BUDGET_BYTES:
-        return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex",
-                          message=f"dense basis inverse of {m} working rows needs "
-                                  f"{24 * m * m:,} bytes, over the "
-                                  f"{DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
-    lower, upper = np.asarray(prob.lower, dtype=float), np.asarray(prob.upper, dtype=float)
-    sign = 1.0 if prob.maximize else -1.0
-    sx = _Simplex(A, b, ineq, lower, upper, sign * prob.objective_vector(), MAX_ITERATIONS)
+        return (NUMERICAL_FAILURE, None, 0,
+                f"dense basis inverse of {m} working rows needs {24 * m * m:,} bytes, "
+                f"over the {DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
+    sx = _Simplex(A, b, ineq, prob.lower, prob.upper, c, MAX_ITERATIONS)
     status = sx.optimize()
     if status != OPTIMAL:
-        return LpSolution(status, math.nan, None, 0.0, "vertex", iterations=sx.iterations,
-                          message=sx.message or f"simplex ended with {status}")
-
+        return status, None, sx.iterations, sx.message or f"simplex ended with {status}"
     x = sx.solution()[:prob.n_vars]
-    # Snap round-off noise at the bounds.
-    np.clip(x, lower, upper, out=x)
-    obj = float(prob.objective_vector() @ x)
-    return LpSolution(OPTIMAL, obj, x, 0.0, "vertex", iterations=sx.iterations)
+    np.clip(x, prob.lower, prob.upper, out=x)
+    return OPTIMAL, x, sx.iterations, ""
 
 
-def scipy_backend(prob: LpProblem) -> LpSolution:
-    """External backend: HiGHS simplex through scipy (vertex solutions).
+def scipy_backend(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | None, int, str]:
+    """External backend: HiGHS simplex through scipy, minimizing ``-c @ x``
+    over the working rows, handed over sparse (vertex solutions).
 
-    It solves the bundled simplex's working rows, handed over sparse so the
-    backend stays usable on instances far beyond what the bundled dense-basis
-    simplex can hold.  ``method="highs-ds"`` keeps HiGHS off its interior-point
-    solver; ``prob.simplex`` becomes HiGHS's ``simplex_strategy``, which scipy
-    passes on verbatim with an "Unrecognized options" warning, filtered here
-    by that message alone.  An LP without variables is optimal at objective 0.
+    ``method="highs-ds"`` keeps HiGHS off its interior-point solver;
+    ``prob.simplex`` becomes HiGHS's ``simplex_strategy``, which scipy passes
+    on verbatim with an "Unrecognized options" warning, filtered here by that
+    message alone.  HiGHS's presolve can call an unbounded LP infeasible, so
+    an infeasible verdict is solved once more without presolve, and stands
+    unless that solve ends optimal or unbounded; the iterations of both
+    solves are reported.  An LP without variables is optimal at x = [].
     """
     from scipy.optimize import OptimizeWarning, linprog
 
-    std = _standardize(prob)
-    if std is None:
-        return LpSolution(INFEASIBLE, math.nan, None, 0.0, "vertex",
-                          message="constant infeasible row")
     if not prob.n_vars:
-        return LpSolution(OPTIMAL, 0.0, np.zeros(0), 0.0, "vertex")
-    A, b, ineq = std
-    sign = -1.0 if prob.maximize else 1.0
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
-        res = linprog(sign * prob.objective_vector(), A_ub=A[ineq], b_ub=b[ineq],
-                      A_eq=A[~ineq], b_eq=b[~ineq],
-                      bounds=np.column_stack([prob.lower, prob.upper]), method="highs-ds",
-                      options={"simplex_strategy": _HIGHS_SIMPLEX_STRATEGY[prob.simplex]})
+        return OPTIMAL, np.zeros(0), 0, ""
+
+    def highs(**extra):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+            return linprog(-c, A_ub=A[ineq], b_ub=b[ineq], A_eq=A[~ineq], b_eq=b[~ineq],
+                           bounds=np.column_stack([prob.lower, prob.upper]), method="highs-ds",
+                           options={"simplex_strategy": _HIGHS_SIMPLEX_STRATEGY[prob.simplex],
+                                    **extra})
+
+    res = highs()
+    iterations = int(res.get("nit", 0))
+    if res.status == 2:
+        again = highs(presolve=False)
+        iterations += int(again.get("nit", 0))
+        if again.status in (0, 3):  # an optimum or a ray overturns the verdict; an error does not
+            res = again
     if res.status == 0:
-        x = np.asarray(res.x)
-        obj = float(prob.objective_vector() @ x)
-        return LpSolution(OPTIMAL, obj, x, 0.0, "vertex", iterations=int(res.nit))
+        return OPTIMAL, np.asarray(res.x), iterations, ""
     status = {2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, NUMERICAL_FAILURE)
-    return LpSolution(status, math.nan, None, 0.0, "vertex",
-                      iterations=int(getattr(res, "nit", 0)), message=str(res.message))
+    return status, None, iterations, str(res.message)
 
 
-BACKENDS = {
-    "bundled": bundled_simplex,
-    "scipy": scipy_backend,
-}
+BACKENDS = {"bundled": bundled_simplex, "scipy": scipy_backend}
 
 
 def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
-    """Solve with the named backend; solve_time covers the solve call only,
-    not the first import of scipy's solvers.
+    """Solve with the named backend; the only maker of an ``LpSolution``.
 
-    An optimal result is accepted only after direct substitution into the
-    original rows and bounds succeeds; otherwise the status is downgraded to
-    a numerical failure with the violations listed.
+    It checks the backend name and ``prob.simplex``, then calls
+    ``backend(prob, A, b, ineq, c) -> (status, x, iterations, message)`` on the
+    working rows with ``c`` in maximizing form, unless a constant row that can
+    never hold makes the LP infeasible.  ``solve_time`` covers these steps, not
+    the first import of scipy's solvers.  An optimal ``x`` is accepted only
+    after direct substitution into the original rows and bounds succeeds;
+    otherwise the status is downgraded to a numerical failure with the
+    violations listed.  The objective is ``prob.c @ x``.
     """
     try:
         fn = BACKENDS[backend]
     except KeyError:
         raise ValidationError(
             f"unknown backend {backend!r}; available: {sorted(BACKENDS)}") from None
+    if prob.simplex not in _HIGHS_SIMPLEX_STRATEGY:
+        raise ValidationError(f"unknown simplex {prob.simplex!r}; "
+                              f"available: {sorted(_HIGHS_SIMPLEX_STRATEGY)}")
     if backend == "scipy":
         import scipy.optimize  # noqa: F401  (lazy, and outside solve_time)
     t0 = time.perf_counter()
-    sol = fn(prob)
-    sol.solve_time = time.perf_counter() - t0
-    if sol.status == OPTIMAL:
-        issues = check_feasibility(prob, sol.values)
+    std = _standardize(prob)
+    if std is None:
+        status, x, iterations, message = INFEASIBLE, None, 0, "constant infeasible row"
+    else:
+        status, x, iterations, message = fn(prob, *std, prob.c if prob.maximize else -prob.c)
+    solve_time = time.perf_counter() - t0
+    if status == OPTIMAL:
+        issues = check_feasibility(prob, x)
         if issues:
-            return LpSolution(
-                NUMERICAL_FAILURE, math.nan, None, sol.solve_time, sol.solution_kind,
-                iterations=sol.iterations,
-                message="solution failed feasibility re-check: " + "; ".join(issues[:5]),
-            )
-    return sol
+            status, x = NUMERICAL_FAILURE, None
+            message = "solution failed feasibility re-check: " + "; ".join(issues[:5])
+    objective = float(prob.c @ x) if status == OPTIMAL else math.nan
+    return LpSolution(status, objective, x, solve_time, "vertex", iterations, message)
 
 
 def write_lp_text(prob: LpProblem) -> str:
@@ -629,7 +625,7 @@ def write_lp_text(prob: LpProblem) -> str:
         return f"{'+' if c >= 0 else '-'} {num(abs(c))} {name}"
 
     lines = [f"\\ {prob.name or 'lp'}", "Maximize" if prob.maximize else "Minimize"]
-    obj_terms = " ".join(term(j, c, i == 0) for i, (j, c) in enumerate(prob.objective))
+    obj_terms = " ".join(term(j, prob.c[j], i == 0) for i, j in enumerate(np.flatnonzero(prob.c)))
     lines.append(f" obj: {obj_terms or '0'}")
     lines.append("Subject To")
     A, senses, rhs = prob.rows()
@@ -639,7 +635,7 @@ def write_lp_text(prob: LpProblem) -> str:
                         for k in range(indptr[i], indptr[i + 1]))
         lines.append(f" {name or f'c{i}'}: {body or '0'} {sense} {num(b)}")
     lines.append("Bounds")
-    for j, (lo, hi) in enumerate(zip(prob.lower, prob.upper)):
+    for j, (lo, hi) in enumerate(zip(prob.lower.tolist(), prob.upper.tolist())):
         name = prob.var_names[j]
         if lo == hi:
             lines.append(f" {name} = {num(lo)}")

@@ -79,7 +79,7 @@ def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float
     b_eq = np.array([v for _, v in eq_rows])
     nonzero = np.flatnonzero(np.abs(A_in).sum(axis=1) > 0)
 
-    c = prob.objective_vector()
+    c = prob.c
     sign = 1.0 if prob.maximize else -1.0
     best: float | None = None
 

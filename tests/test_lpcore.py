@@ -28,10 +28,8 @@ from telab.lpcore import (
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
-    LpSolution,
     _Simplex,
     _standardize,
-    bundled_simplex,
     check_feasibility,
     solve,
     write_lp_text,
@@ -207,8 +205,12 @@ def test_problem_validation():
     with pytest.raises(ValidationError):
         solve(p, backend="nope")
     assert LpProblem().simplex == "dual"
-    with pytest.raises(ValidationError, match="unknown simplex 'barrier'"):
-        LpProblem(simplex="barrier")
+    later = LpProblem()
+    later.simplex = "barrier"  # as a builder sets it after construction
+    for q in (LpProblem(simplex="barrier"), later):
+        for backend in sorted(BACKENDS):
+            with pytest.raises(ValidationError, match="unknown simplex 'barrier'"):
+                solve(q, backend)
 
 
 @pytest.mark.parametrize("lb,ub", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
@@ -222,7 +224,7 @@ def test_add_vars_rejects_the_bounds_add_var_rejects_with_its_message(lb, ub):
     with pytest.raises(ValidationError) as block:
         p.add_vars(["x", "y", "z"], [0.0, lb, 0.0], [1.0, ub, 1.0])
     assert str(one.value) == str(block.value) == message
-    assert (p.var_names, p.lower, p.upper) == ([], [], [])
+    assert (p.var_names, p.lower.tolist(), p.upper.tolist()) == ([], [], [])
 
 
 def test_add_vars_appends_what_add_var_appends_one_by_one():
@@ -232,8 +234,9 @@ def test_add_vars_appends_what_add_var_appends_one_by_one():
     assert block.add_vars([f"x{j}" for j in range(4)], *zip(*bounds)) == 0
     assert block.add_vars(["y"], [0.0], [1.0]) == 4
     one.add_var("y", 0, 1)
-    assert (one.var_names, one.lower, one.upper) == (block.var_names, block.lower, block.upper)
-    assert all(type(v) is float for v in block.lower + block.upper)
+    assert ((one.var_names, one.lower.tolist(), one.upper.tolist())
+            == (block.var_names, block.lower.tolist(), block.upper.tolist()))
+    assert block.lower.dtype == block.upper.dtype == np.float64
     with pytest.raises(ValidationError, match="2 names, 1 lower and 2 upper bounds"):
         block.add_vars(["u", "v"], [0.0], [1.0, 1.0])
 
@@ -293,8 +296,8 @@ def test_bundled_matches_scipy_backend():
 def test_bundled_deterministic():
     rng = np.random.default_rng(31)
     p = _random_box_lp(rng)
-    a = bundled_simplex(p)
-    b = bundled_simplex(p)
+    a = solve(p, "bundled")
+    b = solve(p, "bundled")
     assert a.status == b.status
     if a.status == OPTIMAL:
         assert np.array_equal(a.values, b.values)
@@ -318,8 +321,7 @@ def test_non_finite_values_are_violations():
 
 def test_nan_optimum_is_downgraded_by_the_recheck(monkeypatch):
     values = np.array([np.nan, 0.5])
-    monkeypatch.setitem(BACKENDS, "bundled",
-                        lambda prob: LpSolution(OPTIMAL, 0.5, values, 0.0, "vertex"))
+    monkeypatch.setitem(BACKENDS, "bundled", lambda prob, A, b, ineq, c: (OPTIMAL, values, 0, ""))
     sol = solve(simple_box_lp())
     assert sol.status == NUMERICAL_FAILURE and sol.values is None
     assert sol.message == "solution failed feasibility re-check: var x: nan is not finite"
@@ -424,7 +426,7 @@ B4_PIVOT_PATH = [
                          ids=[f"{m}-{p}-{s}" for m, p, s, *_ in B4_PIVOT_PATH])
 def test_bundled_pivot_path_is_pinned_on_calibrated_b4(b4_topo, b4_tm, model, policy, scale,
                                                        iterations, objective):
-    sol = bundled_simplex(_calibrated_b4_lp(b4_topo, b4_tm, model, policy, scale))
+    sol = solve(_calibrated_b4_lp(b4_topo, b4_tm, model, policy, scale), "bundled")
     assert sol.status == OPTIMAL
     assert sol.iterations == iterations
     assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0)
@@ -445,8 +447,7 @@ def _dense_lp(m=40, n=60, seed=3):
 def _simplex(prob):
     A, b, ineq = _standardize(prob)
     sign = 1.0 if prob.maximize else -1.0
-    return _Simplex(A, b, ineq, np.array(prob.lower), np.array(prob.upper),
-                    sign * prob.objective_vector(), max_iter=200_000)
+    return _Simplex(A, b, ineq, prob.lower, prob.upper, sign * prob.c, max_iter=200_000)
 
 
 @pytest.mark.parametrize("lp", ["te", "ffc", "dense"])

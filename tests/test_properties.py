@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telab import (
@@ -28,8 +28,8 @@ from telab import (
     verify_congestion_free,
 )
 from telab.demands import tm_to_json
-from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _standardize, bundled_simplex,
-                          check_feasibility, solve, write_lp_text)
+from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _standardize, check_feasibility, solve,
+                          write_lp_text)
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import ModelMeta, TeSolution
 from telab.tunnels import available_tunnels
@@ -286,10 +286,31 @@ def mixed_lps(draw):
     return prob
 
 
+def lp_from(bounds, rows, objective, maximize=True):
+    """An LP from (lb, ub) per column, (coefficients, sense, rhs) per row and c."""
+    prob = LpProblem(name="example")
+    prob.add_vars([f"x{j}" for j in range(len(bounds))], *zip(*bounds))
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        prob.add_rows([coeffs], sense, [rhs], [f"r{i}"])
+    prob.set_objective(list(enumerate(objective)), maximize)
+    return prob
+
+
 @settings(PROPERTY, max_examples=300)
 @given(mixed_lps())
+# Unbounded, and HiGHS's presolve calls it infeasible under either simplex strategy.
+@example(lp_from([(-np.inf, np.inf), (-1, np.inf), (0, np.inf), (-4, 3), (-3, 3)],
+                 [([-1, -2, 3, 1, 3], "<=", 5.5), ([-1, -2, 0, -2, 3], ">=", -6.8),
+                  ([3, 0, 3, 3, 1], "<=", -3.2)], [0, 1, -1, 1, 1]))
+# Infeasible, and HiGHS without its presolve ends in a solve error.
+@example(lp_from([(-np.inf, 1), (-np.inf, -1), (0, np.inf), (-4, 2), (-1, 4), (-np.inf, 2)],
+                 [([1, 1, 3, -2, 3, -1], "<=", -8209385979.323227),
+                  ([-1, 3, 3, -2, 3, 3], ">=", 1584211778.2755697),
+                  ([0, 0, -1, -1, -2, 3], ">=", 2443202482.9406223),
+                  ([0, -1, 3, 3, 1, -1], "<=", -12727173559.312784)],
+                 [1, -1, -1, 0, 1, 2], maximize=False))
 def test_bundled_agrees_with_highs_on_every_column_kind(prob):
-    bundled, highs = bundled_simplex(prob), solve(prob, "scipy")
+    bundled, highs = solve(prob, "bundled"), solve(prob, "scipy")
     assert bundled.status == highs.status
     if bundled.status == OPTIMAL:
         assert abs(bundled.objective - highs.objective) <= 1e-9 * max(1.0, abs(highs.objective))
