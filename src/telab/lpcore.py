@@ -34,7 +34,8 @@ only the unmarked (working) rows, while ``rows``, the LP text export and the
 row count keep every literal row.  Every optimal solution is re-verified by
 direct substitution into all the original rows before ``solve`` returns it,
 so a wrong mark, like any other fault, is reported as a numerical failure,
-never as a silent wrong answer.
+never as a silent wrong answer.  A bundled infeasible verdict is checked too,
+as a proof that the working rows, some of the LP's rows, have no point.
 """
 from __future__ import annotations
 
@@ -440,6 +441,7 @@ class _Simplex:
                 leave = self.basis[r]
                 if not ((self.art_lb[leave] if s > 0 else self.art_ub[leave])
                         or (self._at_artificial_bound() & (np.abs(alpha) > piv_tol)).any()):
+                    self.proof = rho
                     return INFEASIBLE
                 if self._widen("infeasibility proof"):
                     continue
@@ -508,16 +510,28 @@ class _Simplex:
         return OPTIMAL
 
 
+def _proves_infeasible(prob: LpProblem, A, b, ineq, y: np.ndarray) -> bool:
+    """Whether y is a Farkas certificate for the rows ``A x + s = b`` over the
+    real bounds: ``y @ b`` lies more than ``FEASIBILITY_TOL`` outside the span
+    of ``g @ (x, s)``, g = (A^T y, y), with |g_j| <= 1e-9 taken as 0."""
+    g = np.concatenate([A.T @ y, y])
+    on = np.abs(g) > 1e-9
+    lo, hi = np.r_[prob.lower, np.zeros(len(b))], np.r_[prob.upper, np.where(ineq, np.inf, 0.0)]
+    least, most = np.sort(g[on] * [lo[on], hi[on]], axis=0).sum(axis=1)
+    return not least - FEASIBILITY_TOL <= y @ b <= most + FEASIBILITY_TOL
+
+
 def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | None, int, str]:
     """Reference backend: deterministic bounded dual simplex, maximizing ``c @ x``
     over the working rows.
 
     One phase from the all-logical basis, which every LP telab builds makes
     dual feasible.  It has no primal simplex, so ``prob.simplex`` does not
-    apply to it.  The optimum is clipped to the bounds, against round-off.
-    Returns a numerical failure, before allocating anything m x m, when the
-    dense basis inverse and the temporaries of one update (24*m*m bytes)
-    would pass ``DENSE_INVERSE_BUDGET_BYTES``.
+    apply to it.  The optimum is clipped to the bounds, against round-off, and
+    an infeasible verdict kept only if ``_proves_infeasible`` accepts its row
+    of the inverse.  Returns a numerical failure, before allocating anything
+    m x m, when the dense basis inverse and the temporaries of one update
+    (24*m*m bytes) would pass ``DENSE_INVERSE_BUDGET_BYTES``.
     """
     m = A.shape[0]
     if 24 * m * m > DENSE_INVERSE_BUDGET_BYTES:
@@ -526,6 +540,8 @@ def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | N
                 f"over the {DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
     sx = _Simplex(A, b, ineq, prob.lower, prob.upper, c, MAX_ITERATIONS)
     status = sx.optimize()
+    if status == INFEASIBLE and not _proves_infeasible(prob, A, b, ineq, sx.proof):
+        return NUMERICAL_FAILURE, None, sx.iterations, "infeasibility proof failed re-check"
     if status != OPTIMAL:
         return status, None, sx.iterations, sx.message or f"simplex ended with {status}"
     x = sx.solution()[:prob.n_vars]

@@ -74,10 +74,7 @@ class Topology:
     @cached_property
     def distances_to(self) -> tuple[tuple[float, ...], ...]:
         """``distances_to[t][v]``: shortest-path cost from v to t (inf if none),
-        by one reverse Dijkstra per destination."""
-        into: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-        for a in self.arcs:
-            into[a.dst].append((a.src, a.weight))
+        by one Dijkstra from each destination: a link's two arcs weigh the same."""
         out = []
         for t in range(self.n_nodes):
             dist = [math.inf] * self.n_nodes
@@ -87,7 +84,7 @@ class Topology:
                 d, v = heapq.heappop(heap)
                 if d > dist[v]:
                     continue
-                for u, w in into[v]:
+                for u, w in self.adjacency[v]:
                     if d + w < dist[u]:
                         dist[u] = d + w
                         heapq.heappush(heap, (d + w, u))

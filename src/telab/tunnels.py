@@ -1,13 +1,13 @@
 """Tunnel precomputation, tunnel-count policies, and failure scenarios.
 
-Tunnels are loopless paths enumerated with Yen's algorithm in nondecreasing
+Tunnels are loopless paths listed by one deviation search in nondecreasing
 cost order, ties broken by lexicographic comparison of node-index sequences,
 so LP column sets are reproducible run to run.  The tie-break is exact when
 path sums are exact, as with integer weights; otherwise equal-cost paths may
-come out in float-rounding order.  Spur searches are A* over the distances to
-the destination, computed once per topology (``Topology.distances_to``).
-Tunnels are computed once on the intact graph, and Yen runs once per demand
-per topology: a smaller k slices the list kept in ``Topology.paths_memo``.
+come out in float-rounding order.  A prefix is completed, by an A* over the
+distances to the destination (``Topology.distances_to``), only at the top of
+the heap.  The search runs once per demand per topology, on the intact graph:
+a smaller k slices the list kept in ``Topology.paths_memo``.
 Per-scenario availability is the product of a tunnel set's tunnel x arc
 incidence and a scenario set's dead arcs: a tunnel survives when none of its
 arcs failed (both directions of a link die together).
@@ -116,21 +116,19 @@ def parse_policy(text: str) -> TunnelPolicy:
     raise ValidationError(f"unknown tunnel policy {text!r}")
 
 
-def _spur_path(adjacency, to_t, root: tuple[int, ...], t: int,
-               skip) -> tuple[float, tuple[int, ...]] | None:
-    """Min (cost, node-sequence) path from root[-1] to t, or None if unreachable.
+def _complete(adjacency, to_t, prefix: tuple[int, ...], cost: float,
+              t: int) -> tuple[float, tuple[int, ...]] | None:
+    """The min (cost, node-sequence) path to t that starts with ``prefix``, of
+    the given cost, and meets none of its nodes again; None if there is none.
 
-    The path avoids the other root nodes and leaves root[-1] by no neighbor in
-    ``skip``.  A* keyed by (cost so far + distance to t, node sequence): the
-    distances are a consistent heuristic, so with exact sums labels pop in
-    nondecreasing key order and the first settled label per node is its
-    (cost, lex) minimum.
+    A* keyed by (cost so far + distance to t, node sequence): the distances
+    are a consistent heuristic, so with exact sums labels pop in nondecreasing
+    key order and the first settled label per node is its (cost, lex) minimum.
+    The prefix's last node is not settled before it pops, so a prefix that
+    ends at t completes to itself.
     """
-    s = root[-1]
-    settled = set(root)
-    heap = [(w + to_t[v], (s, v), w) for v, w in adjacency[s]
-            if v not in settled and v not in skip]
-    heapq.heapify(heap)
+    settled = set(prefix[:-1])
+    heap = [(cost + to_t[prefix[-1]], prefix, cost)]
     while heap:
         _, path, cost = heapq.heappop(heap)
         u = path[-1]
@@ -151,11 +149,14 @@ def k_shortest_paths(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, 
 
     Cost is the sum of arc weights.  Returns fewer than k paths when the
     graph admits fewer distinct simple paths, and an empty list for a
-    disconnected pair.  Yen's algorithm with Lawler's rule (an accepted path
-    spurs only from its deviation index onward) and goal-directed spur
-    searches over the topology's distances to t.  Yen stops at k and never
-    looks ahead, so the first k of a longer list are the answer for k: each
-    (s, t) list is kept in ``topo.paths_memo`` and sliced for a smaller k.
+    disconnected pair.  A deviation search (Martins, Pascoal & Santos 1999):
+    in one heap, a prefix keyed by its cost plus its last node's distance to
+    t sorts before an exact path of equal cost.  A prefix at the top is
+    completed once and goes back as an exact path; an exact path at the top
+    is the next path, and from its deviation index on it pushes a prefix for
+    every other next node off the path so far, so each path has one parent.
+    The order does not depend on k: each (s, t) list is kept in
+    ``topo.paths_memo`` and sliced for a smaller k.
     """
     if s == t:
         raise ValidationError("source and destination must differ")
@@ -164,44 +165,28 @@ def k_shortest_paths(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, 
     known, exhausted = topo.paths_memo.get((s, t), ([], False))
     if len(known) >= k or exhausted:
         return known[:k]
-    accepted = _yen(topo, s, t, k)
-    topo.paths_memo[(s, t)] = (accepted, len(accepted) < k)
-    return accepted[:]
-
-
-def _yen(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, ...]]:
     adjacency, to_t, arc_of = topo.adjacency, topo.distances_to[t], topo.arc_by_endpoints
-    first = _spur_path(adjacency, to_t, (s,), t, ())
-    if first is None:
-        return []
-    accepted = [first[1]]
-    candidates: list[tuple[float, tuple[int, ...], int]] = []  # (cost, path, deviation index)
-    queued = {first[1]}
-    deviation = 0
-    while len(accepted) < k:
-        prev = accepted[-1]
-        root_cost = 0.0
-        for j in range(len(prev) - 1):
-            if j >= deviation:
-                root = prev[: j + 1]
-                skip = {p[j + 1] for p in accepted if len(p) > j + 1 and p[: j + 1] == root}
-                res = _spur_path(adjacency, to_t, root, t, skip)
-                if res is not None:
-                    full = root[:-1] + res[1]
-                    if full not in queued:
-                        queued.add(full)
-                        heapq.heappush(candidates, (root_cost + res[0], full, j))
-            root_cost += arc_of[(prev[j], prev[j + 1])].weight
-        if not candidates:
-            break
-        _, path, deviation = heapq.heappop(candidates)
-        accepted.append(path)
-    return accepted
-
-
-def _balanced_group_sizes(n: int, groups: int) -> list[int]:
-    base, rem = divmod(n, groups)
-    return [base + 1 if i < rem else base for i in range(groups)]
+    paths: list[tuple[int, ...]] = []
+    # (key, 0, prefix, its cost) or (cost, 1, path, its deviation index)
+    heap: list[tuple[float, int, tuple[int, ...], float]] = [(to_t[s], 0, (s,), 0.0)]
+    while heap and len(paths) < k:
+        _, exact, nodes, aux = heapq.heappop(heap)
+        if not exact:
+            done = _complete(adjacency, to_t, nodes, aux, t)
+            if done is not None:
+                heapq.heappush(heap, (done[0], 1, done[1], len(nodes) - 1))
+            continue
+        paths.append(nodes)
+        cost = 0.0
+        for j in range(len(nodes) - 1):
+            if j >= aux:
+                for v, w in adjacency[nodes[j]]:
+                    if v != nodes[j + 1] and v not in nodes[:j]:
+                        g = cost + w
+                        heapq.heappush(heap, (g + to_t[v], 0, nodes[:j + 1] + (v,), g))
+            cost += arc_of[(nodes[j], nodes[j + 1])].weight
+    topo.paths_memo[(s, t)] = (paths, len(paths) < k)
+    return paths[:]
 
 
 def tunnel_counts(policy: TunnelPolicy, tm: TrafficMatrix) -> list[int]:
@@ -209,13 +194,13 @@ def tunnel_counts(policy: TunnelPolicy, tm: TrafficMatrix) -> list[int]:
     if isinstance(policy, FixedTunnelPolicy):
         return [policy.k] * tm.n
     counts = [policy.group_counts[0]] * tm.n
-    positive = [d for d in tm.demands if d.volume > 0]
-    positive.sort(key=lambda d: (d.volume, d.src, d.dst))
-    pos = 0
-    for gi, size in enumerate(_balanced_group_sizes(len(positive), len(policy.group_counts))):
-        for d in positive[pos : pos + size]:
-            counts[d.id] = policy.group_counts[gi]
-        pos += size
+    positive = sorted((d for d in tm.demands if d.volume > 0),
+                      key=lambda d: (d.volume, d.src, d.dst))
+    # array_split makes the first len(positive) % len(group_counts) groups one longer
+    groups = np.array_split(np.arange(len(positive)), len(policy.group_counts))
+    for count, group in zip(policy.group_counts, groups):
+        for i in group:
+            counts[positive[i].id] = count
     return counts
 
 

@@ -63,6 +63,41 @@ def test_contradictory_constraints_infeasible():
     assert solve(p).status == INFEASIBLE
 
 
+def _infeasible_lp(kind):
+    p = LpProblem()
+    x, y = p.add_var("x", 1.0, 4.0), p.add_var("y", -math.inf, math.inf)
+    if kind == "rows":  # x + y <= 1 and x + y >= 3
+        p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
+        p.add_constraint([(x, 1.0), (y, 1.0)], ">=", 3.0)
+    elif kind == "bounds":  # x <= 0.5 against x >= 1
+        p.add_constraint([(x, 1.0)], "<=", 0.5)
+    else:  # y = 2 x and y = x - 1 meet at x = -1, below x's lower bound
+        p.add_constraint([(y, 1.0), (x, -2.0)], "=", 0.0)
+        p.add_constraint([(y, 1.0), (x, -1.0)], "=", -1.0)
+    p.set_objective([(x, 1.0)])
+    return p
+
+
+@pytest.mark.parametrize("kind", ["rows", "bounds", "equalities"])
+def test_bundled_infeasible_verdicts_pass_their_certificate_check(kind, monkeypatch):
+    real, checked = lpcore._proves_infeasible, []
+    monkeypatch.setattr(lpcore, "_proves_infeasible",
+                        lambda *args: checked.append(real(*args)) or checked[-1])
+    assert solve(_infeasible_lp(kind), "bundled").status == INFEASIBLE
+    assert checked == [True]
+    assert solve(_infeasible_lp(kind), "scipy").status == INFEASIBLE
+
+
+def test_bundled_infeasible_verdict_without_a_certificate_is_a_numerical_failure(monkeypatch):
+    def claim_infeasible(self):
+        self.proof = self.Binv[0]
+        return INFEASIBLE
+
+    monkeypatch.setattr(_Simplex, "optimize", claim_infeasible)
+    sol = solve(simple_box_lp(), "bundled")
+    assert (sol.status, sol.message) == (NUMERICAL_FAILURE, "infeasibility proof failed re-check")
+
+
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("sense, rhs", [("<=", -1.0), (">=", 1.0), ("=", 0.5)])
 def test_constant_rows_are_decided_before_either_backend(backend, sense, rhs):

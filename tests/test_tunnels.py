@@ -134,6 +134,48 @@ def test_distances_to_match_bruteforce():
     assert topo.distances_to[2][0] == float("inf")
 
 
+def assert_all_pairs_match_oracles(topo, ks):
+    for s in range(topo.n_nodes):
+        for t in range(topo.n_nodes):
+            if s != t:
+                for k in ks:
+                    want = ksp_oracle(topo, s, t, k)
+                    assert k_shortest_paths(topo, s, t, k) == want == yen_oracle(topo, s, t, k)
+
+
+def test_ksp_ring_with_a_hanging_clique():
+    # r0 is also a clique node.  A prefix that leaves r0 into the clique can
+    # only leave the clique through r0 again, so toward a ring destination
+    # every such prefix fails to complete.
+    ring = [f"r{i}" for i in range(8)]
+    clique = ["r0"] + [f"c{i}" for i in range(4)]
+    links = [(ring[i], ring[(i + 1) % 8], 1) for i in range(8)]
+    links += [(a, b, 1) for i, a in enumerate(clique) for b in clique[i + 1:]]
+    assert_all_pairs_match_oracles(make_topology(ring + clique[1:], links), [1, 3, 8])
+
+
+def test_ksp_pair_joined_by_a_direct_arc():
+    # s-t is the dearest route, so it is a deviation whose prefix (s, t)
+    # already ends at t; the graph is complete, so every pair has such an arc.
+    topo = make_topology(["s", "a", "b", "t"],
+                         [("s", "a", 1, 1), ("a", "t", 1, 1), ("s", "b", 1, 2),
+                          ("b", "t", 1, 1), ("s", "t", 1, 5), ("a", "b", 1, 1)])
+    assert k_shortest_paths(topo, 0, 3, 5) == [(0, 1, 3), (0, 1, 2, 3), (0, 2, 3),
+                                               (0, 2, 1, 3), (0, 3)]
+    assert_all_pairs_match_oracles(topo, [1, 2, 5, 9])
+
+
+def test_ksp_zero_weight_arc_at_a_deviation_node():
+    # a-b weighs nothing, so the four s-t routes tie at cost 2 and come out
+    # in node order; (0, 1, 2, 3) leaves a and (0, 2, 1, 3) leaves b by the
+    # zero arc, and the paths after each of them deviate at that node.
+    topo = make_topology(["s", "a", "b", "t"],
+                         [("s", "a", 1, 1), ("a", "t", 1, 1), ("a", "b", 1, 0),
+                          ("s", "b", 1, 1), ("b", "t", 1, 1)])
+    assert k_shortest_paths(topo, 0, 3, 4) == [(0, 1, 2, 3), (0, 1, 3), (0, 2, 1, 3), (0, 2, 3)]
+    assert_all_pairs_match_oracles(topo, [1, 2, 4, 6])
+
+
 def test_ksp_ordering_properties(b4_topo):
     for s, t in [(0, 11), (3, 7), (5, 9)]:
         paths = k_shortest_paths(b4_topo, s, t, 5)
@@ -294,12 +336,12 @@ def test_ksp_memo_returns_copies_and_knows_when_paths_run_out(monkeypatch):
     paths = k_shortest_paths(topo, 0, 3, 1)
     paths.append((9,))
     assert k_shortest_paths(topo, 0, 3, 1) == [(0, 1, 3)]
-    assert k_shortest_paths(topo, 0, 3, 3) == [(0, 1, 3), (0, 2, 3)]  # k grew: Yen again
+    assert k_shortest_paths(topo, 0, 3, 3) == [(0, 1, 3), (0, 2, 3)]  # k grew: search again
 
-    def no_yen(*args):
-        raise AssertionError("Yen ran although the memo holds every path")
+    def no_search(*args):
+        raise AssertionError("a prefix was completed although the memo holds every path")
 
-    monkeypatch.setattr(tunnels, "_yen", no_yen)
+    monkeypatch.setattr(tunnels, "_complete", no_search)
     assert k_shortest_paths(topo, 0, 3, 7) == [(0, 1, 3), (0, 2, 3)]
     assert k_shortest_paths(topo, 0, 3, 2) == [(0, 1, 3), (0, 2, 3)]
 
