@@ -8,15 +8,6 @@ metrics, and a batch experiment harness with a CLI.
 
 __version__ = "0.1.0"
 
-from importlib import resources as _resources
-from pathlib import Path
-
-
-def data_path(name: str) -> Path:
-    """Filesystem path of a shipped instance file, e.g. ``data_path("b4.json")``."""
-    return Path(str(_resources.files("telab") / "data" / name))
-
-
 from .demands import (
     Demand,
     LognormalFit,
@@ -45,7 +36,6 @@ from .tunnels import (
     FixedTunnelPolicy,
     ScenarioSet,
     TunnelSet,
-    available_tunnels,
     build_tunnel_sets,
     enumerate_single_link_scenarios,
     k_shortest_paths,
@@ -53,7 +43,6 @@ from .tunnels import (
 
 __all__ = [
     "__version__",
-    "data_path",
     "Arc",
     "Topology",
     "parse_topology",
@@ -74,7 +63,6 @@ __all__ = [
     "k_shortest_paths",
     "build_tunnel_sets",
     "enumerate_single_link_scenarios",
-    "available_tunnels",
     "LpProblem",
     "LpSolution",
     "solve",

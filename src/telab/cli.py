@@ -94,16 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_required(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(path)
-    return p
-
-
 def _cmd_solve(args) -> int:
-    topo = load_topology(_read_required(args.topo))
-    tm = load_tm(_read_required(args.tm), topo)
+    topo = load_topology(args.topo)
+    tm = load_tm(args.tm, topo)
     ts = build_tunnel_sets(topo, tm, parse_policy(args.tunnels))
     if args.scale != 1.0:
         tm = scale_tm(tm, args.scale)
@@ -126,7 +119,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_json(_read_required(args.config).read_text())
+    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     if args.out:
         cfg.out_dir = args.out
     if args.workers is not None:
@@ -149,8 +142,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    topo = load_topology(_read_required(args.topo))
-    tm = load_tm(_read_required(args.tm), topo)
+    topo = load_topology(args.topo)
+    tm = load_tm(args.tm, topo)
     ts = build_tunnel_sets(topo, tm, parse_policy(args.tunnels))
     factor = calibrate_capacities(topo, tm, ts, backend=args.backend)
     print(json.dumps({"capacity_factor": factor, "unroutable_demands": list(ts.unroutable)}))
@@ -158,8 +151,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    topo = load_topology(_read_required(args.topo))
-    sol, ts, _tm = load_solution(_read_required(args.solution), topo)
+    topo = load_topology(args.topo)
+    sol, ts, _tm = load_solution(args.solution, topo)
     scen = enumerate_single_link_scenarios(topo)
     report = verify_congestion_free(sol, ts, scen, topo)
     doc = {
@@ -175,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_tm(args) -> int:
-    topo = load_topology(_read_required(args.topo))
+    topo = load_topology(args.topo)
     fit = LognormalFit(args.mu, args.sigma, 0)
     tm = generate_lognormal_tm(topo, fit, args.seed)
     meta = {"generator": "lognormal", "mu": args.mu, "sigma": args.sigma, "seed": args.seed}
@@ -189,8 +182,8 @@ def _cmd_gen_tm(args) -> int:
 
 
 def _cmd_fit_tm(args) -> int:
-    topo = load_topology(_read_required(args.topo))
-    tm = load_tm(_read_required(args.tm), topo)
+    topo = load_topology(args.topo)
+    tm = load_tm(args.tm, topo)
     fit = fit_lognormal(tm)
     print(json.dumps({"mu": fit.mu, "sigma": fit.sigma, "n_samples": fit.n_samples}))
     return EXIT_OK
@@ -213,7 +206,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
-        print(f"error: file not found: {e}", file=sys.stderr)
+        print(f"error: file not found: {e.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -24,9 +24,9 @@ numerical failure, a working LP whose dense inverse would pass
 HiGHS simplex, the one the problem's ``simplex`` field names: the primal on
 FFC LPs, which are feasible at x = 0, so it starts there with no phase 1 and
 takes about half the dual's time on syn40; the dual on TE, calibration and
-hand-built LPs, which it solves faster.  Both backends return vertices
-(``solution_kind="vertex"``).  Interior-point methods are deliberately not
-offered.
+hand-built LPs, which it solves faster.  Both backends return vertices, so
+solution dumps record ``"solution_kind": "vertex"``.  Interior-point methods
+are deliberately not offered.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
@@ -127,11 +127,13 @@ class LpProblem:
         """Append a block of rows sharing one sense; returns the first new row index.
 
         ``implied`` marks, per row, that another row of the problem implies it
-        over the variable bounds, so the backends need not solve it.
+        over the variable bounds, so the backends need not solve it.  The LP
+        owns a CSR ``matrix`` of float64 from then on: it is kept, not copied,
+        and the caller must not change it.
         """
         if sense not in _SENSES:
             raise ValidationError(f"unknown constraint sense {sense!r}")
-        block = sp.csr_matrix(matrix, dtype=float, copy=True)
+        block = sp.csr_matrix(matrix, dtype=float)
         rhs = np.array(rhs, dtype=float).reshape(-1)
         m = block.shape[0]
         implied = np.zeros(m, dtype=bool) if implied is None else np.array(
@@ -204,7 +206,6 @@ class LpSolution:
     objective: float
     values: np.ndarray | None
     solve_time: float
-    solution_kind: str
     iterations: int = 0
     message: str = ""
 
@@ -625,7 +626,7 @@ def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
             status, x = NUMERICAL_FAILURE, None
             message = "solution failed feasibility re-check: " + "; ".join(issues[:5])
     objective = float(prob.c @ x) if status == OPTIMAL else math.nan
-    return LpSolution(status, objective, x, solve_time, "vertex", iterations, message)
+    return LpSolution(status, objective, x, solve_time, iterations, message)
 
 
 def write_lp_text(prob: LpProblem) -> str:

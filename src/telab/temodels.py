@@ -27,15 +27,12 @@ import scipy.sparse as sp
 from . import lpcore
 from .demands import Demand, TrafficMatrix
 from .errors import SolveError, ValidationError
-from .lpcore import LpProblem, LpSolution
+from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution
 from .topology import Topology
 from .tunnels import ScenarioSet, TunnelSet, make_tunnel_set, surviving_tunnels
 
 CAPACITY_MODE_ALL = "all"
 CAPACITY_MODE_NORMAL_ONLY = "normal_only"
-
-DELIVERY_TOL = 1e-6
-CAPACITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,6 @@ class ModelMeta:
     kind: str  # "te" | "ffc"
     policy: str
     capacity_mode: str | None
-    n_scenarios: int
     n_vars: int
     n_constraints: int
 
@@ -69,8 +65,6 @@ class TeSolution:
     tunnel_rates: np.ndarray  # rate per global tunnel id
     arc_loads: np.ndarray  # normal-state load per arc
     solve_time: float
-    solution_kind: str
-    meta: ModelMeta
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ def _without_columns(mat: sp.csr_matrix, dead: np.ndarray, scenario: np.ndarray)
     return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
 
 
-def _implied_delivery(own: sp.csr_matrix, alive: np.ndarray) -> np.ndarray:
+def _implied_delivery(demand_of: np.ndarray, alive: np.ndarray, n_dem: int) -> np.ndarray:
     """Scenario x demand: the delivery row is implied by another of the same demand.
 
     Row (f, q) asks the tunnels of f surviving q to carry b_f, so a scenario
@@ -134,13 +128,12 @@ def _implied_delivery(own: sp.csr_matrix, alive: np.ndarray) -> np.ndarray:
     kills a superset; two nonempty killed sets can only nest when they share a
     tunnel, so all candidate pairs are nonzeros of K @ K.T, where K is the
     sparse (scenario, demand) x tunnel matrix of killed tunnels.
+    ``demand_of`` gives each tunnel's demand, ``alive`` is scenario x tunnel.
     """
-    n_scen, n_dem = alive.shape[0], own.shape[0]
-    members = own[:, :alive.shape[1]].tocoo()  # demand x tunnel, one entry per tunnel
-    q, k = np.nonzero(~alive[:, members.col])
-    row = q * n_dem + members.row[k]  # delivery row index, in build order
-    killed = sp.csr_matrix((np.ones(len(k)), (row, members.col[k])),
-                           shape=(n_scen * n_dem, alive.shape[1]))
+    n_scen, n_tun = alive.shape
+    q, k = np.nonzero(~alive)
+    row = q * n_dem + demand_of[k]  # delivery row index, in build order
+    killed = sp.csr_matrix((np.ones(len(k)), (row, k)), shape=(n_scen * n_dem, n_tun))
     size = np.bincount(row, minlength=n_scen * n_dem)
     shared = (killed @ killed.T).tocoo()  # same demand only: a tunnel has one demand
     i, j = shared.row, shared.col
@@ -150,7 +143,7 @@ def _implied_delivery(own: sp.csr_matrix, alive: np.ndarray) -> np.ndarray:
     # A row whose scenario kills none of the demand's tunnels repeats the
     # normal-state row, which is implied as soon as some scenario kills one.
     hit = np.zeros(n_dem, dtype=bool)
-    hit[members.row[k]] = True
+    hit[demand_of[k]] = True
     untouched = (size == 0).reshape(n_scen, n_dem)
     untouched[0] &= hit
     return implied.reshape(n_scen, n_dem) | untouched
@@ -162,7 +155,7 @@ def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
     arcs, own = _row_templates(ts)
     prob.add_rows(arcs, "<=", topo.capacities(), [f"cap_e{e}" for e in range(topo.n_arcs)])
     prob.add_rows(own, ">=", np.zeros(tm.n), [f"del_f{f}" for f in range(tm.n)])
-    meta = ModelMeta("te", ts.policy, None, 1, prob.n_vars, prob.n_constraints)
+    meta = ModelMeta("te", ts.policy, None, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
 
 
@@ -215,7 +208,7 @@ def build_ffc_lp(
     alive = surviving_tunnels(ts, scen)
     dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
     dead_cols[:, :ts.total] = ~alive
-    implied = _implied_delivery(own, alive)
+    implied = _implied_delivery(ts.demand_of, alive, tm.n)
 
     # Rows in scenario order: the alive arcs' capacity rows, then every
     # demand's delivery row, each over the scenario's surviving tunnels.
@@ -228,7 +221,7 @@ def build_ffc_lp(
                   np.zeros(len(q)), [f"del_f{f}_q{i}" for i in range(scen.n) for f in range(tm.n)],
                   implied=implied.reshape(-1))
 
-    meta = ModelMeta("ffc", ts.policy, capacity_mode, scen.n, prob.n_vars, prob.n_constraints)
+    meta = ModelMeta("ffc", ts.policy, capacity_mode, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
 
 
@@ -247,7 +240,7 @@ def extract_solution(lp_sol: LpSolution, model: TeModel) -> TeSolution:
     rates[np.abs(rates) < 1e-12] = 0.0
     delivered[np.abs(delivered) < 1e-12] = 0.0
     loads = model.ts.incidence.T @ rates
-    return TeSolution(delivered, rates, loads, lp_sol.solve_time, lp_sol.solution_kind, model.meta)
+    return TeSolution(delivered, rates, loads, lp_sol.solve_time)
 
 
 def solve_model(model: TeModel, backend: str = "bundled") -> TeSolution:
@@ -266,6 +259,8 @@ def verify_congestion_free(
     Violations are report content rather than exceptions: for each scenario
     the residual load (surviving tunnels only) must fit every alive arc, and
     the surviving rates of each demand must still cover its admitted flow.
+    Both checks allow the LP re-check's ``FEASIBILITY_TOL``, which the unit
+    coefficients of these rows leave unscaled.
     """
     # Evaluate the normal-state rows at the solution with each scenario's dead
     # tunnels zeroed: arc rows give loads, delivery rows minus the shortfalls.
@@ -275,10 +270,10 @@ def verify_congestion_free(
     excess = (arcs @ x.T).T - topo.capacities()  # scenario x arc
     excess[scen.dead.toarray() != 0] = 0.0  # dead arcs carry nothing to check
     short = -(own @ x.T).T  # scenario x demand
-    checks = (("capacity", excess, CAPACITY_TOL), ("delivery", short, DELIVERY_TOL))
+    checks = (("capacity", excess), ("delivery", short))
     violations = [Violation(q, kind, int(i), float(amount[q, i]))
-                  for q in range(scen.n) for kind, amount, tol in checks
-                  for i in np.flatnonzero(amount[q] > tol)]
+                  for q in range(scen.n) for kind, amount in checks
+                  for i in np.flatnonzero(amount[q] > FEASIBILITY_TOL)]
     return CongestionReport(not violations, tuple(violations), scen.n)
 
 
@@ -293,7 +288,7 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
     Carrying the tunnel node paths makes the dump verifiable later against
     just a topology file.
     """
-    topo, tm, ts = model.topo, model.tm, model.ts
+    topo, tm, ts, meta = model.topo, model.tm, model.ts, model.meta
     entries = []
     for f, ids in enumerate(ts.by_demand):
         for k, tid in enumerate(ids):
@@ -301,12 +296,12 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
             if v > 0.0:
                 entries.append({"demand": f, "tunnel": k, "value": v})
     doc = {
-        "model": sol.meta.kind,
-        "policy": sol.meta.policy,
-        "capacity_mode": sol.meta.capacity_mode,
+        "model": meta.kind,
+        "policy": meta.policy,
+        "capacity_mode": meta.capacity_mode,
         "objective": float(sol.delivered.sum()),
         "solve_time": sol.solve_time,
-        "solution_kind": sol.solution_kind,
+        "solution_kind": "vertex",  # both backends return vertices
         "demands": [
             {"src": topo.node_ids[d.src], "dst": topo.node_ids[d.dst], "volume": d.volume}
             for d in tm.demands
@@ -348,11 +343,7 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
     if delivered.size != tm.n:
         raise ValidationError("solution dump: delivered-flow vector length mismatch")
     loads = ts.incidence.T @ rates
-    meta = ModelMeta(str(doc.get("model", "")), str(doc.get("policy", "")),
-                     doc.get("capacity_mode"), 0, 0, 0)
-    sol = TeSolution(delivered, rates, loads, float(doc.get("solve_time", 0.0)),
-                     str(doc.get("solution_kind", "")), meta)
-    return sol, ts, tm
+    return TeSolution(delivered, rates, loads, float(doc.get("solve_time", 0.0))), ts, tm
 
 
 def load_solution(path: str | Path, topo: Topology):

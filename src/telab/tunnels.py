@@ -253,11 +253,3 @@ def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:
 def surviving_tunnels(ts: TunnelSet, scen: ScenarioSet) -> np.ndarray:
     """Boolean scenario x tunnel matrix: tunnel t crosses no dead arc of scenario q."""
     return (scen.dead @ ts.incidence.T).toarray() == 0
-
-
-def available_tunnels(ts: TunnelSet, scen: ScenarioSet, q: int) -> list[list[int]]:
-    """Per-demand tunnel ids that survive scenario q (q=0 returns all)."""
-    if not 0 <= q < scen.n:
-        raise ValidationError(f"scenario id {q} out of range")
-    alive = surviving_tunnels(ts, scen)[q]
-    return [[tid for tid in ids if alive[tid]] for ids in ts.by_demand]

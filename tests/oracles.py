@@ -329,7 +329,7 @@ def ffc_lp_oracle(topo, tm, ts, scen, capacity_mode: str) -> LpProblem:
     dead_arcs = scen.dead.toarray() != 0
     dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
     dead_cols[:, :ts.total] = ~surviving_tunnels(ts, scen)
-    implied = _implied_delivery(own, ~dead_cols[:, :ts.total])
+    implied = _implied_delivery(ts.demand_of, ~dead_cols[:, :ts.total], tm.n)
 
     def without_dead(mat, q):
         keep = ~dead_cols[q][mat.indices]

@@ -199,13 +199,12 @@ def test_criterion_05_criticality_oracle(b4_sweep, calibrated):
     tm_a = make_tm(topo_a, [("a", "c", 5.0)])
     ts_a = build_tunnel_sets(topo_a, tm_a, FixedTunnelPolicy(1))
     inc = ts_a.incidence
-    from telab.temodels import ModelMeta, TeSolution
+    from telab.temodels import TeSolution
 
     def manual(topo, ts, delivered, rates):
         rates = np.asarray(rates, dtype=float)
         loads = np.asarray(ts.incidence.T @ rates).ravel()
-        return TeSolution(np.asarray(delivered, float), rates, loads, 0.0, "vertex",
-                          ModelMeta("te", ts.policy, None, 1, 0, 0))
+        return TeSolution(np.asarray(delivered, float), rates, loads, 0.0)
 
     sol_a = manual(topo_a, ts_a, [5.0], [5.0])
     u_a = link_utilization(sol_a, topo_a)

@@ -18,6 +18,7 @@ from telab import (
     scale_capacities,
     solve_model,
 )
+import telab
 from telab import cli, harness, lpcore
 from telab.cli import cli_main
 from telab.harness import RESULT_COLUMNS, TIMING_COLUMNS, ExperimentConfig, rows_to_csv
@@ -31,7 +32,7 @@ from conftest import DATA, make_tm, make_topology
 
 
 def _failed_solve(prob, backend="bundled"):
-    return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, "vertex", message="stalled")
+    return LpSolution(NUMERICAL_FAILURE, math.nan, None, 0.0, message="stalled")
 
 
 def test_calibrate_already_satisfied():
@@ -611,6 +612,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     rc = cli_main(["solve", "--topo", "missing.json", "--tm", "also-missing.json",
                    "--model", "te"])
     assert rc == 3
+    assert capsys.readouterr().err == "error: file not found: missing.json\n"
+    assert cli_main(["sweep", "--config", "no-config.json"]) == 3
+    assert capsys.readouterr().err == "error: file not found: no-config.json\n"
+    assert cli_main(["verify", "--topo", str(DATA / "diamond.json"),
+                     "--solution", "no-dump.json"]) == 3
+    assert capsys.readouterr().err == "error: file not found: no-dump.json\n"
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -620,3 +627,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["solve", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in telab.__all__ if not hasattr(telab, name)] == []

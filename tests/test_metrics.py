@@ -20,15 +20,14 @@ from telab.metrics import (
     link_utilization,
     network_criticality,
 )
-from telab.temodels import TeSolution, ModelMeta
+from telab.temodels import TeSolution
 from conftest import make_tm, make_topology, random_te_instance
 
 
 def _manual_solution(topo, ts, delivered, rates):
     rates = np.asarray(rates, dtype=float)
     loads = np.asarray(ts.incidence.T @ rates).ravel()
-    meta = ModelMeta("te", ts.policy, None, 1, 0, 0)
-    return TeSolution(np.asarray(delivered, dtype=float), rates, loads, 0.0, "vertex", meta)
+    return TeSolution(np.asarray(delivered, dtype=float), rates, loads, 0.0)
 
 
 def test_link_utilization_basics():
@@ -191,7 +190,6 @@ def test_used_tunnel_ratio_vertex_vs_spread():
     tm = make_tm(topo, [("a", "d", 10.0)])
     ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(5))
     vertex = solve_model(build_te_lp(topo, tm, ts))
-    assert vertex.solution_kind == "vertex"
     spread = _manual_solution(topo, ts, [10.0], [5.0, 5.0])
     assert np.all(spread.arc_loads <= topo.capacities() + 1e-9)
     mr_vertex = compute_metrics(vertex, tm, ts, topo)

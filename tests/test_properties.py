@@ -31,8 +31,8 @@ from telab.demands import tm_to_json
 from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _standardize, check_feasibility, solve,
                           write_lp_text)
 from telab.metrics import criticality_scores, link_utilization
-from telab.temodels import ModelMeta, TeSolution
-from telab.tunnels import available_tunnels
+from telab.temodels import TeSolution
+from telab.tunnels import surviving_tunnels
 from oracles import (
     available_tunnels_oracle,
     calibrate_bisection_oracle,
@@ -77,10 +77,12 @@ def instances(draw, capacities=st.integers(1, 20)):
 
 @PROPERTY
 @given(instances())
-def test_available_tunnels_match_scalar_filter(inst):
+def test_surviving_tunnels_match_scalar_filter(inst):
     topo, _, ts, scen = inst
+    alive = surviving_tunnels(ts, scen)
     for q in range(scen.n):
-        assert available_tunnels(ts, scen, q) == available_tunnels_oracle(topo, ts, q)
+        got = [[t for t in ids if alive[q, t]] for ids in ts.by_demand]
+        assert got == available_tunnels_oracle(topo, ts, q)
 
 
 @PROPERTY
@@ -212,8 +214,7 @@ def test_verify_violations_match_scalar_loop(inst, data):
                                         max_size=ts.total)), dtype=float)
     delivered = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=tm.n,
                                             max_size=tm.n)), dtype=float)
-    sol = TeSolution(delivered, rates, ts.incidence.T @ rates, 0.0, "vertex",
-                     ModelMeta("ffc", ts.policy, "all", scen.n, 0, 0))
+    sol = TeSolution(delivered, rates, ts.incidence.T @ rates, 0.0)
     report = verify_congestion_free(sol, ts, scen, topo)
     got = [(v.scenario, v.kind, v.index, v.amount) for v in report.violations]
     assert got == congestion_violations_oracle(sol, ts, scen, topo)
@@ -229,8 +230,7 @@ def test_criticality_scores_match_per_demand_loop(inst, data):
                                         min_size=ts.total, max_size=ts.total)), dtype=float)
     delivered = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]), min_size=tm.n,
                                             max_size=tm.n)), dtype=float)
-    sol = TeSolution(delivered, rates, ts.incidence.T @ rates, 0.0, "vertex",
-                     ModelMeta("te", ts.policy, None, 1, 0, 0))
+    sol = TeSolution(delivered, rates, ts.incidence.T @ rates, 0.0)
     util = link_utilization(sol, topo)
     assert np.array_equal(criticality_scores(sol, ts, util),
                           criticality_scores_oracle(sol, ts, topo, util))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -244,8 +245,7 @@ def test_verify_reports_injected_capacity_fault(diamond_topo, diamond_tm):
     sol = solve_model(build_ffc_lp(diamond_topo, diamond_tm, ts, scen))
     rates = sol.tunnel_rates.copy()
     rates[0] += 5.0  # push one tunnel past the 10-unit arcs it crosses
-    tampered = TeSolution(sol.delivered, rates, sol.arc_loads, sol.solve_time,
-                          sol.solution_kind, sol.meta)
+    tampered = TeSolution(sol.delivered, rates, sol.arc_loads, sol.solve_time)
     report = verify_congestion_free(tampered, ts, scen, diamond_topo)
     cap_violations = [v for v in report.violations if v.kind == "capacity"]
     assert {v.index for v in cap_violations if v.scenario == 0} == set(path_arcs(diamond_topo, ts.paths[0]))
@@ -271,6 +271,29 @@ def test_solution_dump_roundtrip(diamond_topo, diamond_tm):
     assert np.allclose(sol2.arc_loads, sol.arc_loads)
     assert tm2 == diamond_tm
     assert verify_congestion_free(sol2, ts2, scen, diamond_topo).ok
+
+
+# sha256 of json.dumps(solution_to_dict(...), indent=2) minus "solve_time", on
+# the bundled backend at scale 1, recorded while the dump's model, policy,
+# capacity mode and solution kind were still copied onto each TeSolution.
+DUMP_SHA256 = [
+    ("diamond", "all", "c042194d4adb2f66f18ca0bb860a9f7a9ec2ea19048bd71cda78bf663a0d4fba"),
+    ("b4", "te", "340cf849de45dd90c69dc3f03bd6f2485d38a98d034196bb39774963e44f05d8"),
+]
+
+
+@pytest.mark.parametrize("instance,kind,digest", DUMP_SHA256)
+def test_solution_dump_is_pinned(b4_topo, b4_tm, diamond_topo, diamond_tm,
+                                 instance, kind, digest):
+    topo, tm = (b4_topo, b4_tm) if instance == "b4" else (diamond_topo, diamond_tm)
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(5))
+    if kind == "te":
+        model = build_te_lp(topo, tm, ts)
+    else:
+        model = build_ffc_lp(topo, tm, ts, enumerate_single_link_scenarios(topo), kind)
+    doc = solution_to_dict(solve_model(model, "bundled"), model)
+    del doc["solve_time"]
+    assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == digest
 
 
 # sha256 of write_lp_text for the shipped instances, recorded before the LP rows

@@ -5,14 +5,13 @@ from telab import (
     AdaptiveTunnelPolicy,
     FixedTunnelPolicy,
     ValidationError,
-    available_tunnels,
     build_tunnel_sets,
     enumerate_single_link_scenarios,
     k_shortest_paths,
 )
 from telab import tunnels
 from telab.topology import load_topology
-from telab.tunnels import parse_policy, tunnel_counts
+from telab.tunnels import parse_policy, surviving_tunnels, tunnel_counts
 from conftest import DATA, make_tm, make_topology, random_te_instance, syn_topology
 from oracles import all_simple_paths, dead_arcs, ksp_oracle, path_arcs, path_cost, yen_oracle
 
@@ -293,25 +292,27 @@ def test_scenarios_one_link_topology():
     assert enumerate_single_link_scenarios(topo).n == 2
 
 
-def test_available_tunnels_normal_and_failure(diamond_topo, diamond_tm):
+def test_surviving_tunnels_normal_and_failure(diamond_topo, diamond_tm):
     ts = build_tunnel_sets(diamond_topo, diamond_tm, FixedTunnelPolicy(5))
     scen = enumerate_single_link_scenarios(diamond_topo)
-    assert available_tunnels(ts, scen, 0) == [list(ts.by_demand[0])]
+    survives = surviving_tunnels(ts, scen)
+    assert survives.shape == (scen.n, ts.total)
+    assert ts.by_demand == (tuple(range(ts.total)),) and survives[0].all()
     # failing one side of the diamond kills exactly one of the two tunnels
     for q in range(1, scen.n):
-        alive = available_tunnels(ts, scen, q)[0]
+        alive = np.flatnonzero(survives[q])
         assert len(alive) == 1
         dead = set(np.flatnonzero(scen.dead.toarray()[q]).tolist())
         assert dead == dead_arcs(diamond_topo, q)
         assert all(a not in dead for a in path_arcs(diamond_topo, ts.paths[alive[0]]))
 
 
-def test_available_tunnels_can_be_empty():
+def test_surviving_tunnels_can_be_empty():
     topo = make_topology(["a", "b"], [("a", "b", 1)])
     tm = make_tm(topo, [("a", "b", 1.0)])
     ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(2))
     scen = enumerate_single_link_scenarios(topo)
-    assert available_tunnels(ts, scen, 1) == [[]]
+    assert surviving_tunnels(ts, scen).tolist() == [[True], [False]]
 
 
 def test_determinism_of_tunnel_sets(b4_topo, b4_tm):
