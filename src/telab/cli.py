@@ -111,10 +111,11 @@ def _cmd_solve(args) -> int:
         report = verify_congestion_free(sol, ts, scen, topo)
         doc["congestion_free"] = "pass" if report.ok else "fail"
     doc["metrics"] = compute_metrics(sol, tm, ts, topo).to_json_dict()
-    text = json.dumps(doc, indent=2)
     if args.out:
-        Path(args.out).write_text(text)
-    print(text)
+        with Path(args.out).open("w") as f:
+            json.dump(doc, f, indent=2)
+    json.dump(doc, sys.stdout, indent=2)  # streamed: no copy of the whole text
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -28,6 +28,14 @@ hand-built LPs, which it solves faster.  Both backends return vertices, so
 solution dumps record ``"solution_kind": "vertex"``.  Interior-point methods
 are deliberately not offered.
 
+An ``LpProblem`` holds its rows as a block store: each ``add_rows`` call
+appends one block, a CSR matrix with one sense, its right-hand sides, its
+implied marks and its names, and every reader walks the blocks in place.
+A block's names may be a ``NameRule``, one format over a grid of indices,
+so a model with a million rows holds no string per row; ``row_names`` is a
+read-only view over all blocks.  ``rows`` stacks every block on each call,
+for the LP text export and the tests; a solve never stacks the literal rows.
+
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
 only the unmarked (working) rows, while ``rows``, the LP text export and the
@@ -40,9 +48,12 @@ as a proof that the working rows, some of the LP's rows, have no point.
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,16 +80,77 @@ _HIGHS_SIMPLEX_STRATEGY = {"dual": 1, "primal": 4}
 DENSE_INVERSE_BUDGET_BYTES = 2 << 30
 
 
+class _Names(Sequence):
+    """A read-only sequence of names, each made when it is read."""
+
+    def __getitem__(self, i) -> str:
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"name index {i} out of range for {n} names")
+        return self._name(i % n)
+
+
+class NameRule(_Names):
+    """Names of a block of rows from one format, with no string held per row.
+
+    Row i of the block is cell ``cells[i]`` (without ``cells``, cell i) of a
+    grid of ``shape`` (rows, columns), in row-major order, and is named
+    ``fmt.format(grid_row, grid_column)``: ``NameRule("del_f{1}_q{0}",
+    (n_scenarios, n_demands))`` names scenario-major delivery rows.
+    """
+
+    def __init__(self, fmt: str, shape: tuple[int, int], cells: np.ndarray | None = None):
+        self.fmt, self.shape, self.cells = fmt, shape, cells
+
+    def __len__(self) -> int:
+        return self.shape[0] * self.shape[1] if self.cells is None else len(self.cells)
+
+    def _name(self, i: int) -> str:
+        return self.fmt.format(*divmod(i if self.cells is None else int(self.cells[i]),
+                                       self.shape[1]))
+
+
+class _Block(NamedTuple):
+    """The rows of one ``add_rows`` call."""
+
+    start: int  # LP index of the block's first row
+    matrix: sp.csr_matrix  # over every variable of the LP
+    sense: str
+    rhs: np.ndarray
+    implied: np.ndarray
+    names: Sequence[str]
+
+
+class _RowNames(_Names):
+    """Every row name of an LP, block after block."""
+
+    def __init__(self, prob: LpProblem):
+        self._prob = prob
+
+    def __len__(self) -> int:
+        return self._prob.n_constraints
+
+    def _name(self, i: int) -> str:
+        blk = next(b for b in reversed(self._prob._blocks) if b.start <= i)
+        return blk.names[i - blk.start]
+
+    def __iter__(self):
+        for blk in self._prob._blocks:
+            yield from blk.names
+
+
 @dataclass(eq=False)
 class LpProblem:
     """A sparse LP built incrementally: variables, constraint rows, objective.
 
     The columns are float64 arrays of length ``n_vars``: the bounds ``lower``
     and ``upper`` and the objective ``c``, which ``add_vars`` extends with
-    zeros.  The rows are one CSR store, appended in blocks that share a sense
-    by ``add_rows`` (one row: ``add_constraint``) and read back whole by
-    ``rows``.  Each row also carries its builder's mark "implied by another
-    row" (``implied``, default False).  ``simplex`` ("dual" or "primal") names
+    zeros.  The rows are a store of blocks, one per ``add_rows`` call (one
+    row: ``add_constraint``), each a CSR matrix over all columns with one
+    sense, its right-hand sides, its builder's marks "implied by another row"
+    and its names, a list or a ``NameRule``.  ``row_names`` is a read-only
+    view over every block's names; ``rows`` and ``implied`` stack the blocks
+    on each call and keep nothing.  ``simplex`` ("dual" or "primal") names
     the simplex a backend that has both should run; ``solve`` checks it.
     """
 
@@ -87,13 +159,9 @@ class LpProblem:
     lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
     upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
     c: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    row_names: list[str] = field(default_factory=list)
     maximize: bool = True
     simplex: str = "dual"
-    _blocks: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=lambda: [(sp.csr_matrix((0, 0)), np.empty(0, "<U2"), np.empty(0),
-                                  np.empty(0, dtype=bool))],
-        init=False, repr=False)
+    _blocks: list[_Block] = field(default_factory=list, init=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -101,7 +169,12 @@ class LpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.row_names)
+        return self._blocks[-1].start + len(self._blocks[-1].rhs) if self._blocks else 0
+
+    @property
+    def row_names(self) -> Sequence[str]:
+        """Every row's name, in row order: ``len``, indexing and iteration."""
+        return _RowNames(self)
 
     def add_vars(self, names: list[str], lower, upper) -> int:
         """Append a block of variables; returns the index of the first."""
@@ -118,18 +191,20 @@ class LpProblem:
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
         self.c = np.concatenate([self.c, np.zeros(len(names))])
+        for blk in self._blocks:  # widens the LP's own header, never the arrays
+            blk.matrix.resize((len(blk.rhs), self.n_vars))
         return self.n_vars - len(names)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         return self.add_vars([name], [lb], [ub])
 
-    def add_rows(self, matrix, sense: str, rhs, names: list[str], implied=None) -> int:
+    def add_rows(self, matrix, sense: str, rhs, names: Sequence[str], implied=None) -> int:
         """Append a block of rows sharing one sense; returns the first new row index.
 
         ``implied`` marks, per row, that another row of the problem implies it
         over the variable bounds, so the backends need not solve it.  The LP
-        owns a CSR ``matrix`` of float64 from then on: it is kept, not copied,
-        and the caller must not change it.
+        owns a CSR ``matrix`` of float64 and the ``names`` sequence from then
+        on: both are kept, not copied, and the caller must not change them.
         """
         if sense not in _SENSES:
             raise ValidationError(f"unknown constraint sense {sense!r}")
@@ -152,9 +227,9 @@ class LpProblem:
             what = ("non-finite coefficient" if 0 <= j[k] < self.n_vars
                     else f"unknown variable index {j[k]}")
             raise ValidationError(f"constraint {name!r}: {what}")
-        self._blocks.append((block, np.full(m, sense), rhs, implied))
-        self.row_names.extend(names)
-        return self.n_constraints - m
+        block.resize((m, self.n_vars))
+        self._blocks.append(_Block(self.n_constraints, block, sense, rhs, implied, names))
+        return self._blocks[-1].start
 
     def add_constraint(
         self,
@@ -169,23 +244,20 @@ class LpProblem:
                              [0, len(cols)]), shape=(1, self.n_vars))
         return self.add_rows(row, sense, [rhs], [name])
 
-    def _merged(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
-        if len(self._blocks) > 1 or self._blocks[0][0].shape[1] != self.n_vars:
-            for mat, *_ in self._blocks:
-                mat.resize((mat.shape[0], self.n_vars))
-            mats, senses, rhs, implied = zip(*self._blocks)
-            self._blocks = [(sp.vstack(mats, format="csr"), np.concatenate(senses),
-                             np.concatenate(rhs), np.concatenate(implied))]
-        return self._blocks[0]
-
     def rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """Every constraint row: (CSR matrix over all variables, senses, rhs)."""
-        return self._merged()[:3]
+        """Every constraint row, stacked anew: (CSR matrix over all variables,
+        senses, rhs)."""
+        blocks = self._blocks
+        return (sp.vstack([sp.csr_matrix((0, self.n_vars))] + [b.matrix for b in blocks],
+                          format="csr"),
+                np.repeat(np.array([b.sense for b in blocks], dtype="<U2"),
+                          [len(b.rhs) for b in blocks]),
+                np.concatenate([np.zeros(0)] + [b.rhs for b in blocks]))
 
     @property
     def implied(self) -> np.ndarray:
         """Per row: marked by its builder as implied by another row."""
-        return self._merged()[3]
+        return np.concatenate([np.zeros(0, dtype=bool)] + [b.implied for b in self._blocks])
 
     def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
         """Set ``c`` from (column, coefficient) pairs, summing a repeated column's."""
@@ -223,18 +295,22 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
     for j in up_bad:
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} above upper bound "
                       f"{float(prob.upper[j])!r}")
-    A, senses, rhs = prob.rows()
-    lhs = A @ x
-    filled = np.diff(A.indptr) > 0
-    scale = np.ones(len(rhs))  # max(1, largest |coefficient|) per row
-    scale[filled] = np.maximum(1.0, np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled]))
-    resid, tol = lhs - rhs, FEASIBILITY_TOL * scale
-    bad = np.where(senses == "<=", resid > tol,
-                   np.where(senses == ">=", resid < -tol, np.abs(resid) > tol))
-    for i in np.flatnonzero(bad):
-        row_lhs = float(lhs[i]) if filled[i] else 0  # an empty sum is the integer 0
-        issues.append(f"row {prob.row_names[i] or i}: lhs {row_lhs!r} {senses[i]} "
-                      f"rhs {float(rhs[i])!r} violated")
+    for blk in prob._blocks:
+        A = blk.matrix
+        lhs = A @ x
+        filled = np.diff(A.indptr) > 0
+        starts = A.indptr[:-1][filled]
+        scale = np.ones(len(lhs))  # max(1, largest |coefficient|) per row, with no |A| copy
+        top = np.maximum.reduceat(A.data, starts)
+        np.maximum(top, -np.minimum.reduceat(A.data, starts), out=top)
+        scale[filled] = np.maximum(top, 1.0, out=top)
+        resid, tol = lhs - blk.rhs, FEASIBILITY_TOL * scale
+        bad = (resid > tol if blk.sense == "<=" else resid < -tol if blk.sense == ">="
+               else np.abs(resid) > tol)
+        for i in np.flatnonzero(bad):
+            row_lhs = float(lhs[i]) if filled[i] else 0  # an empty sum is the integer 0
+            issues.append(f"row {blk.names[i] or blk.start + i}: lhs {row_lhs!r} {blk.sense} "
+                          f"rhs {float(blk.rhs[i])!r} violated")
     return issues
 
 
@@ -247,17 +323,21 @@ def _standardize(prob: LpProblem):
     holds dropped.  The FFC builder marks every failure-scenario capacity row
     implied, so both capacity modes give the same working rows.
     """
-    A, senses, rhs = prob.rows()
-    keep = ~prob.implied
-    flip = np.where(senses[keep] == ">=", -1.0, 1.0)
-    A = sp.diags(flip) @ A[keep]
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    b, ineq = flip * rhs[keep], senses[keep] != "="
-    filled = np.diff(A.indptr) > 0
-    if (~filled & np.where(ineq, b < -FEASIBILITY_TOL, np.abs(b) > FEASIBILITY_TOL)).any():
-        return None
-    return A[filled], b[filled], ineq[filled]
+    mats, bs, ineqs = [sp.csr_matrix((0, prob.n_vars))], [np.zeros(0)], [np.zeros(0, dtype=bool)]
+    for blk in prob._blocks:
+        keep = ~blk.implied
+        flip = -1.0 if blk.sense == ">=" else 1.0
+        A = blk.matrix[keep] * flip
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        b, ineq = flip * blk.rhs[keep], blk.sense != "="
+        filled = np.diff(A.indptr) > 0
+        if (~filled & ((b < -FEASIBILITY_TOL) if ineq else (np.abs(b) > FEASIBILITY_TOL))).any():
+            return None
+        mats.append(A[filled])
+        bs.append(b[filled])
+        ineqs.append(np.full(len(bs[-1]), ineq))
+    return sp.vstack(mats, format="csr"), np.concatenate(bs), np.concatenate(ineqs)
 
 
 # ---------------------------------------------------------------------------

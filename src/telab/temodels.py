@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import lpcore
 from .demands import Demand, TrafficMatrix
 from .errors import SolveError, ValidationError
-from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution
+from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution, NameRule
 from .topology import Topology
 from .tunnels import ScenarioSet, TunnelSet, make_tunnel_set, surviving_tunnels
 
@@ -110,12 +110,38 @@ def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return arcs, own
 
 
-def _without_columns(mat: sp.csr_matrix, dead: np.ndarray, scenario: np.ndarray) -> sp.csr_matrix:
-    """Copy of mat without the entries of each row in its scenario's dead columns
-    (``dead[scenario[i]]`` for row i); rows and their order kept."""
-    keep = ~dead[np.repeat(scenario, np.diff(mat.indptr)), mat.indices]
-    indptr = np.concatenate([[0], np.cumsum(keep, dtype=mat.indptr.dtype)])[mat.indptr]
-    return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
+def _scenario_rows(template: sp.csr_matrix, alive: np.ndarray,
+                   live_rows: np.ndarray) -> sp.csr_matrix:
+    """The template's rows for every scenario q in turn, those where
+    ``live_rows[q]`` holds, each without the tunnels dead in q, written one
+    scenario at a time into one CSR.
+
+    ``alive`` is scenario x tunnel.  The template's tunnel columns come first;
+    a column past them (a delivered flow) never dies.  A first pass counts the
+    kept entries, so each array is allocated once, at its final size.
+    """
+    n_tun = alive.shape[1]
+    live = np.ones(template.shape[1], dtype=bool)
+    row_of = np.repeat(np.arange(template.shape[0]), np.diff(template.indptr))
+
+    def kept(q):
+        live[:n_tun] = alive[q]
+        return live[template.indices] & live_rows[q][row_of]
+
+    nnz = sum(int(np.count_nonzero(kept(q))) for q in range(len(live_rows)))
+    itype = np.int32 if max(nnz, template.shape[1]) < 2**31 else np.int64
+    indptr = np.zeros(int(np.count_nonzero(live_rows)) + 1, itype)
+    indices, data = np.empty(nnz, itype), np.empty(nnz)
+    row = at = 0
+    for q in range(len(live_rows)):
+        keep = kept(q)
+        n = np.count_nonzero(keep)
+        indices[at:at + n] = template.indices[keep]
+        data[at:at + n] = template.data[keep]
+        ends = np.cumsum(np.bincount(row_of[keep], minlength=template.shape[0])[live_rows[q]])
+        indptr[row + 1:row + 1 + len(ends)] = at + ends
+        row, at = row + len(ends), at + n
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, template.shape[1]))
 
 
 def _implied_delivery(demand_of: np.ndarray, alive: np.ndarray, n_dem: int) -> np.ndarray:
@@ -203,22 +229,20 @@ def build_ffc_lp(
     prob = _base_problem(topo, tm, ts, "ffc")
     prob.simplex = "primal"  # starts at the feasible x = 0; TE stays faster on the dual
     arcs, own = _row_templates(ts)
-    caps = topo.capacities()
-    dead_arcs = scen.dead.toarray() != 0
     alive = surviving_tunnels(ts, scen)
-    dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
-    dead_cols[:, :ts.total] = ~alive
     implied = _implied_delivery(ts.demand_of, alive, tm.n)
 
     # Rows in scenario order: the alive arcs' capacity rows, then every
     # demand's delivery row, each over the scenario's surviving tunnels.
     n_cap = scen.n if capacity_mode == CAPACITY_MODE_ALL else 1
-    q, e = np.nonzero(~dead_arcs[:n_cap])  # scenario and arc of each capacity row
-    prob.add_rows(_without_columns(arcs[e], dead_cols, q), "<=", caps[e],
-                  [f"cap_q{i}_e{j}" for i, j in zip(q.tolist(), e.tolist())], implied=q > 0)
-    q = np.repeat(np.arange(scen.n), tm.n)  # scenario of each delivery row
-    prob.add_rows(_without_columns(own[np.tile(np.arange(tm.n), scen.n)], dead_cols, q), ">=",
-                  np.zeros(len(q)), [f"del_f{f}_q{i}" for i in range(scen.n) for f in range(tm.n)],
+    live_arcs = scen.dead[:n_cap].toarray() == 0
+    cells = np.flatnonzero(live_arcs)  # q * n_arcs + e of each capacity row
+    prob.add_rows(_scenario_rows(arcs, alive, live_arcs), "<=",
+                  topo.capacities()[cells % topo.n_arcs],
+                  NameRule("cap_q{0}_e{1}", live_arcs.shape, cells),
+                  implied=cells >= topo.n_arcs)  # every row with q > 0
+    prob.add_rows(_scenario_rows(own, alive, np.broadcast_to(True, (scen.n, tm.n))), ">=",
+                  np.zeros(scen.n * tm.n), NameRule("del_f{1}_q{0}", (scen.n, tm.n)),
                   implied=implied.reshape(-1))
 
     meta = ModelMeta("ffc", ts.policy, capacity_mode, prob.n_vars, prob.n_constraints)
@@ -262,18 +286,21 @@ def verify_congestion_free(
     Both checks allow the LP re-check's ``FEASIBILITY_TOL``, which the unit
     coefficients of these rows leave unscaled.
     """
-    # Evaluate the normal-state rows at the solution with each scenario's dead
-    # tunnels zeroed: arc rows give loads, delivery rows minus the shortfalls.
+    # Evaluate the normal-state rows at the solution with the scenario's dead
+    # tunnels zeroed, one scenario at a time: arc rows give loads, delivery
+    # rows minus the shortfalls.
     arcs, own = _row_templates(ts)
-    rates = np.where(surviving_tunnels(ts, scen), sol.tunnel_rates, 0.0)
-    x = np.hstack([rates, np.broadcast_to(sol.delivered, (scen.n, len(sol.delivered)))])
-    excess = (arcs @ x.T).T - topo.capacities()  # scenario x arc
-    excess[scen.dead.toarray() != 0] = 0.0  # dead arcs carry nothing to check
-    short = -(own @ x.T).T  # scenario x demand
-    checks = (("capacity", excess), ("delivery", short))
-    violations = [Violation(q, kind, int(i), float(amount[q, i]))
-                  for q in range(scen.n) for kind, amount in checks
-                  for i in np.flatnonzero(amount[q] > FEASIBILITY_TOL)]
+    alive = surviving_tunnels(ts, scen)
+    dead_arcs = scen.dead.toarray() != 0
+    caps = topo.capacities()
+    violations = []
+    for q in range(scen.n):
+        x = np.concatenate([np.where(alive[q], sol.tunnel_rates, 0.0), sol.delivered])
+        excess = arcs @ x - caps
+        excess[dead_arcs[q]] = 0.0  # dead arcs carry nothing to check
+        for kind, amount in (("capacity", excess), ("delivery", -(own @ x))):
+            violations += [Violation(q, kind, int(i), float(amount[i]))
+                           for i in np.flatnonzero(amount > FEASIBILITY_TOL)]
     return CongestionReport(not violations, tuple(violations), scen.n)
 
 

@@ -252,4 +252,6 @@ def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:
 
 def surviving_tunnels(ts: TunnelSet, scen: ScenarioSet) -> np.ndarray:
     """Boolean scenario x tunnel matrix: tunnel t crosses no dead arc of scenario q."""
-    return (scen.dead @ ts.incidence.T).toarray() == 0
+    alive = np.ones((scen.n, ts.total), dtype=bool)
+    alive[(scen.dead @ ts.incidence.T).nonzero()] = False
+    return alive

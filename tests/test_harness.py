@@ -497,6 +497,20 @@ def test_cli_solve_smoke(capsys):
     assert doc["metrics"]["unmet_flow_ratio"] == 0.0
 
 
+@pytest.mark.parametrize("topo,tm,model", [("diamond.json", "diamond_tm.json", "ffc"),
+                                           ("b4.json", "b4_tm.json", "te")])
+def test_cli_solve_streams_the_indented_document(tmp_path, capsys, topo, tm, model):
+    # The solve document is streamed to stdout, and dumped again for --out,
+    # in the bytes one json.dumps(doc, indent=2) gives.
+    out = tmp_path / "dump.json"
+    assert cli_main(["solve", "--topo", str(DATA / topo), "--tm", str(DATA / tm),
+                     "--model", model, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    doc = json.loads(stdout)
+    assert stdout == json.dumps(doc, indent=2) + "\n"
+    assert out.read_text() == json.dumps(doc, indent=2)
+
+
 def test_cli_sweep_smoke(tmp_path, capsys):
     cfg = {
         "topology": str(DATA / "diamond.json"),

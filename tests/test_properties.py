@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +29,8 @@ from telab import (
     verify_congestion_free,
 )
 from telab.demands import tm_to_json
-from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _standardize, check_feasibility, solve,
-                          write_lp_text)
+from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, NameRule, _standardize,
+                          check_feasibility, solve, write_lp_text)
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import TeSolution
 from telab.tunnels import surviving_tunnels
@@ -323,3 +324,63 @@ def test_check_feasibility_matches_scalar_row_loop(case):
     prob, rows, x = case
     want = feasibility_issues_oracle(prob.var_names, prob.lower, prob.upper, rows, x)
     assert check_feasibility(prob, x) == want
+
+
+@st.composite
+def block_stores(draw):
+    """A seeded LP built as 1-4 blocks of rows of one sense, some empty, with
+    columns added between the blocks and after them, the same rows added to a
+    second LP as one block after all its columns, and a point that may
+    violate rows and bounds.  Rows may repeat a column or be empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sense = str(rng.choice(["<=", ">=", "="]))
+    blocks, single = LpProblem(name="blocks"), LpProblem(name="blocks")
+    cols, vals, indptr, rhs, names, marks = [], [], [0], [], [], []
+
+    def add_columns(k):
+        blocks.add_vars([f"x{blocks.n_vars + j}" for j in range(k)],
+                        rng.choice([0.0, -1.0, -np.inf], k), rng.choice([1.0, 4.0, np.inf], k))
+
+    for b in range(int(rng.integers(1, 5))):
+        add_columns(int(rng.integers(0 if b else 1, 3)))
+        m = int(rng.integers(0, 4))
+        start = len(cols)
+        for _ in range(m):
+            k = int(rng.integers(0, 4))
+            cols += rng.integers(0, blocks.n_vars, k).tolist()
+            vals += rng.choice([-2.5, -1.0, 0.5, 1.0, 3.0], k).tolist()
+            indptr.append(len(cols))
+        matrix = sp.csr_matrix((vals[start:], cols[start:],
+                                np.array(indptr[-m - 1:]) - start), shape=(m, blocks.n_vars))
+        block_rhs = rng.choice([-1.0, 0.0, 1.0, 2.5], m)
+        block_marks = rng.random(m) < 0.3
+        block_names = (NameRule(f"b{b}_r{{1}}", (1, m)) if rng.random() < 0.5
+                       else [str(rng.choice(["", f"b{b}_{i}"])) for i in range(m)])
+        blocks.add_rows(matrix, sense, block_rhs, block_names, implied=block_marks)
+        rhs += block_rhs.tolist()
+        names += list(block_names)
+        marks += block_marks.tolist()
+    add_columns(int(rng.integers(0, 2)))
+    single.add_vars(list(blocks.var_names), blocks.lower, blocks.upper)
+    single.add_rows(sp.csr_matrix((vals, cols, indptr), shape=(len(rhs), single.n_vars)),
+                    sense, rhs, names, implied=marks)
+    x = rng.choice([-2.0, -0.5, 0.0, 2e-6, 1.0, 3.0, 5.0], blocks.n_vars)
+    return blocks, single, x
+
+
+@settings(PROPERTY, max_examples=200)
+@given(block_stores())
+def test_a_block_store_reads_as_its_rows_in_one_block(case):
+    blocks, single, x = case
+    assert list(blocks.row_names) == list(single.row_names)
+    assert blocks.implied.tolist() == single.implied.tolist()
+    assert check_feasibility(blocks, x) == check_feasibility(single, x)
+    assert write_lp_text(blocks) == write_lp_text(single)
+    got, want = _standardize(blocks), _standardize(single)
+    assert (got is None) == (want is None)
+    if got is not None:
+        (A, b, ineq), (B, c, eq) = got, want
+        assert A.shape == B.shape
+        for u, v in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data), (b, c),
+                     (ineq, eq)):
+            assert u.tolist() == v.tolist()

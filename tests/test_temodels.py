@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,18 +10,20 @@ import scipy.sparse as sp
 from telab import (
     AdaptiveTunnelPolicy,
     FixedTunnelPolicy,
+    LognormalFit,
     build_ffc_lp,
     build_te_lp,
     build_tunnel_sets,
     enumerate_single_link_scenarios,
     extract_solution,
+    generate_lognormal_tm,
     scale_capacities,
     scale_tm,
     solve_model,
     verify_congestion_free,
 )
 from telab.errors import SolveError
-from telab.lpcore import _standardize, solve, write_lp_text
+from telab.lpcore import _standardize, check_feasibility, solve, write_lp_text
 from telab.temodels import (
     CAPACITY_MODE_ALL,
     CAPACITY_MODE_NORMAL_ONLY,
@@ -29,8 +32,9 @@ from telab.temodels import (
     solution_from_dict,
     solution_to_dict,
 )
-from conftest import make_tm, make_topology, random_te_instance
-from oracles import ffc_implied_oracle, path_arcs, vertex_enumeration_optimum
+from conftest import make_tm, make_topology, random_te_instance, syn_topology
+from oracles import (ffc_implied_oracle, ffc_lp_oracle, path_arcs,
+                     vertex_enumeration_optimum)
 
 
 def two_node(capacity=10.0, demand=5.0):
@@ -394,3 +398,105 @@ def test_capacity_modes_solve_the_same_rows_when_capacities_are_uniform():
     working = {mode: _standardize(build_ffc_lp(topo, tm, ts, scen, mode).problem)[0].shape[0]
                for mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY)}
     assert working[CAPACITY_MODE_ALL] == working[CAPACITY_MODE_NORMAL_ONLY]
+
+
+# ---------------------------------------------------------------------------
+# Row names held as rules, and the memory one FFC solve takes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def syn24():
+    """syn24 with the benchmark's lognormal matrix (mu 3, sigma 1.2, seed 7)."""
+    topo = syn_topology(24)
+    return topo, generate_lognormal_tm(topo, LognormalFit(3.0, 1.2, 0), 7)
+
+
+def _instance(request, name):
+    if name == "syn24":
+        return request.getfixturevalue("syn24")
+    return request.getfixturevalue(f"{name}_topo"), request.getfixturevalue(f"{name}_tm")
+
+
+def _check_name_view(names, want):
+    assert list(names) == want
+    assert len(names) == len(want)
+    assert [names[i] for i in range(0, len(want), 7)] == want[::7]
+    assert (names[-1], names[-len(want)]) == (want[-1], want[0])
+    with pytest.raises(IndexError):
+        names[len(want)]
+    with pytest.raises(IndexError):
+        names[-len(want) - 1]
+
+
+@pytest.mark.parametrize("capacity_mode", [CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY])
+@pytest.mark.parametrize("instance", ["diamond", "b4", "syn24"])
+def test_ffc_row_name_rules_give_the_eager_names(request, instance, capacity_mode):
+    topo, tm = _instance(request, instance)
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(4))
+    scen = enumerate_single_link_scenarios(topo)
+    prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
+    want = list(ffc_lp_oracle(topo, tm, ts, scen, capacity_mode).row_names)
+    assert len(want) == prob.n_constraints
+    _check_name_view(prob.row_names, want)
+
+
+def test_te_and_calibration_row_names(b4_topo, b4_tm):
+    ts = build_tunnel_sets(b4_topo, b4_tm, FixedTunnelPolicy(4))
+    want = ([f"cap_e{e}" for e in range(b4_topo.n_arcs)]
+            + [f"del_f{f}" for f in range(b4_tm.n)])
+    for prob in (build_te_lp(b4_topo, b4_tm, ts).problem,
+                 build_calibration_lp(b4_topo, b4_tm, ts)):
+        _check_name_view(prob.row_names, want)
+
+
+def test_recheck_names_the_violated_rows_of_later_blocks(diamond_topo, diamond_tm):
+    ts, scen = diamond_setup(diamond_topo, diamond_tm)
+    prob = build_ffc_lp(diamond_topo, diamond_tm, ts, scen).problem
+    start = prob.add_rows(sp.csr_matrix(([1.0, 1.0], [0, 1], [0, 1, 2]),
+                                        shape=(2, prob.n_vars)), ">=", [1.0, 2.0], ["", "late"])
+    x = np.zeros(prob.n_vars)
+    x[ts.total] = 1.0  # demand 0 delivers 1 on no tunnel: every del_f0_q* row fails
+    issues = check_feasibility(prob, x)
+    assert issues == ([f"row del_f0_q{q}: lhs -1.0 >= rhs 0.0 violated" for q in range(scen.n)]
+                      + [f"row {start}: lhs 0.0 >= rhs 1.0 violated",
+                         "row late: lhs 0.0 >= rhs 2.0 violated"])
+    assert prob.row_names[start + 1] == "late"
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the Python heap traced during one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peaks of one call on syn24 (fixed:4; the build and verify on
+# normal_only, the re-check on the larger all-mode LP, at x = 0).  Measured
+# with numpy 2.4 at 2.26, 0.42 and 1.11 MiB; each bound adds about a third
+# for other numpy versions.  The parent tree, which named every row with a
+# string, stacked dense copies and tested |a| through a copy, peaked at 4.09,
+# 2.62 and 3.90 MiB.
+MEMORY_BOUNDS_MB = {"build": 3.0, "verify": 0.6, "recheck": 1.5}
+
+
+@pytest.fixture(scope="module")
+def syn24_calls(syn24):
+    topo, tm = syn24
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(4))
+    scen = enumerate_single_link_scenarios(topo)
+    sol = TeSolution(np.zeros(tm.n), np.zeros(ts.total), np.zeros(topo.n_arcs), 0.0)
+    prob = build_ffc_lp(topo, tm, ts, scen, CAPACITY_MODE_ALL).problem
+    x = np.zeros(prob.n_vars)
+    return {"build": lambda: build_ffc_lp(topo, tm, ts, scen, CAPACITY_MODE_NORMAL_ONLY),
+            "verify": lambda: verify_congestion_free(sol, ts, scen, topo),
+            "recheck": lambda: check_feasibility(prob, x)}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_BOUNDS_MB))
+def test_ffc_solve_steps_stay_within_their_memory_bounds(syn24_calls, name):
+    syn24_calls[name]()  # first-call caches out of the way
+    assert _traced_peak_mb(syn24_calls[name]) <= MEMORY_BOUNDS_MB[name]
