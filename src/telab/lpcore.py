@@ -31,10 +31,11 @@ are deliberately not offered.
 An ``LpProblem`` holds its rows as a block store: each ``add_rows`` call
 appends one block, a CSR matrix with one sense, its right-hand sides, its
 implied marks and its names, and every reader walks the blocks in place.
-A block's names may be a ``NameRule``, one format over a grid of indices,
-so a model with a million rows holds no string per row; ``row_names`` is a
-read-only view over all blocks.  ``rows`` stacks every block on each call,
-for the LP text export and the tests; a solve never stacks the literal rows.
+Every model builder names its blocks by a ``NameRule``, one format over a
+grid of indices, so a model with a million rows holds no string per row;
+only hand-built rows pass a list.  ``row_names`` and ``rows`` build a new
+list and a new stacked matrix on each call, for the LP text export and the
+tests; a solve reads neither.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
@@ -80,23 +81,14 @@ _HIGHS_SIMPLEX_STRATEGY = {"dual": 1, "primal": 4}
 DENSE_INVERSE_BUDGET_BYTES = 2 << 30
 
 
-class _Names(Sequence):
-    """A read-only sequence of names, each made when it is read."""
-
-    def __getitem__(self, i) -> str:
-        i, n = operator.index(i), len(self)
-        if not -n <= i < n:
-            raise IndexError(f"name index {i} out of range for {n} names")
-        return self._name(i % n)
-
-
-class NameRule(_Names):
-    """Names of a block of rows from one format, with no string held per row.
+class NameRule(Sequence):
+    """Names of a block of rows from one format, each made when it is read.
 
     Row i of the block is cell ``cells[i]`` (without ``cells``, cell i) of a
     grid of ``shape`` (rows, columns), in row-major order, and is named
     ``fmt.format(grid_row, grid_column)``: ``NameRule("del_f{1}_q{0}",
-    (n_scenarios, n_demands))`` names scenario-major delivery rows.
+    (n_scenarios, n_demands))`` names scenario-major delivery rows.  An index
+    may be negative; one past either end raises ``IndexError``.
     """
 
     def __init__(self, fmt: str, shape: tuple[int, int], cells: np.ndarray | None = None):
@@ -105,7 +97,11 @@ class NameRule(_Names):
     def __len__(self) -> int:
         return self.shape[0] * self.shape[1] if self.cells is None else len(self.cells)
 
-    def _name(self, i: int) -> str:
+    def __getitem__(self, i) -> str:
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"name index {i} out of range for {n} names")
+        i %= n
         return self.fmt.format(*divmod(i if self.cells is None else int(self.cells[i]),
                                        self.shape[1]))
 
@@ -121,24 +117,6 @@ class _Block(NamedTuple):
     names: Sequence[str]
 
 
-class _RowNames(_Names):
-    """Every row name of an LP, block after block."""
-
-    def __init__(self, prob: LpProblem):
-        self._prob = prob
-
-    def __len__(self) -> int:
-        return self._prob.n_constraints
-
-    def _name(self, i: int) -> str:
-        blk = next(b for b in reversed(self._prob._blocks) if b.start <= i)
-        return blk.names[i - blk.start]
-
-    def __iter__(self):
-        for blk in self._prob._blocks:
-            yield from blk.names
-
-
 @dataclass(eq=False)
 class LpProblem:
     """A sparse LP built incrementally: variables, constraint rows, objective.
@@ -148,10 +126,11 @@ class LpProblem:
     zeros.  The rows are a store of blocks, one per ``add_rows`` call (one
     row: ``add_constraint``), each a CSR matrix over all columns with one
     sense, its right-hand sides, its builder's marks "implied by another row"
-    and its names, a list or a ``NameRule``.  ``row_names`` is a read-only
-    view over every block's names; ``rows`` and ``implied`` stack the blocks
-    on each call and keep nothing.  ``simplex`` ("dual" or "primal") names
-    the simplex a backend that has both should run; ``solve`` checks it.
+    and its names: a ``NameRule`` from every model builder, a list for
+    hand-built rows.  ``row_names`` (a list), ``rows`` and ``implied`` are
+    made anew from the blocks on each call and keep nothing.  ``simplex``
+    ("dual" or "primal") names the simplex a backend that has both should
+    run; ``solve`` checks it.
     """
 
     name: str = ""
@@ -172,9 +151,9 @@ class LpProblem:
         return self._blocks[-1].start + len(self._blocks[-1].rhs) if self._blocks else 0
 
     @property
-    def row_names(self) -> Sequence[str]:
-        """Every row's name, in row order: ``len``, indexing and iteration."""
-        return _RowNames(self)
+    def row_names(self) -> list[str]:
+        """Every row's name, in row order, as a new list on each call."""
+        return [name for blk in self._blocks for name in blk.names]
 
     def add_vars(self, names: list[str], lower, upper) -> int:
         """Append a block of variables; returns the index of the first."""
@@ -372,9 +351,8 @@ class _Simplex:
     """
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray, ineq: np.ndarray, lb: np.ndarray,
-                 ub: np.ndarray, c: np.ndarray, max_iter: int):
+                 ub: np.ndarray, c: np.ndarray):
         self.m, self.n = m, n = A.shape
-        self.max_iter = max_iter
         self.AT = A.T.tocsr()
         self.A = self.AT.T  # A in CSC, over the same arrays
         self.b = b
@@ -500,7 +478,7 @@ class _Simplex:
                 if self._widen("optimum"):
                     continue
                 return NUMERICAL_FAILURE
-            if self.iterations >= self.max_iter:
+            if self.iterations >= MAX_ITERATIONS:
                 return NUMERICAL_FAILURE
 
             # The leaving variable rises to its lower bound (s = 1) or falls to
@@ -619,7 +597,7 @@ def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | N
         return (NUMERICAL_FAILURE, None, 0,
                 f"dense basis inverse of {m} working rows needs {24 * m * m:,} bytes, "
                 f"over the {DENSE_INVERSE_BUDGET_BYTES:,}-byte budget")
-    sx = _Simplex(A, b, ineq, prob.lower, prob.upper, c, MAX_ITERATIONS)
+    sx = _Simplex(A, b, ineq, prob.lower, prob.upper, c)
     status = sx.optimize()
     if status == INFEASIBLE and not _proves_infeasible(prob, A, b, ineq, sx.proof):
         return NUMERICAL_FAILURE, None, sx.iterations, "infeasibility proof failed re-check"

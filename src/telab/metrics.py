@@ -72,14 +72,14 @@ def criticality_scores(sol: TeSolution, ts: TunnelSet, utilization: np.ndarray) 
     """
     scores = np.zeros(len(utilization))
     used = np.flatnonzero(sol.tunnel_rates > FLOW_EPS)
-    if used.size == 0:
-        return scores
     carried = ts.incidence[used].tocoo()  # (used tunnel, arc) pairs
-    candidate_util = np.full((len(ts.by_demand), len(utilization)), -np.inf)
-    candidate_util[ts.demand_of[used][carried.row], carried.col] = utilization[carried.col]
-    top = candidate_util.max(axis=1)
+    demand, arc = ts.demand_of[used][carried.row], carried.col
+    top = np.full(len(ts.by_demand), -np.inf)
+    np.maximum.at(top, demand, utilization[arc])
     # The smallest arc id within FLOW_EPS of the most utilized arc.
-    best = (candidate_util >= top[:, None] - FLOW_EPS).argmax(axis=1)
+    near = utilization[arc] >= top[demand] - FLOW_EPS
+    best = np.full(len(ts.by_demand), len(utilization))
+    np.minimum.at(best, demand[near], arc[near])
     scored = (sol.delivered > FLOW_EPS) & np.isfinite(top)
     np.add.at(scores, best[scored], sol.delivered[scored] / len(ts.by_demand))
     return scores

@@ -103,10 +103,9 @@ def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     arcs.sort_indices()
     arcs.resize((arcs.shape[0], ts.total + n_demands))
     ends = np.searchsorted(ts.demand_of, np.arange(1, n_demands + 1))  # past each demand's tunnels
-    own = sp.csr_matrix(
-        (np.insert(np.ones(ts.total), ends, -1.0),
-         np.insert(np.arange(ts.total), ends, ts.total + np.arange(n_demands)),
-         np.r_[0, ends + np.arange(1, n_demands + 1)]), shape=(n_demands, ts.total + n_demands))
+    members = sp.csr_matrix((np.ones(ts.total), np.arange(ts.total), np.r_[0, ends]),
+                            shape=(n_demands, ts.total))
+    own = sp.hstack([members, -sp.identity(n_demands, format="csr")], format="csr")
     return arcs, own
 
 
@@ -179,8 +178,8 @@ def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
     """Base model: one capacity row per arc, one delivery row per demand."""
     prob = _base_problem(topo, tm, ts, "te")
     arcs, own = _row_templates(ts)
-    prob.add_rows(arcs, "<=", topo.capacities(), [f"cap_e{e}" for e in range(topo.n_arcs)])
-    prob.add_rows(own, ">=", np.zeros(tm.n), [f"del_f{f}" for f in range(tm.n)])
+    prob.add_rows(arcs, "<=", topo.capacities(), NameRule("cap_e{1}", (1, topo.n_arcs)))
+    prob.add_rows(own, ">=", np.zeros(tm.n), NameRule("del_f{1}", (1, tm.n)))
     meta = ModelMeta("te", ts.policy, None, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
 
@@ -197,8 +196,8 @@ def build_calibration_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> Lp
     lam = prob.add_var("lam", 0.0, math.inf)
     arcs, own = _row_templates(ts)
     load = sp.hstack([arcs, -topo.capacities()[:, None]], format="csr")
-    prob.add_rows(load, "<=", np.zeros(topo.n_arcs), [f"cap_e{e}" for e in range(topo.n_arcs)])
-    prob.add_rows(own, ">=", np.zeros(tm.n), [f"del_f{f}" for f in range(tm.n)])
+    prob.add_rows(load, "<=", np.zeros(topo.n_arcs), NameRule("cap_e{1}", (1, topo.n_arcs)))
+    prob.add_rows(own, ">=", np.zeros(tm.n), NameRule("del_f{1}", (1, tm.n)))
     prob.set_objective([(lam, 1.0)], maximize=False)
     return prob
 

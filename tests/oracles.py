@@ -366,9 +366,9 @@ def le_rows(prob) -> tuple[np.ndarray, np.ndarray]:
 
 def lp_rows(prob) -> list[tuple]:
     """The rows of an LpProblem in the same (name, coeffs, sense, rhs) form."""
-    A, senses, rhs = prob.rows()
+    (A, senses, rhs), names = prob.rows(), prob.row_names
     return [
-        (prob.row_names[i],
+        (names[i],
          tuple(zip(A.indices[A.indptr[i]:A.indptr[i + 1]].tolist(),
                    A.data[A.indptr[i]:A.indptr[i + 1]].tolist())),
          str(senses[i]), float(rhs[i]))

@@ -495,7 +495,7 @@ def _dense_lp(m=40, n=60, seed=3):
 def _simplex(prob):
     A, b, ineq = _standardize(prob)
     sign = 1.0 if prob.maximize else -1.0
-    return _Simplex(A, b, ineq, prob.lower, prob.upper, sign * prob.c, max_iter=200_000)
+    return _Simplex(A, b, ineq, prob.lower, prob.upper, sign * prob.c)
 
 
 @pytest.mark.parametrize("lp", ["te", "ffc", "dense"])

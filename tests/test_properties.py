@@ -328,10 +328,11 @@ def test_check_feasibility_matches_scalar_row_loop(case):
 
 @st.composite
 def block_stores(draw):
-    """A seeded LP built as 1-4 blocks of rows of one sense, some empty, with
-    columns added between the blocks and after them, the same rows added to a
-    second LP as one block after all its columns, and a point that may
-    violate rows and bounds.  Rows may repeat a column or be empty."""
+    """A seeded LP built as 1-4 blocks of rows of one sense, some empty, each
+    named by a list or a ``NameRule``, with columns added between the blocks
+    and after them, the same rows added to a second LP as one block (its
+    names the blocks' names in turn) after all its columns, and a point that
+    may violate rows and bounds.  Rows may repeat a column or be empty."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sense = str(rng.choice(["<=", ">=", "="]))
     blocks, single = LpProblem(name="blocks"), LpProblem(name="blocks")
@@ -372,7 +373,10 @@ def block_stores(draw):
 @given(block_stores())
 def test_a_block_store_reads_as_its_rows_in_one_block(case):
     blocks, single, x = case
-    assert list(blocks.row_names) == list(single.row_names)
+    names = blocks.row_names  # the list, NameRule and empty blocks' names in turn
+    assert type(names) is list and names == single.row_names
+    names[:] = ["edited"]  # a new list on each read: editing one leaves the LP alone
+    assert blocks.row_names == single.row_names != names
     assert blocks.implied.tolist() == single.implied.tolist()
     assert check_feasibility(blocks, x) == check_feasibility(single, x)
     assert write_lp_text(blocks) == write_lp_text(single)
