@@ -144,6 +144,13 @@ def fit_lognormal(tm: TrafficMatrix) -> LognormalFit:
     return LognormalFit(mu, sigma, int(vols.size))
 
 
+def check_lognormal_fit(fit: LognormalFit) -> None:
+    """Raise ``ValidationError`` unless mu is finite and sigma finite and positive."""
+    if not (math.isfinite(fit.mu) and math.isfinite(fit.sigma) and fit.sigma > 0):
+        raise ValidationError(f"lognormal fit needs a finite mu and a finite sigma > 0, "
+                              f"got mu={fit.mu!r}, sigma={fit.sigma!r}")
+
+
 def generate_lognormal_tm(topo: Topology, fit: LognormalFit, seed: int) -> TrafficMatrix:
     """Draw one demand per ordered node pair from the fitted lognormal.
 
@@ -151,12 +158,14 @@ def generate_lognormal_tm(topo: Topology, fit: LognormalFit, seed: int) -> Traff
     enumerated in (src, dst) index order and volumes drawn in one batch from
     ``numpy.random.default_rng(seed)``.
     """
-    if fit.sigma <= 0:
-        raise ValidationError("fit sigma must be > 0")
+    check_lognormal_fit(fit)
     n = topo.n_nodes
     pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
     rng = np.random.default_rng(seed)
     vols = rng.lognormal(mean=fit.mu, sigma=fit.sigma, size=len(pairs))
+    if not np.isfinite(vols).all():
+        raise ValidationError(f"lognormal fit mu={fit.mu!r}, sigma={fit.sigma!r} "
+                              "draws volumes too large for a float")
     demands = tuple(
         Demand(i, s, t, float(v)) for i, ((s, t), v) in enumerate(zip(pairs, vols))
     )

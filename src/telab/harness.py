@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from . import __version__
-from .demands import TrafficMatrix, LognormalFit, generate_lognormal_tm, load_tm, scale_tm
+from .demands import (TrafficMatrix, LognormalFit, check_lognormal_fit, generate_lognormal_tm,
+                      load_tm, scale_tm)
 from .errors import SolveError, ValidationError
 from .lpcore import BACKENDS, OPTIMAL, solve
 from .metrics import METRIC_COLUMNS, MetricsReport, compute_metrics
@@ -118,6 +119,8 @@ class ExperimentConfig:
             raise ValidationError(f"scales repeat a value: {self.scales}")
         if self.tm is None and self.fit is None:
             raise ValidationError("config needs a tm path or a lognormal fit")
+        if self.fit is not None:
+            check_lognormal_fit(self.fit)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         if self.backend not in BACKENDS:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lpcore
-from .demands import Demand, TrafficMatrix
+from .demands import TrafficMatrix, _demands_from_rows
 from .errors import SolveError, ValidationError
 from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution, NameRule
 from .topology import Topology
@@ -112,34 +112,26 @@ def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 def _scenario_rows(template: sp.csr_matrix, alive: np.ndarray,
                    live_rows: np.ndarray) -> sp.csr_matrix:
     """The template's rows for every scenario q in turn, those where
-    ``live_rows[q]`` holds, each without the tunnels dead in q, written one
-    scenario at a time into one CSR.
+    ``live_rows[q]`` holds, each without the tunnels dead in q, as one CSR.
 
     ``alive`` is scenario x tunnel.  The template's tunnel columns come first;
-    a column past them (a delivered flow) never dies.  A first pass counts the
-    kept entries, so each array is allocated once, at its final size.
+    a column past them (a delivered flow) never dies.  One scenario x entry
+    mask selects the kept entries of every scenario at once.
     """
-    n_tun = alive.shape[1]
-    live = np.ones(template.shape[1], dtype=bool)
-    row_of = np.repeat(np.arange(template.shape[0]), np.diff(template.indptr))
-
-    def kept(q):
-        live[:n_tun] = alive[q]
-        return live[template.indices] & live_rows[q][row_of]
-
-    nnz = sum(int(np.count_nonzero(kept(q))) for q in range(len(live_rows)))
-    itype = np.int32 if max(nnz, template.shape[1]) < 2**31 else np.int64
-    indptr = np.zeros(int(np.count_nonzero(live_rows)) + 1, itype)
-    indices, data = np.empty(nnz, itype), np.empty(nnz)
-    row = at = 0
-    for q in range(len(live_rows)):
-        keep = kept(q)
-        n = np.count_nonzero(keep)
-        indices[at:at + n] = template.indices[keep]
-        data[at:at + n] = template.data[keep]
-        ends = np.cumsum(np.bincount(row_of[keep], minlength=template.shape[0])[live_rows[q]])
-        indptr[row + 1:row + 1 + len(ends)] = at + ends
-        row, at = row + len(ends), at + n
+    lengths = np.diff(template.indptr)
+    keep = np.repeat(live_rows, lengths, axis=1)
+    tunnel = template.indices < alive.shape[1]
+    keep[:, tunnel] &= alive[:len(live_rows), template.indices[tunnel]]
+    # Kept entries per row.  Without a dtype, reduceat sums bools as a logical
+    # or; it cannot start a segment at an empty row; int32 counts keep this
+    # per-row array small, and cumsum widens them.
+    filled = lengths > 0
+    counts = np.zeros(live_rows.shape, np.int32)
+    counts[:, filled] = np.add.reduceat(keep, template.indptr[:-1][filled], axis=1,
+                                        dtype=np.int32)
+    indptr = np.concatenate([[0], np.cumsum(counts[live_rows])])
+    indices = np.broadcast_to(template.indices, keep.shape)[keep]
+    data = np.broadcast_to(template.data, keep.shape)[keep]
     return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, template.shape[1]))
 
 
@@ -344,32 +336,60 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
     return doc
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_index(value, n: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n
+
+
+def _dump_list(doc: dict, key: str, ok, what: str) -> list:
+    items = doc.get(key)
+    if not isinstance(items, list) or not all(map(ok, items)):
+        raise ValidationError(f"solution dump: {key!r} must be a list of {what}")
+    return items
+
+
 def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet, TrafficMatrix]:
-    """Rebuild flows, tunnels, and demands from a dump for verification."""
-    try:
-        demand_entries = doc["demands"]
-        tunnel_paths = doc["tunnels"]
-        b = doc["b"]
-        a_entries = doc["a"]
-    except KeyError as e:
-        raise ValidationError(f"solution dump missing key {e}") from None
-    demands = tuple(
-        Demand(i, topo.index_of(d["src"]), topo.index_of(d["dst"]), float(d["volume"]))
-        for i, d in enumerate(demand_entries)
-    )
-    tm = TrafficMatrix(demands)
+    """Rebuild flows, tunnels, and demands from a dump for verification.
+
+    Every field is checked: a malformed dump raises ``ValidationError``, and
+    an index out of range is never read as another demand's or tunnel's rate.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"solution dump must be a JSON object, got {type(doc).__name__}")
+    entries = _dump_list(doc, "demands", lambda d: isinstance(d, dict), "objects")
+    tunnel_paths = _dump_list(
+        doc, "tunnels", lambda ps: isinstance(ps, list) and all(isinstance(p, list) for p in ps),
+        "lists of node-id paths")
+    b = _dump_list(doc, "b", _is_finite, "finite numbers")
+    a_entries = _dump_list(doc, "a", lambda e: isinstance(e, dict), "objects")
+    solve_time = doc.get("solve_time", 0.0)
+    if not _is_finite(solve_time):
+        raise ValidationError(f"solution dump: 'solve_time' must be a number, got {solve_time!r}")
+    tm = _demands_from_rows([(d.get("src"), d.get("dst"), d.get("volume")) for d in entries],
+                            topo)
+    if not len(tunnel_paths) == len(b) == tm.n:
+        raise ValidationError(f"solution dump: {tm.n} demands, {len(tunnel_paths)} tunnel "
+                              f"lists and {len(b)} delivered flows")
     ts = make_tunnel_set(
         topo, str(doc.get("policy", "")),
         [[tuple(topo.index_of(n) for n in path) for path in paths] for paths in tunnel_paths])
+    for tid, f in enumerate(ts.demand_of.tolist()):
+        d, path = tm.demands[f], ts.paths[tid]
+        if len(path) < 2 or (path[0], path[-1]) != (d.src, d.dst):
+            raise ValidationError(f"solution dump: tunnel {tid} does not join demand {f}'s "
+                                  "endpoints")
     rates = np.zeros(ts.total)
     for entry in a_entries:
-        f, k = int(entry["demand"]), int(entry["tunnel"])
-        rates[ts.by_demand[f][k]] = float(entry["value"])
-    delivered = np.array([float(v) for v in b])
-    if delivered.size != tm.n:
-        raise ValidationError("solution dump: delivered-flow vector length mismatch")
+        f, k, v = entry.get("demand"), entry.get("tunnel"), entry.get("value")
+        if not (_is_index(f, tm.n) and _is_index(k, len(ts.by_demand[f])) and _is_finite(v)):
+            raise ValidationError(f"solution dump: invalid tunnel rate {entry!r}")
+        rates[ts.by_demand[f][k]] = float(v)
+    delivered = np.array(b, dtype=float)
     loads = ts.incidence.T @ rates
-    return TeSolution(delivered, rates, loads, float(doc.get("solve_time", 0.0))), ts, tm
+    return TeSolution(delivered, rates, loads, float(solve_time)), ts, tm
 
 
 def load_solution(path: str | Path, topo: Topology):

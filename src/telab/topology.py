@@ -56,7 +56,7 @@ class Topology:
     def index_of(self, node_id: str) -> int:
         try:
             return self._node_index[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id read from JSON
             raise ValidationError(f"unknown node id {node_id!r}") from None
 
     @cached_property

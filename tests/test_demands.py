@@ -88,6 +88,14 @@ def test_generate_covers_every_ordered_pair():
     assert all(d.volume > 0 for d in tm.demands)
 
 
+@pytest.mark.parametrize("mu, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                       (1.0, math.inf), (1.0, 0.0), (1e308, 1.0)])
+def test_generate_needs_a_finite_fit_and_finite_volumes(mu, sigma):
+    topo = make_topology(["a", "b"], [("a", "b", 1)])
+    with pytest.raises(ValidationError, match="lognormal fit"):
+        generate_lognormal_tm(topo, LognormalFit(mu, sigma, 0), seed=1)
+
+
 def test_generate_deterministic(b4_topo):
     fit = LognormalFit(3.0, 1.2, 0)
     a = generate_lognormal_tm(b4_topo, fit, seed=7)

@@ -450,6 +450,9 @@ def test_config_validation():
     {"fit": {"mu": 1.0}, "tm": None},
     {"fit": {"sigma": 0.4}, "tm": None},
     {"fit": {"mu": "x", "sigma": 0.4}, "tm": None},
+    {"fit": {"mu": math.nan, "sigma": 1.0}, "tm": None},
+    {"fit": {"mu": 1.0, "sigma": math.inf}, "tm": None},
+    {"fit": {"mu": 1e308, "sigma": 1.0}, "tm": None},  # valid, but draws infinite volumes
 ])
 def test_cli_sweep_rejects_mistyped_config_fields(tmp_path, capsys, field):
     doc = {"topology": str(DATA / "diamond.json"), "tm": str(DATA / "diamond_tm.json"),
@@ -552,6 +555,59 @@ def test_cli_verify_passes_ffc_solution(tmp_path, capsys):
     capsys.readouterr()
     rc = cli_main(["verify", "--topo", str(DATA / "diamond.json"), "--solution", str(sol_path)])
     assert rc == 0
+
+
+MALFORMED_DUMPS = {  # each edits the diamond's FFC dump in place
+    "demand out of range": lambda doc: doc["a"][0].update(demand=99),
+    "negative demand": lambda doc: doc["a"][0].update(demand=-1),
+    "tunnel out of range": lambda doc: doc["a"][0].update(tunnel=7),
+    "rate without value": lambda doc: doc["a"][0].pop("value"),
+    "non-finite rate": lambda doc: doc["a"][0].update(value=math.nan),
+    "demand without src": lambda doc: doc["demands"][0].pop("src"),
+    "demand node id not a string": lambda doc: doc["demands"][0].update(src=["a"]),
+    "tunnel node id not a string": lambda doc: doc["tunnels"][0][0].append(["d"]),
+    "more tunnel lists than demands": lambda doc: doc["tunnels"].append(doc["tunnels"][0]),
+    "tunnel off its demand's source": lambda doc: doc["tunnels"][0][0].pop(0),
+    "tunnel without an arc": lambda doc: doc["tunnels"][0].append(["a"]),
+    "delivered flows not a list": lambda doc: doc.update(b="x"),
+}
+
+
+@pytest.fixture(scope="module")
+def diamond_ffc_dump(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dump") / "sol.json"
+    assert cli_main(["solve", "--topo", str(DATA / "diamond.json"),
+                     "--tm", str(DATA / "diamond_tm.json"), "--model", "ffc",
+                     "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_DUMPS, "not an object"])
+def test_cli_verify_rejects_a_malformed_dump(diamond_ffc_dump, tmp_path, capsys, case):
+    doc = json.loads(json.dumps(diamond_ffc_dump))
+    if case == "not an object":
+        doc = [doc]
+    else:
+        MALFORMED_DUMPS[case](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli_main(["verify", "--topo", str(DATA / "diamond.json"), "--solution", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--mu", "nan", "--sigma", "1"], ["--mu", "1", "--sigma", "nan"],
+                                   ["--mu", "inf", "--sigma", "1"], ["--mu", "1e308", "--sigma", "1"]])
+def test_cli_gen_tm_rejects_a_non_finite_fit(tmp_path, capsys, flags):
+    out = tmp_path / "gen.json"
+    rc = cli_main(["gen-tm", "--topo", str(DATA / "diamond.json"), *flags, "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: lognormal fit")
+    assert not out.exists()
 
 
 def test_cli_calibrate_and_tm_tools(tmp_path, capsys):

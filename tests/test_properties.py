@@ -105,8 +105,35 @@ def test_ffc_rows_match_literal_builder(inst, capacity_mode):
     assert lp_rows(model.problem) == ffc_rows_oracle(topo, tm, ts, scen, capacity_mode)
 
 
+def _path_instance():
+    """a-b-c-d with one a->c demand: no tunnel crosses c-d, the last template rows."""
+    topo = parse_topology(json.dumps({"name": "path", "nodes": [{"id": n} for n in "abcd"],
+                                      "links": [{"src": u, "dst": v, "capacity": 5.0}
+                                                for u, v in ("ab", "bc", "cd")]}))
+    tm = parse_tm(json.dumps({"demands": [{"src": "a", "dst": "c", "volume": 3.0}]}), topo)
+    ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(2))
+    return topo, tm, ts, enumerate_single_link_scenarios(topo)
+
+
+def _assert_stacks(got: sp.csr_matrix, wants: list[sp.csr_matrix]) -> None:
+    """``got`` holds the rows of ``wants`` in turn, with the same arrays and dtypes."""
+    row = 0
+    for want in wants:
+        ptr = got.indptr[row:row + want.shape[0] + 1]
+        lo, hi = ptr[0], ptr[-1]
+        assert (ptr - lo).tolist() == want.indptr.tolist()
+        assert got.indices[lo:hi].tolist() == want.indices.tolist()
+        assert got.data[lo:hi].tolist() == want.data.tolist()
+        assert [got.indptr.dtype, got.indices.dtype, got.data.dtype] == [
+            want.indptr.dtype, want.indices.dtype, want.data.dtype]
+        row += want.shape[0]
+    assert row == got.shape[0] and got.indptr[-1] == got.nnz
+
+
 @PROPERTY
 @given(instances(), st.sampled_from(["all", "normal_only"]))
+@example(_path_instance(), "all")
+@example(_path_instance(), "normal_only")
 def test_one_pass_ffc_build_equals_the_per_scenario_build(inst, capacity_mode):
     topo, tm, ts, scen = inst
     prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
@@ -114,6 +141,11 @@ def test_one_pass_ffc_build_equals_the_per_scenario_build(inst, capacity_mode):
     assert write_lp_text(prob) == write_lp_text(want)
     assert prob.implied.tolist() == want.implied.tolist()
     assert prob.simplex == want.simplex
+    # The oracle adds one block per scenario and kind: capacity, then delivery.
+    cap, own = (blk.matrix for blk in prob._blocks)
+    n_cap = len(want._blocks) - scen.n
+    _assert_stacks(cap, [blk.matrix for blk in want._blocks[:n_cap]])
+    _assert_stacks(own, [blk.matrix for blk in want._blocks[n_cap:]])
 
 
 @PROPERTY
