@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 usage error (argparse), 3 missing input file,
 4 schema or validation error, 5 verification found violations, 1 no optimum
-where one was required, or anything else unexpected.
+where one was required, a stdout closed by its reader, or anything else
+unexpected.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -218,7 +220,15 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def cli_main_entry() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does.  Point stdout at
+        # devnull so the interpreter's last flush cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

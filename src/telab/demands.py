@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_number, json_object, list_of, require
 from .topology import Topology
 
 
@@ -61,9 +60,9 @@ def _demands_from_rows(rows, topo: Topology) -> TrafficMatrix:
             raise ValidationError(f"demand with equal endpoints {src_id!r}")
         if (s, t) in seen:
             raise ValidationError(f"duplicate demand {src_id!r} -> {dst_id!r}")
-        if not (isinstance(volume, (int, float)) and math.isfinite(volume) and volume >= 0):
-            raise ValidationError(
-                f"demand {src_id!r} -> {dst_id!r}: volume must be a nonnegative number, got {volume!r}")
+        if not (is_number(volume) and volume >= 0):
+            raise ValidationError(f"demand {src_id!r} -> {dst_id!r}: "
+                                  f"volume must be a nonnegative number, got {volume!r}")
         seen.add((s, t))
         demands.append(Demand(len(demands), s, t, float(volume)))
     return TrafficMatrix(tuple(demands))
@@ -76,35 +75,24 @@ def parse_tm(text: str, topo: Topology) -> TrafficMatrix:
     (extra top-level keys such as generation metadata are ignored).  CSV form:
     header row ``src,dst,volume`` followed by one row per demand.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed traffic matrix document: {e}") from e
-        entries = doc.get("demands")
-        if not isinstance(entries, list):
-            raise ValidationError("missing or invalid 'demands' list")
-        rows = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ValidationError(f"invalid demand entry {entry!r}")
-            rows.append((entry.get("src"), entry.get("dst"), entry.get("volume")))
-        return _demands_from_rows(rows, topo)
+    if text.lstrip().startswith("{"):
+        doc = json_object(text, "traffic matrix document")
+        entries = list_of(doc, "demands", lambda e: isinstance(e, dict), "objects")
+        return _demands_from_rows([(e.get("src"), e.get("dst"), e.get("volume")) for e in entries],
+                                  topo)
 
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise ValidationError("empty traffic matrix document") from None
-    if [h.strip().lower() for h in header] != ["src", "dst", "volume"]:
-        raise ValidationError(f"expected CSV header 'src,dst,volume', got {header!r}")
+    require([h.strip().lower() for h in header] == ["src", "dst", "volume"],
+            f"expected CSV header 'src,dst,volume', got {header!r}")
     rows = []
     for line in reader:
         if not line or all(not cell.strip() for cell in line):
             continue
-        if len(line) != 3:
-            raise ValidationError(f"malformed CSV row {line!r}")
+        require(len(line) == 3, f"malformed CSV row {line!r}")
         try:
             vol = float(line[2])
         except ValueError:
@@ -146,9 +134,9 @@ def fit_lognormal(tm: TrafficMatrix) -> LognormalFit:
 
 def check_lognormal_fit(fit: LognormalFit) -> None:
     """Raise ``ValidationError`` unless mu is finite and sigma finite and positive."""
-    if not (math.isfinite(fit.mu) and math.isfinite(fit.sigma) and fit.sigma > 0):
-        raise ValidationError(f"lognormal fit needs a finite mu and a finite sigma > 0, "
-                              f"got mu={fit.mu!r}, sigma={fit.sigma!r}")
+    require(is_number(fit.mu) and is_number(fit.sigma) and fit.sigma > 0,
+            f"lognormal fit needs a finite mu and a finite sigma > 0, "
+            f"got mu={fit.mu!r}, sigma={fit.sigma!r}")
 
 
 def generate_lognormal_tm(topo: Topology, fit: LognormalFit, seed: int) -> TrafficMatrix:
@@ -174,8 +162,8 @@ def generate_lognormal_tm(topo: Topology, fit: LognormalFit, seed: int) -> Traff
 
 def scale_tm(tm: TrafficMatrix, factor: float) -> TrafficMatrix:
     """Multiply every demand volume by ``factor`` (>= 0)."""
-    if not (isinstance(factor, (int, float)) and math.isfinite(factor) and factor >= 0):
-        raise ValidationError(f"demand scale factor must be nonnegative, got {factor!r}")
+    require(is_number(factor) and factor >= 0,
+            f"demand scale factor must be nonnegative, got {factor!r}")
     demands = tuple(
         Demand(d.id, d.src, d.dst, d.volume * float(factor)) for d in tm.demands
     )

@@ -31,7 +31,7 @@ from pathlib import Path
 from . import __version__
 from .demands import (TrafficMatrix, LognormalFit, check_lognormal_fit, generate_lognormal_tm,
                       load_tm, scale_tm)
-from .errors import SolveError, ValidationError
+from .errors import SolveError, is_index, is_number, json_object, require
 from .lpcore import BACKENDS, OPTIMAL, solve
 from .metrics import METRIC_COLUMNS, MetricsReport, compute_metrics
 from .temodels import (
@@ -78,10 +78,6 @@ RESULT_COLUMNS = [
 TIMING_COLUMNS = ("build_time", "solver_time")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
     topology: str
@@ -98,55 +94,54 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if not isinstance(self.scales, list) or not all(map(_is_number, self.scales)):
-            raise ValidationError(f"scales must be a list of numbers, got {self.scales!r}")
-        for name in ("seed", "workers"):
+        require(isinstance(self.topology, str),
+                f"topology must be a path string, got {self.topology!r}")
+        for name in ("tm", "out_dir"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not _is_number(self.capacity_scale):
-            raise ValidationError(f"capacity_scale must be a number, got {self.capacity_scale!r}")
-        if not self.models or any(m not in MODELS for m in self.models):
-            raise ValidationError(f"models must be a nonempty subset of {MODELS}")
-        if not self.policies or not all(isinstance(p, str) for p in self.policies):
-            raise ValidationError("policies must be a nonempty list of policy strings")
+            require(value is None or isinstance(value, str),
+                    f"{name} must be a path string or null, got {value!r}")
+        require(isinstance(self.scales, list) and all(map(is_number, self.scales)),
+                f"scales must be a list of finite numbers, got {self.scales!r}")
+        for name, least in (("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            require(is_index(value, math.inf) and value >= least,
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        require(is_number(self.capacity_scale),
+                f"capacity_scale must be a finite number, got {self.capacity_scale!r}")
+        require(isinstance(self.models, list) and self.models
+                and all(m in MODELS for m in self.models),
+                f"models must be a nonempty subset of {MODELS}")
+        require(isinstance(self.policies, list) and self.policies
+                and all(isinstance(p, str) for p in self.policies),
+                "policies must be a nonempty list of policy strings")
         labels = [parse_policy(p).label for p in self.policies]
-        if len(set(labels)) < len(labels):
-            raise ValidationError(f"policies name the same tunnel policy twice: {labels}")
-        if not self.scales or not all(math.isfinite(s) and s > 0 for s in self.scales):
-            raise ValidationError(f"scales must be finite and positive, got {self.scales}")
-        if len(set(self.scales)) < len(self.scales):
-            raise ValidationError(f"scales repeat a value: {self.scales}")
-        if self.tm is None and self.fit is None:
-            raise ValidationError("config needs a tm path or a lognormal fit")
+        require(len(set(labels)) == len(labels),
+                f"policies name the same tunnel policy twice: {labels}")
+        require(self.scales and all(s > 0 for s in self.scales),
+                f"scales must be positive, got {self.scales}")
+        require(len(set(self.scales)) == len(self.scales), f"scales repeat a value: {self.scales}")
+        require(self.tm is not None or self.fit is not None,
+                "config needs a tm path or a lognormal fit")
         if self.fit is not None:
             check_lognormal_fit(self.fit)
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-        if self.backend not in BACKENDS:
-            raise ValidationError(f"unknown backend {self.backend!r}")
-        if self.capacity_mode not in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY):
-            raise ValidationError(f"unknown capacity mode {self.capacity_mode!r}")
+        require(isinstance(self.backend, str) and self.backend in BACKENDS,
+                f"unknown backend {self.backend!r}")
+        require(self.capacity_mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY),
+                f"unknown capacity mode {self.capacity_mode!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed experiment config: {e}") from e
-        if not isinstance(doc, dict):
-            raise ValidationError(f"experiment config must be a JSON object, got {doc!r}")
+        doc = json_object(text, "experiment config")
         kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
-        if "topology" not in kwargs:
-            raise ValidationError("experiment config needs a 'topology' path")
+        require("topology" in kwargs, "experiment config needs a 'topology' path")
         fit = kwargs.get("fit")  # null, as a manifest writes a config without a fit
         if fit is not None:
-            try:
-                kwargs["fit"] = LognormalFit(float(fit["mu"]), float(fit["sigma"]),
-                                             int(fit.get("n_samples", 0)))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValidationError(
-                    f"fit needs numeric 'mu' and 'sigma', got {fit!r}") from e
+            require(isinstance(fit, dict) and is_number(fit.get("mu"))
+                    and is_number(fit.get("sigma")) and is_index(fit.get("n_samples", 0), math.inf),
+                    f"fit needs numeric 'mu' and 'sigma' and an integer 'n_samples' >= 0, "
+                    f"got {fit!r}")
+            kwargs["fit"] = LognormalFit(float(fit["mu"]), float(fit["sigma"]),
+                                         fit.get("n_samples", 0))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

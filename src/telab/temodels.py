@@ -16,7 +16,6 @@ modes also solve the same working rows, while the LP keeps every literal row.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ import scipy.sparse as sp
 
 from . import lpcore
 from .demands import TrafficMatrix, _demands_from_rows
-from .errors import SolveError, ValidationError
+from .errors import SolveError, ValidationError, is_index, is_number, json_object, list_of, require
 from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution, NameRule
 from .topology import Topology
 from .tunnels import ScenarioSet, TunnelSet, make_tunnel_set, surviving_tunnels
@@ -213,10 +212,9 @@ def build_ffc_lp(
     scenario's row of the same demand implies (``_implied_delivery``).  Both
     capacity modes therefore solve the same working rows.
     """
-    if capacity_mode not in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY):
-        raise ValidationError(f"unknown capacity mode {capacity_mode!r}")
-    if scen.n == 0 or scen.dead[0].nnz:
-        raise ValidationError("scenario set must start with the normal state")
+    require(capacity_mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY),
+            f"unknown capacity mode {capacity_mode!r}")
+    require(scen.n > 0 and not scen.dead[0].nnz, "scenario set must start with the normal state")
     prob = _base_problem(topo, tm, ts, "ffc")
     prob.simplex = "primal"  # starts at the feasible x = 0; TE stays faster on the dual
     arcs, own = _row_templates(ts)
@@ -336,43 +334,26 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
     return doc
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_index(value, n: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n
-
-
-def _dump_list(doc: dict, key: str, ok, what: str) -> list:
-    items = doc.get(key)
-    if not isinstance(items, list) or not all(map(ok, items)):
-        raise ValidationError(f"solution dump: {key!r} must be a list of {what}")
-    return items
-
-
 def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet, TrafficMatrix]:
-    """Rebuild flows, tunnels, and demands from a dump for verification.
+    """Rebuild flows, tunnels, and demands from a dump (a decoded JSON object,
+    as ``load_solution`` reads it) for verification.
 
     Every field is checked: a malformed dump raises ``ValidationError``, and
     an index out of range is never read as another demand's or tunnel's rate.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError(f"solution dump must be a JSON object, got {type(doc).__name__}")
-    entries = _dump_list(doc, "demands", lambda d: isinstance(d, dict), "objects")
-    tunnel_paths = _dump_list(
+    entries = list_of(doc, "demands", lambda d: isinstance(d, dict), "objects")
+    tunnel_paths = list_of(
         doc, "tunnels", lambda ps: isinstance(ps, list) and all(isinstance(p, list) for p in ps),
         "lists of node-id paths")
-    b = _dump_list(doc, "b", _is_finite, "finite numbers")
-    a_entries = _dump_list(doc, "a", lambda e: isinstance(e, dict), "objects")
+    b = list_of(doc, "b", is_number, "finite numbers")
+    a_entries = list_of(doc, "a", lambda e: isinstance(e, dict), "objects")
     solve_time = doc.get("solve_time", 0.0)
-    if not _is_finite(solve_time):
-        raise ValidationError(f"solution dump: 'solve_time' must be a number, got {solve_time!r}")
+    require(is_number(solve_time),
+            f"solution dump: 'solve_time' must be a number, got {solve_time!r}")
     tm = _demands_from_rows([(d.get("src"), d.get("dst"), d.get("volume")) for d in entries],
                             topo)
-    if not len(tunnel_paths) == len(b) == tm.n:
-        raise ValidationError(f"solution dump: {tm.n} demands, {len(tunnel_paths)} tunnel "
-                              f"lists and {len(b)} delivered flows")
+    require(len(tunnel_paths) == len(b) == tm.n, f"solution dump: {tm.n} demands, "
+            f"{len(tunnel_paths)} tunnel lists and {len(b)} delivered flows")
     ts = make_tunnel_set(
         topo, str(doc.get("policy", "")),
         [[tuple(topo.index_of(n) for n in path) for path in paths] for paths in tunnel_paths])
@@ -384,7 +365,7 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
     rates = np.zeros(ts.total)
     for entry in a_entries:
         f, k, v = entry.get("demand"), entry.get("tunnel"), entry.get("value")
-        if not (_is_index(f, tm.n) and _is_index(k, len(ts.by_demand[f])) and _is_finite(v)):
+        if not (is_index(f, tm.n) and is_index(k, len(ts.by_demand[f])) and is_number(v)):
             raise ValidationError(f"solution dump: invalid tunnel rate {entry!r}")
         rates[ts.by_demand[f][k]] = float(v)
     delivered = np.array(b, dtype=float)
@@ -393,8 +374,4 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
 
 
 def load_solution(path: str | Path, topo: Topology):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed solution dump: {e}") from e
-    return solution_from_dict(doc, topo)
+    return solution_from_dict(json_object(Path(path).read_text(), "solution dump"), topo)

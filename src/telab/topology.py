@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, is_number, json_object, list_of, require
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,6 @@ class Topology:
         return np.array([a.capacity for a in self.arcs], dtype=float)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
-
-
 def parse_topology(text: str) -> Topology:
     """Parse and validate a topology JSON document.
 
@@ -121,47 +116,39 @@ def parse_topology(text: str) -> Topology:
     fewest hops.  Unknown top-level keys are ignored so instance files can
     carry provenance metadata.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed topology document: {e}") from e
-    _require(isinstance(doc, dict), "topology document must be a JSON object")
-    _require(isinstance(doc.get("nodes"), list), "missing or invalid 'nodes' list")
-    _require(isinstance(doc.get("links"), list), "missing or invalid 'links' list")
+    doc = json_object(text, "topology document")
+    nodes = list_of(doc, "nodes", lambda e: isinstance(e, dict) and isinstance(e.get("id"), str),
+                    "objects with a string 'id'")
+    links = list_of(doc, "links", lambda e: isinstance(e, dict), "objects")
 
-    node_ids: list[str] = []
-    seen: set[str] = set()
-    for entry in doc["nodes"]:
-        _require(isinstance(entry, dict) and isinstance(entry.get("id"), str),
-                 f"invalid node entry {entry!r}")
+    index: dict[str, int] = {}
+    for entry in nodes:
         nid = entry["id"]
-        _require(nid not in seen, f"duplicate node id {nid!r}")
-        seen.add(nid)
-        node_ids.append(nid)
-    index = {nid: i for i, nid in enumerate(node_ids)}
+        require(nid not in index, f"duplicate node id {nid!r}")
+        index[nid] = len(index)
 
     arcs: list[Arc] = []
     seen_pairs: set[frozenset[int]] = set()
-    for li, entry in enumerate(doc["links"]):
-        _require(isinstance(entry, dict), f"invalid link entry {entry!r}")
+    for li, entry in enumerate(links):
         for key in ("src", "dst"):
-            _require(entry.get(key) in index, f"link {li}: unknown endpoint {entry.get(key)!r}")
+            end = entry.get(key)
+            require(isinstance(end, str) and end in index, f"link {li}: unknown endpoint {end!r}")
         u, v = index[entry["src"]], index[entry["dst"]]
-        _require(u != v, f"link {li}: self-loop on {entry['src']!r}")
+        require(u != v, f"link {li}: self-loop on {entry['src']!r}")
         pair = frozenset((u, v))
-        _require(pair not in seen_pairs,
-                 f"link {li}: duplicate link between {entry['src']!r} and {entry['dst']!r}")
+        require(pair not in seen_pairs,
+                f"link {li}: duplicate link between {entry['src']!r} and {entry['dst']!r}")
         seen_pairs.add(pair)
         cap = entry.get("capacity")
-        _require(isinstance(cap, (int, float)) and math.isfinite(cap) and cap > 0,
-                 f"link {li}: capacity must be a positive number, got {cap!r}")
+        require(is_number(cap) and cap > 0,
+                f"link {li}: capacity must be a positive number, got {cap!r}")
         weight = entry.get("weight", 1.0)
-        _require(isinstance(weight, (int, float)) and math.isfinite(weight) and weight >= 0,
-                 f"link {li}: weight must be a nonnegative number, got {weight!r}")
+        require(is_number(weight) and weight >= 0,
+                f"link {li}: weight must be a nonnegative number, got {weight!r}")
         arcs.append(Arc(2 * li, u, v, float(cap), float(weight), li))
         arcs.append(Arc(2 * li + 1, v, u, float(cap), float(weight), li))
 
-    return Topology(str(doc.get("name", "")), tuple(node_ids), tuple(arcs))
+    return Topology(str(doc.get("name", "")), tuple(index), tuple(arcs))
 
 
 def serialize_topology(topo: Topology) -> str:
@@ -189,8 +176,8 @@ def load_topology(path: str | Path) -> Topology:
 
 def scale_capacities(topo: Topology, factor: float) -> Topology:
     """Return a copy with every arc capacity multiplied by ``factor`` (> 0)."""
-    if not (isinstance(factor, (int, float)) and math.isfinite(factor) and factor > 0):
-        raise ValidationError(f"capacity scale factor must be positive, got {factor!r}")
+    require(is_number(factor) and factor > 0,
+            f"capacity scale factor must be positive, got {factor!r}")
     arcs = tuple(
         Arc(a.id, a.src, a.dst, a.capacity * float(factor), a.weight, a.pair_id)
         for a in topo.arcs

@@ -45,12 +45,28 @@ def test_empty_tm_is_valid(line3):
         ([("a", "c", 1.0), ("a", "c", 2.0)], "duplicate"),
         ([("a", "c", -1.0)], "volume"),
         ([("a", "zz", 1.0)], "unknown node"),
+        ([("a", "c", True)], "volume"),
     ],
 )
 def test_parse_validation(line3, rows, msg):
     doc = {"demands": [{"src": s, "dst": t, "volume": v} for s, t, v in rows]}
     with pytest.raises(ValidationError, match=msg):
         parse_tm(json.dumps(doc), line3)
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("{not json", "malformed traffic matrix document"),
+    ('{"demands": 5}', "'demands' must be a list of objects"),
+    ('{"demands": [5]}', "'demands' must be a list of objects"),
+    ("", "empty traffic matrix document"),
+    ("source,dest,volume\n", "expected CSV header"),
+    ("src,dst,volume\na,c\n", "malformed CSV row"),
+    ("src,dst,volume\na,c,lots\n", "non-numeric volume"),
+    ("src,dst,volume\na,c,nan\n", "volume must be a nonnegative number"),
+])
+def test_parse_rejects_malformed_text(line3, text, msg):
+    with pytest.raises(ValidationError, match=msg):
+        parse_tm(text, line3)
 
 
 def test_fit_two_point_analytic(line3):

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +456,16 @@ def test_config_validation():
     {"fit": {"mu": math.nan, "sigma": 1.0}, "tm": None},
     {"fit": {"mu": 1.0, "sigma": math.inf}, "tm": None},
     {"fit": {"mu": 1e308, "sigma": 1.0}, "tm": None},  # valid, but draws infinite volumes
+    {"topology": 7},
+    {"tm": 5},
+    {"out_dir": 3},
+    {"backend": ["scipy"]},
+    {"models": 5},
+    {"policies": 5},
+    {"seed": -1},
+    {"fit": {"mu": "3.0", "sigma": 0.4}, "tm": None},
+    {"fit": {"mu": 1.0, "sigma": True}, "tm": None},
+    {"fit": {"mu": 1.0, "sigma": 0.4, "n_samples": 2.7}, "tm": None},
 ])
 def test_cli_sweep_rejects_mistyped_config_fields(tmp_path, capsys, field):
     doc = {"topology": str(DATA / "diamond.json"), "tm": str(DATA / "diamond_tm.json"),
@@ -530,6 +543,37 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     assert (tmp_path / "out" / "results.csv").exists()
 
 
+def test_cli_sweep_overrides_reach_the_rows_and_the_manifest(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"topology": str(DATA / "diamond.json"),
+                                    "tm": str(DATA / "diamond_tm.json"), "models": ["te"],
+                                    "policies": ["fixed:2"]}))
+    out = tmp_path / "D"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--backend", "scipy", "--seed", "3", "--scales", "1.0"]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "results.csv").read_text())))
+    assert [(r["backend"], r["seed"], r["scale"]) for r in rows] == [("scipy", "3", "1.0")]
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["out_dir"], config["backend"], config["seed"], config["scales"]) == (
+        str(out), "scipy", 3, [1.0])
+
+
+def test_cli_entry_ends_quietly_when_stdout_is_closed():
+    # ``telab solve ... | head -1``: the B4 TE document (about 88 kB) overfills
+    # the pipe, so the write after the reader has gone fails.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    with subprocess.Popen(
+            [sys.executable, "-m", "telab.cli", "solve", "--topo", str(DATA / "b4.json"),
+             "--tm", str(DATA / "b4_tm.json"), "--model", "te", "--backend", "scipy"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""  # no traceback and no "Exception ignored" line
+
+
 def test_cli_verify_flags_te_solution(tmp_path, capsys):
     sol_path = tmp_path / "sol.json"
     rc = cli_main([
@@ -570,6 +614,8 @@ MALFORMED_DUMPS = {  # each edits the diamond's FFC dump in place
     "tunnel off its demand's source": lambda doc: doc["tunnels"][0][0].pop(0),
     "tunnel without an arc": lambda doc: doc["tunnels"][0].append(["a"]),
     "delivered flows not a list": lambda doc: doc.update(b="x"),
+    "demand volume a boolean": lambda doc: doc["demands"][0].update(volume=True),
+    "tunnel over a missing arc": lambda doc: doc["tunnels"][0].append(["a", "d"]),
 }
 
 

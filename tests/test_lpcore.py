@@ -236,6 +236,10 @@ def test_problem_validation():
         p.add_constraint([(x, 1.0)], "<=", math.inf)
     with pytest.raises(ValidationError):
         p.set_objective([(7, 1.0)])
+    with pytest.raises(ValidationError, match="non-finite coefficient"):
+        p.set_objective([(x, math.nan)])
+    with pytest.raises(ValidationError, match="row block: 1 rows, 2 rhs"):
+        p.add_rows(sp.csr_matrix([[1.0]]), "<=", [1.0, 2.0], ["r0"])
     with pytest.raises(ValidationError):
         solve(p, backend="nope")
     assert LpProblem().simplex == "dual"
@@ -245,6 +249,45 @@ def test_problem_validation():
         for backend in sorted(BACKENDS):
             with pytest.raises(ValidationError, match="unknown simplex 'barrier'"):
                 solve(q, backend)
+
+
+def degenerate_box_lp(n=400):
+    """Zero objective, rows ``x_i >= 1`` over ``0 <= x_i <= 2``: every pivot
+    of the bundled simplex from its slack start is degenerate."""
+    p = LpProblem("degenerate")
+    p.add_vars([f"x{i}" for i in range(n)], np.zeros(n), np.full(n, 2.0))
+    p.add_rows(sp.identity(n, format="csr"), ">=", np.ones(n), [f"r{i}" for i in range(n)])
+    return p
+
+
+def test_stalled_pivots_hand_over_to_blands_rule():
+    bland_at = set()  # iteration counts at which a pass of optimize ran under Bland's rule
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name != "optimize":
+            return None
+
+        def line(f, e, a):
+            if f.f_locals.get("bland"):
+                bland_at.add(f.f_locals["self"].iterations)
+            return line
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        sol = solve(degenerate_box_lp())
+    finally:
+        sys.settrace(previous)
+    assert (sol.status, sol.iterations) == (OPTIMAL, 400)
+    assert (sol.values == 1.0).all()
+    assert min(bland_at) == 299  # from the 300th degenerate pivot on
+
+
+def test_iteration_cap_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(lpcore, "MAX_ITERATIONS", 5)
+    sol = solve(degenerate_box_lp())
+    assert (sol.status, sol.iterations) == (NUMERICAL_FAILURE, 5)
 
 
 @pytest.mark.parametrize("lb,ub", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),

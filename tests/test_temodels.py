@@ -22,7 +22,7 @@ from telab import (
     solve_model,
     verify_congestion_free,
 )
-from telab.errors import SolveError
+from telab.errors import SolveError, ValidationError
 from telab.lpcore import _standardize, check_feasibility, solve, write_lp_text
 from telab.temodels import (
     CAPACITY_MODE_ALL,
@@ -32,6 +32,7 @@ from telab.temodels import (
     solution_from_dict,
     solution_to_dict,
 )
+from telab.tunnels import ScenarioSet
 from conftest import make_tm, make_topology, random_te_instance, syn_topology
 from oracles import (ffc_implied_oracle, ffc_lp_oracle, path_arcs,
                      vertex_enumeration_optimum)
@@ -105,6 +106,16 @@ def test_ffc_marks_keep_the_normal_row_of_an_unroutable_demand():
     assert "del_f0_q0" in [name for name, m in zip(model.problem.row_names,
                                                    model.problem.implied) if not m]
     assert solve_model(model).delivered.tolist() == [0.0, 0.0]
+
+
+def test_ffc_builder_rejects_an_unknown_mode_and_a_set_without_the_normal_state(
+        diamond_topo, diamond_tm):
+    ts, scen = diamond_setup(diamond_topo, diamond_tm)
+    with pytest.raises(ValidationError, match="unknown capacity mode 'some'"):
+        build_ffc_lp(diamond_topo, diamond_tm, ts, scen, "some")
+    for dead in (scen.dead[1:], scen.dead[:0]):
+        with pytest.raises(ValidationError, match="must start with the normal state"):
+            build_ffc_lp(diamond_topo, diamond_tm, ts, ScenarioSet(dead))
 
 
 def test_extract_requires_optimal():

@@ -51,6 +51,10 @@ def test_roundtrip(b4_topo):
         (lambda d: d["links"].append({"src": "b", "dst": "a", "capacity": 1}), "duplicate link"),
         (lambda d: d["links"].__setitem__(0, {"src": "a", "dst": "b", "capacity": 0}), "capacity"),
         (lambda d: d["links"].__setitem__(0, {"src": "a", "dst": "b", "capacity": -3}), "capacity"),
+        (lambda d: d["links"][0].update(capacity=True), "capacity"),
+        (lambda d: d["links"][0].update(capacity=10**400), "capacity"),
+        (lambda d: d["links"][0].update(weight=False), "weight"),
+        pytest.param(lambda d: d["links"][0].update(src=["a"]), "unknown endpoint", id="non-string endpoint"),
     ],
 )
 def test_validation_errors(mutate, msg):
@@ -67,6 +71,17 @@ def test_validation_errors(mutate, msg):
 def test_malformed_document_is_validation_error():
     with pytest.raises(ValidationError, match="malformed"):
         parse_topology("{not json")
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("[]", r"topology document must be a JSON object, got \[\]"),
+    ('{"nodes": {}, "links": []}', "'nodes' must be a list"),
+    ('{"nodes": [{"id": 1}], "links": []}', "'nodes' must be a list of objects with a string 'id'"),
+    ('{"nodes": [], "links": [5]}', "'links' must be a list of objects"),
+])
+def test_document_shape_errors(text, msg):
+    with pytest.raises(ValidationError, match=msg):
+        parse_topology(text)
 
 
 def test_scale_capacities_identity_and_arithmetic():

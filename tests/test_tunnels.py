@@ -245,6 +245,8 @@ def test_adaptive_policy_validation():
         AdaptiveTunnelPolicy((5, 4, 3))  # nondecreasing
     with pytest.raises(ValidationError):
         FixedTunnelPolicy(0)
+    with pytest.raises(ValidationError, match="at least one group"):
+        AdaptiveTunnelPolicy(())
 
 
 def test_parse_policy_labels():
@@ -253,6 +255,10 @@ def test_parse_policy_labels():
     assert parse_policy("adaptive:2-4-6") == AdaptiveTunnelPolicy((2, 4, 6))
     with pytest.raises(ValidationError):
         parse_policy("nope")
+    with pytest.raises(ValidationError, match="invalid fixed tunnel policy 'fixed:x'"):
+        parse_policy("fixed:x")
+    with pytest.raises(ValidationError, match="invalid adaptive tunnel policy 'adaptive:3-x'"):
+        parse_policy("adaptive:3-x")
 
 
 def test_adaptive_total_never_exceeds_fixed5(b4_topo, b4_tm):
