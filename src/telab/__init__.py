@@ -34,7 +34,6 @@ from .topology import Arc, Topology, load_topology, parse_topology, scale_capaci
 from .tunnels import (
     AdaptiveTunnelPolicy,
     FixedTunnelPolicy,
-    ScenarioSet,
     TunnelSet,
     build_tunnel_sets,
     enumerate_single_link_scenarios,
@@ -57,7 +56,6 @@ __all__ = [
     "generate_lognormal_tm",
     "scale_tm",
     "TunnelSet",
-    "ScenarioSet",
     "FixedTunnelPolicy",
     "AdaptiveTunnelPolicy",
     "k_shortest_paths",

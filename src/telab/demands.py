@@ -11,18 +11,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, is_number, json_object, list_of, require
+from .errors import ValidationError, is_index, is_number, json_object, list_of, require
 from .topology import Topology
 
 
 @dataclass(frozen=True)
 class Demand:
-    id: int
+    """One demand, named by its position in ``TrafficMatrix.demands``."""
+
     src: int
     dst: int
     volume: float
@@ -64,7 +66,7 @@ def _demands_from_rows(rows, topo: Topology) -> TrafficMatrix:
             raise ValidationError(f"demand {src_id!r} -> {dst_id!r}: "
                                   f"volume must be a nonnegative number, got {volume!r}")
         seen.add((s, t))
-        demands.append(Demand(len(demands), s, t, float(volume)))
+        demands.append(Demand(s, t, float(volume)))
     return TrafficMatrix(tuple(demands))
 
 
@@ -147,6 +149,7 @@ def generate_lognormal_tm(topo: Topology, fit: LognormalFit, seed: int) -> Traff
     ``numpy.random.default_rng(seed)``.
     """
     check_lognormal_fit(fit)
+    require(is_index(seed, math.inf), f"seed must be an integer >= 0, got {seed!r}")
     n = topo.n_nodes
     pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
     rng = np.random.default_rng(seed)
@@ -154,17 +157,15 @@ def generate_lognormal_tm(topo: Topology, fit: LognormalFit, seed: int) -> Traff
     if not np.isfinite(vols).all():
         raise ValidationError(f"lognormal fit mu={fit.mu!r}, sigma={fit.sigma!r} "
                               "draws volumes too large for a float")
-    demands = tuple(
-        Demand(i, s, t, float(v)) for i, ((s, t), v) in enumerate(zip(pairs, vols))
-    )
-    return TrafficMatrix(demands)
+    return TrafficMatrix(tuple(Demand(s, t, float(v)) for (s, t), v in zip(pairs, vols)))
 
 
 def scale_tm(tm: TrafficMatrix, factor: float) -> TrafficMatrix:
-    """Multiply every demand volume by ``factor`` (>= 0)."""
+    """Multiply every demand volume by ``factor`` (>= 0); a product too large
+    for a float is a ``ValidationError``."""
     require(is_number(factor) and factor >= 0,
             f"demand scale factor must be nonnegative, got {factor!r}")
-    demands = tuple(
-        Demand(d.id, d.src, d.dst, d.volume * float(factor)) for d in tm.demands
-    )
-    return TrafficMatrix(demands)
+    require(is_number(max((d.volume for d in tm.demands), default=0.0) * float(factor)),
+            f"demand scale factor {factor!r} makes a volume too large for a float")
+    return TrafficMatrix(tuple(replace(d, volume=d.volume * float(factor))
+                               for d in tm.demands))

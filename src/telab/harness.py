@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
+import scipy.sparse as sp
+
 from . import __version__
 from .demands import (TrafficMatrix, LognormalFit, check_lognormal_fit, generate_lognormal_tm,
                       load_tm, scale_tm)
@@ -45,13 +47,7 @@ from .temodels import (
     verify_congestion_free,
 )
 from .topology import Topology, load_topology, scale_capacities
-from .tunnels import (
-    ScenarioSet,
-    TunnelSet,
-    build_tunnel_sets,
-    enumerate_single_link_scenarios,
-    parse_policy,
-)
+from .tunnels import TunnelSet, build_tunnel_sets, enumerate_single_link_scenarios, parse_policy
 
 log = logging.getLogger(__name__)
 
@@ -180,9 +176,7 @@ def calibrate_capacities(topo: Topology, tm: TrafficMatrix, ts, *,
     tunnels cannot be delivered at any capacity; they are excluded from the
     target volume (and reported via the tunnel set's ``unroutable`` list).
     """
-    routable_total = sum(
-        d.volume for d in tm.demands if ts.by_demand[d.id]
-    )
+    routable_total = sum(d.volume for d, ids in zip(tm.demands, ts.by_demand) if ids)
     if routable_total <= 0:
         return 1.0
     lp_sol = solve(build_calibration_lp(topo, tm, ts), backend)
@@ -192,7 +186,7 @@ def calibrate_capacities(topo: Topology, tm: TrafficMatrix, ts, *,
 
 
 def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
-                 scen: ScenarioSet | None, tunnel_sets: dict[str, TunnelSet | None],
+                 scen: sp.csr_matrix | None, tunnel_sets: dict[str, TunnelSet | None],
                  model_kind: str, policy: str, scale: float) -> ResultRow:
     """One sweep point: scale the matrix, build, solve, verify, measure and dump.
 

@@ -28,7 +28,7 @@ from .demands import TrafficMatrix, _demands_from_rows
 from .errors import SolveError, ValidationError, is_index, is_number, json_object, list_of, require
 from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution, NameRule
 from .topology import Topology
-from .tunnels import ScenarioSet, TunnelSet, make_tunnel_set, surviving_tunnels
+from .tunnels import TunnelSet, make_tunnel_set, surviving_tunnels
 
 CAPACITY_MODE_ALL = "all"
 CAPACITY_MODE_NORMAL_ONLY = "normal_only"
@@ -70,7 +70,7 @@ class TeSolution:
 class Violation:
     scenario: int
     kind: str  # "capacity" | "delivery"
-    index: int  # arc id or demand id
+    index: int  # arc or demand
     amount: float  # positive violation magnitude
 
 
@@ -84,10 +84,10 @@ class CongestionReport:
 def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet, name: str) -> LpProblem:
     prob = LpProblem(name=name)
     names = ([f"a_{f}_{tid}" for tid, f in enumerate(ts.demand_of.tolist())]
-             + [f"b_{d.id}" for d in tm.demands])
-    volumes = [d.volume if ts.by_demand[d.id] else 0.0 for d in tm.demands]
+             + [f"b_{f}" for f in range(tm.n)])
+    volumes = [d.volume if ids else 0.0 for d, ids in zip(tm.demands, ts.by_demand)]
     prob.add_vars(names, np.zeros(len(names)), np.r_[np.full(ts.total, math.inf), volumes])
-    prob.set_objective([(ts.total + d.id, 1.0) for d in tm.demands], maximize=True)
+    prob.set_objective([(ts.total + f, 1.0) for f in range(tm.n)], maximize=True)
     return prob
 
 
@@ -197,11 +197,13 @@ def build_ffc_lp(
     topo: Topology,
     tm: TrafficMatrix,
     ts: TunnelSet,
-    scen: ScenarioSet,
+    scen: sp.csr_matrix,
     capacity_mode: str = CAPACITY_MODE_ALL,
 ) -> TeModel:
     """Resilient model: delivery must hold on surviving tunnels of every scenario.
 
+    ``scen`` is the scenario x arc matrix of dead arcs that
+    ``enumerate_single_link_scenarios`` returns, row 0 the normal state.
     Tunnel rates are shared across scenarios.  A demand with no surviving
     tunnel in some scenario gets its admitted flow forced to zero by the
     empty-sum delivery row.
@@ -214,7 +216,8 @@ def build_ffc_lp(
     """
     require(capacity_mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY),
             f"unknown capacity mode {capacity_mode!r}")
-    require(scen.n > 0 and not scen.dead[0].nnz, "scenario set must start with the normal state")
+    n_scen = scen.shape[0]
+    require(n_scen > 0 and not scen[0].nnz, "scenario set must start with the normal state")
     prob = _base_problem(topo, tm, ts, "ffc")
     prob.simplex = "primal"  # starts at the feasible x = 0; TE stays faster on the dual
     arcs, own = _row_templates(ts)
@@ -223,15 +226,15 @@ def build_ffc_lp(
 
     # Rows in scenario order: the alive arcs' capacity rows, then every
     # demand's delivery row, each over the scenario's surviving tunnels.
-    n_cap = scen.n if capacity_mode == CAPACITY_MODE_ALL else 1
-    live_arcs = scen.dead[:n_cap].toarray() == 0
+    n_cap = n_scen if capacity_mode == CAPACITY_MODE_ALL else 1
+    live_arcs = scen[:n_cap].toarray() == 0
     cells = np.flatnonzero(live_arcs)  # q * n_arcs + e of each capacity row
     prob.add_rows(_scenario_rows(arcs, alive, live_arcs), "<=",
                   topo.capacities()[cells % topo.n_arcs],
                   NameRule("cap_q{0}_e{1}", live_arcs.shape, cells),
                   implied=cells >= topo.n_arcs)  # every row with q > 0
-    prob.add_rows(_scenario_rows(own, alive, np.broadcast_to(True, (scen.n, tm.n))), ">=",
-                  np.zeros(scen.n * tm.n), NameRule("del_f{1}_q{0}", (scen.n, tm.n)),
+    prob.add_rows(_scenario_rows(own, alive, np.broadcast_to(True, (n_scen, tm.n))), ">=",
+                  np.zeros(n_scen * tm.n), NameRule("del_f{1}_q{0}", (n_scen, tm.n)),
                   implied=implied.reshape(-1))
 
     meta = ModelMeta("ffc", ts.policy, capacity_mode, prob.n_vars, prob.n_constraints)
@@ -264,7 +267,7 @@ def solve_model(model: TeModel, backend: str = "bundled") -> TeSolution:
 def verify_congestion_free(
     sol: TeSolution,
     ts: TunnelSet,
-    scen: ScenarioSet,
+    scen: sp.csr_matrix,
     topo: Topology,
 ) -> CongestionReport:
     """Check no-oversubscription and delivery on every scenario's survivors.
@@ -280,17 +283,17 @@ def verify_congestion_free(
     # rows minus the shortfalls.
     arcs, own = _row_templates(ts)
     alive = surviving_tunnels(ts, scen)
-    dead_arcs = scen.dead.toarray() != 0
+    dead_arcs = scen.toarray() != 0
     caps = topo.capacities()
     violations = []
-    for q in range(scen.n):
+    for q in range(len(dead_arcs)):
         x = np.concatenate([np.where(alive[q], sol.tunnel_rates, 0.0), sol.delivered])
         excess = arcs @ x - caps
         excess[dead_arcs[q]] = 0.0  # dead arcs carry nothing to check
         for kind, amount in (("capacity", excess), ("delivery", -(own @ x))):
             violations += [Violation(q, kind, int(i), float(amount[i]))
                            for i in np.flatnonzero(amount > FEASIBILITY_TOL)]
-    return CongestionReport(not violations, tuple(violations), scen.n)
+    return CongestionReport(not violations, tuple(violations), len(dead_arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
     tunnel_paths = list_of(
         doc, "tunnels", lambda ps: isinstance(ps, list) and all(isinstance(p, list) for p in ps),
         "lists of node-id paths")
-    b = list_of(doc, "b", is_number, "finite numbers")
+    b = list_of(doc, "b", lambda v: is_number(v) and v >= 0, "nonnegative finite numbers")
     a_entries = list_of(doc, "a", lambda e: isinstance(e, dict), "objects")
     solve_time = doc.get("solve_time", 0.0)
     require(is_number(solve_time),
@@ -365,7 +368,8 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
     rates = np.zeros(ts.total)
     for entry in a_entries:
         f, k, v = entry.get("demand"), entry.get("tunnel"), entry.get("value")
-        if not (is_index(f, tm.n) and is_index(k, len(ts.by_demand[f])) and is_number(v)):
+        if not (is_index(f, tm.n) and is_index(k, len(ts.by_demand[f])) and is_number(v)
+                and v >= 0):
             raise ValidationError(f"solution dump: invalid tunnel rate {entry!r}")
         rates[ts.by_demand[f][k]] = float(v)
     delivered = np.array(b, dtype=float)

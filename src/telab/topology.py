@@ -1,17 +1,16 @@
 """WAN topology model: directed arcs derived from bidirectional link declarations.
 
-Each declared link materializes two directed arcs that share an undirected
-pair id, so per-direction loads and utilizations can be reported while a
-physical failure removes both directions at once.  Node ids are strings in
-input documents and are mapped to dense integer indices for LP column
-indexing.
+Each declared link materializes two directed arcs, so per-direction loads and
+utilizations can be reported while a physical failure removes both
+directions at once.  Node ids are strings in input documents and are mapped
+to dense integer indices for LP column indexing.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -20,18 +19,20 @@ from .errors import ValidationError, is_number, json_object, list_of, require
 
 @dataclass(frozen=True)
 class Arc:
-    """One directed arc. ``pair_id`` groups the two directions of a link."""
+    """One directed arc, named by its position in ``Topology.arcs``."""
 
-    id: int
     src: int
     dst: int
     capacity: float
     weight: float
-    pair_id: int
 
 
 @dataclass(frozen=True)
 class Topology:
+    """Nodes, arcs and links are numbered by position: link l, the l-th
+    declared link, is arcs 2l (src to dst) and 2l + 1 (back), so arc e
+    belongs to link e // 2."""
+
     name: str
     node_ids: tuple[str, ...]
     arcs: tuple[Arc, ...]
@@ -60,8 +61,9 @@ class Topology:
             raise ValidationError(f"unknown node id {node_id!r}") from None
 
     @cached_property
-    def arc_by_endpoints(self) -> dict[tuple[int, int], Arc]:
-        return {(a.src, a.dst): a for a in self.arcs}
+    def arc_by_endpoints(self) -> dict[tuple[int, int], int]:
+        """The index of the arc from tail to head, keyed by (tail, head)."""
+        return {(a.src, a.dst): e for e, a in enumerate(self.arcs)}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -111,10 +113,10 @@ def parse_topology(text: str) -> Topology:
         {"name": str, "nodes": [{"id": str}], "links":
          [{"src": str, "dst": str, "capacity": number, "weight": number?}]}
 
-    Each ``links`` entry is bidirectional and becomes two directed arcs with a
-    shared pair id.  ``weight`` defaults to 1.0, making shortest path equal to
-    fewest hops.  Unknown top-level keys are ignored so instance files can
-    carry provenance metadata.
+    Each ``links`` entry is bidirectional and becomes two directed arcs.
+    ``weight`` defaults to 1.0, making shortest path equal to fewest hops.
+    Unknown top-level keys are ignored so instance files can carry provenance
+    metadata.
     """
     doc = json_object(text, "topology document")
     nodes = list_of(doc, "nodes", lambda e: isinstance(e, dict) and isinstance(e.get("id"), str),
@@ -145,8 +147,7 @@ def parse_topology(text: str) -> Topology:
         weight = entry.get("weight", 1.0)
         require(is_number(weight) and weight >= 0,
                 f"link {li}: weight must be a nonnegative number, got {weight!r}")
-        arcs.append(Arc(2 * li, u, v, float(cap), float(weight), li))
-        arcs.append(Arc(2 * li + 1, v, u, float(cap), float(weight), li))
+        arcs += [Arc(u, v, float(cap), float(weight)), Arc(v, u, float(cap), float(weight))]
 
     return Topology(str(doc.get("name", "")), tuple(index), tuple(arcs))
 
@@ -175,11 +176,11 @@ def load_topology(path: str | Path) -> Topology:
 
 
 def scale_capacities(topo: Topology, factor: float) -> Topology:
-    """Return a copy with every arc capacity multiplied by ``factor`` (> 0)."""
+    """Return a copy with every arc capacity multiplied by ``factor`` (> 0);
+    a product too large for a float is a ``ValidationError``."""
     require(is_number(factor) and factor > 0,
             f"capacity scale factor must be positive, got {factor!r}")
-    arcs = tuple(
-        Arc(a.id, a.src, a.dst, a.capacity * float(factor), a.weight, a.pair_id)
-        for a in topo.arcs
-    )
-    return Topology(topo.name, topo.node_ids, arcs)
+    require(is_number(max((a.capacity for a in topo.arcs), default=0.0) * float(factor)),
+            f"capacity scale factor {factor!r} makes a capacity too large for a float")
+    return replace(topo, arcs=tuple(replace(a, capacity=a.capacity * float(factor))
+                                    for a in topo.arcs))

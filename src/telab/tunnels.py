@@ -9,8 +9,8 @@ distances to the destination (``Topology.distances_to``), only at the top of
 the heap.  The search runs once per demand per topology, on the intact graph:
 a smaller k slices the list kept in ``Topology.paths_memo``.
 Per-scenario availability is the product of a tunnel set's tunnel x arc
-incidence and a scenario set's dead arcs: a tunnel survives when none of its
-arcs failed (both directions of a link die together).
+incidence and the scenario x arc matrix of dead arcs: a tunnel survives when
+none of its arcs failed (both directions of a link die together).
 """
 from __future__ import annotations
 
@@ -32,25 +32,14 @@ class TunnelSet:
 
     policy: str
     paths: tuple[tuple[int, ...], ...]  # node path per tunnel
-    by_demand: tuple[tuple[int, ...], ...]  # global tunnel ids per demand id
-    unroutable: tuple[int, ...]  # demand ids with no path at all
-    demand_of: np.ndarray = field(compare=False, repr=False)  # demand id per tunnel
+    by_demand: tuple[tuple[int, ...], ...]  # global tunnel ids per demand
+    unroutable: tuple[int, ...]  # demands with no path at all
+    demand_of: np.ndarray = field(compare=False, repr=False)  # demand per tunnel
     incidence: sp.csr_matrix = field(compare=False, repr=False)  # tunnel x arc, 0/1
 
     @property
     def total(self) -> int:
         return len(self.paths)
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioSet:
-    """Row 0 is the normal state, row q > 0 fails both arcs of link q - 1."""
-
-    dead: sp.csr_matrix = field(repr=False)  # scenario x arc, 0/1
-
-    @property
-    def n(self) -> int:
-        return self.dead.shape[0]
 
 
 @dataclass(frozen=True)
@@ -102,9 +91,10 @@ def parse_policy(text: str) -> TunnelPolicy:
     text = text.strip().lower()
     if text.startswith("fixed:"):
         try:
-            return FixedTunnelPolicy(int(text.split(":", 1)[1]))
+            k = int(text.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"invalid fixed tunnel policy {text!r}") from None
+        return FixedTunnelPolicy(k)
     if text == "adaptive":
         return AdaptiveTunnelPolicy()
     if text.startswith("adaptive:"):
@@ -184,23 +174,24 @@ def k_shortest_paths(topo: Topology, s: int, t: int, k: int) -> list[tuple[int, 
                     if v != nodes[j + 1] and v not in nodes[:j]:
                         g = cost + w
                         heapq.heappush(heap, (g + to_t[v], 0, nodes[:j + 1] + (v,), g))
-            cost += arc_of[(nodes[j], nodes[j + 1])].weight
+            cost += topo.arcs[arc_of[(nodes[j], nodes[j + 1])]].weight
     topo.paths_memo[(s, t)] = (paths, len(paths) < k)
     return paths[:]
 
 
 def tunnel_counts(policy: TunnelPolicy, tm: TrafficMatrix) -> list[int]:
-    """Requested tunnel count per demand id under the given policy."""
+    """Requested tunnel count per demand under the given policy."""
     if isinstance(policy, FixedTunnelPolicy):
         return [policy.k] * tm.n
     counts = [policy.group_counts[0]] * tm.n
-    positive = sorted((d for d in tm.demands if d.volume > 0),
-                      key=lambda d: (d.volume, d.src, d.dst))
+    demands = tm.demands
+    positive = sorted((f for f, d in enumerate(demands) if d.volume > 0),
+                      key=lambda f: (demands[f].volume, demands[f].src, demands[f].dst))
     # array_split makes the first len(positive) % len(group_counts) groups one longer
     groups = np.array_split(np.arange(len(positive)), len(policy.group_counts))
     for count, group in zip(policy.group_counts, groups):
         for i in group:
-            counts[positive[i].id] = count
+            counts[positive[i]] = count
     return counts
 
 
@@ -214,7 +205,7 @@ def make_tunnel_set(topo: Topology, policy: str,
     indptr = [0]
     for nodes in paths:
         try:
-            indices += [arc_of[hop].id for hop in zip(nodes, nodes[1:])]
+            indices += [arc_of[hop] for hop in zip(nodes, nodes[1:])]
         except KeyError:
             path = [topo.node_ids[n] for n in nodes]
             raise ValidationError(
@@ -239,19 +230,19 @@ def build_tunnel_sets(topo: Topology, tm: TrafficMatrix, policy: TunnelPolicy) -
     counts = tunnel_counts(policy, tm)
     return make_tunnel_set(
         topo, policy.label,
-        [k_shortest_paths(topo, d.src, d.dst, counts[d.id]) for d in tm.demands])
+        [k_shortest_paths(topo, d.src, d.dst, k) for d, k in zip(tm.demands, counts)])
 
 
-def enumerate_single_link_scenarios(topo: Topology) -> ScenarioSet:
-    """Normal state plus one scenario per undirected link (both arcs dead)."""
-    rows = [a.pair_id + 1 for a in topo.arcs]
-    dead = sp.csr_matrix((np.ones(topo.n_arcs), (rows, range(topo.n_arcs))),
-                         shape=(topo.n_links + 1, topo.n_arcs))
-    return ScenarioSet(dead)
+def enumerate_single_link_scenarios(topo: Topology) -> sp.csr_matrix:
+    """The scenario x arc 0/1 matrix of dead arcs: row 0 is the normal state,
+    row l + 1 fails link l (arcs 2l and 2l + 1)."""
+    rows = [e // 2 + 1 for e in range(topo.n_arcs)]
+    return sp.csr_matrix((np.ones(topo.n_arcs), (rows, range(topo.n_arcs))),
+                        shape=(topo.n_links + 1, topo.n_arcs))
 
 
-def surviving_tunnels(ts: TunnelSet, scen: ScenarioSet) -> np.ndarray:
+def surviving_tunnels(ts: TunnelSet, scen: sp.csr_matrix) -> np.ndarray:
     """Boolean scenario x tunnel matrix: tunnel t crosses no dead arc of scenario q."""
-    alive = np.ones((scen.n, ts.total), dtype=bool)
-    alive[(scen.dead @ ts.incidence.T).nonzero()] = False
+    alive = np.ones((scen.shape[0], ts.total), dtype=bool)
+    alive[(scen @ ts.incidence.T).nonzero()] = False
     return alive

@@ -118,7 +118,7 @@ def calibrate_bisection_oracle(topo, tm, ts, backend: str, rel_precision: float 
     the final bracket.
     """
     routable_total = sum(
-        d.volume for d in tm.demands if ts.by_demand[d.id]
+        d.volume for d, ids in zip(tm.demands, ts.by_demand) if ids
     )
     if routable_total <= 0:
         return 1.0
@@ -251,20 +251,20 @@ def yen_oracle(topo, s: int, t: int, k: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Scalar reference loops: the literal definitions, one tunnel and one row at a
 # time, with a tunnel's arcs read from its node path and a scenario's dead
-# arcs from ``Arc.pair_id`` (scenario q > 0 fails link q - 1).
+# arcs from their positions (scenario q > 0 fails link q - 1, arcs 2q - 2 and 2q - 1).
 # ---------------------------------------------------------------------------
 
 
 def path_arcs(topo, nodes) -> list[int]:
-    return [topo.arc_by_endpoints[hop].id for hop in zip(nodes, nodes[1:])]
+    return [topo.arc_by_endpoints[hop] for hop in zip(nodes, nodes[1:])]
 
 
 def path_cost(topo, nodes) -> float:
-    return sum(topo.arc_by_endpoints[hop].weight for hop in zip(nodes, nodes[1:]))
+    return sum(topo.arcs[topo.arc_by_endpoints[hop]].weight for hop in zip(nodes, nodes[1:]))
 
 
 def dead_arcs(topo, q: int) -> set[int]:
-    return {a.id for a in topo.arcs if a.pair_id == q - 1}
+    return {e for e in range(topo.n_arcs) if e // 2 == q - 1}
 
 
 def tunnel_survives(topo, nodes, q: int) -> bool:
@@ -279,18 +279,18 @@ def available_tunnels_oracle(topo, ts, q: int) -> list[list[int]]:
 def ffc_rows_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[tuple]:
     """(name, ((col, coef), ...), sense, rhs) of every FFC row, in build order."""
     rows = []
-    for q in range(scen.n if capacity_mode == "all" else 1):
-        for arc in topo.arcs:
-            if arc.id in dead_arcs(topo, q):
+    for q in range(scen.shape[0] if capacity_mode == "all" else 1):
+        for e, arc in enumerate(topo.arcs):
+            if e in dead_arcs(topo, q):
                 continue
             coeffs = tuple((t, 1.0) for t, nodes in enumerate(ts.paths)
-                           if arc.id in path_arcs(topo, nodes) and tunnel_survives(topo, nodes, q))
-            rows.append((f"cap_q{q}_e{arc.id}", coeffs, "<=", arc.capacity))
-    for q in range(scen.n):
+                           if e in path_arcs(topo, nodes) and tunnel_survives(topo, nodes, q))
+            rows.append((f"cap_q{q}_e{e}", coeffs, "<=", arc.capacity))
+    for q in range(scen.shape[0]):
         alive = available_tunnels_oracle(topo, ts, q)
-        for d in tm.demands:
-            coeffs = tuple((t, 1.0) for t in alive[d.id]) + ((ts.total + d.id, -1.0),)
-            rows.append((f"del_f{d.id}_q{q}", coeffs, ">=", 0.0))
+        for f in range(tm.n):
+            coeffs = tuple((t, 1.0) for t in alive[f]) + ((ts.total + f, -1.0),)
+            rows.append((f"del_f{f}_q{q}", coeffs, ">=", 0.0))
     return rows
 
 
@@ -299,14 +299,15 @@ def ffc_implied_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[bool]:
     scenario's capacity row; a delivery row when another scenario leaves the
     demand a strictly smaller tunnel set, or the same set and comes first."""
     marks = []
-    for q in range(scen.n if capacity_mode == "all" else 1):
-        marks += [q > 0 for arc in topo.arcs if arc.id not in dead_arcs(topo, q)]
-    alive = [[set(ids) for ids in available_tunnels_oracle(topo, ts, q)] for q in range(scen.n)]
-    for q in range(scen.n):
-        for d in tm.demands:
-            mine = alive[q][d.id]
-            marks.append(any(alive[p][d.id] < mine or (alive[p][d.id] == mine and p < q)
-                             for p in range(scen.n)))
+    for q in range(scen.shape[0] if capacity_mode == "all" else 1):
+        marks += [q > 0 for e in range(topo.n_arcs) if e not in dead_arcs(topo, q)]
+    alive = [[set(ids) for ids in available_tunnels_oracle(topo, ts, q)]
+             for q in range(scen.shape[0])]
+    for q in range(scen.shape[0]):
+        for f in range(tm.n):
+            mine = alive[q][f]
+            marks.append(any(alive[p][f] < mine or (alive[p][f] == mine and p < q)
+                             for p in range(scen.shape[0])))
     return marks
 
 
@@ -316,9 +317,9 @@ def ffc_lp_oracle(topo, tm, ts, scen, capacity_mode: str) -> LpProblem:
     prob = LpProblem(name="ffc", simplex="primal")
     for tid, f in enumerate(ts.demand_of.tolist()):
         prob.add_var(f"a_{f}_{tid}", 0.0, math.inf)
-    for d in tm.demands:
-        prob.add_var(f"b_{d.id}", 0.0, d.volume if ts.by_demand[d.id] else 0.0)
-    prob.set_objective([(ts.total + d.id, 1.0) for d in tm.demands], maximize=True)
+    for f, d in enumerate(tm.demands):
+        prob.add_var(f"b_{f}", 0.0, d.volume if ts.by_demand[f] else 0.0)
+    prob.set_objective([(ts.total + f, 1.0) for f in range(tm.n)], maximize=True)
     arcs = ts.incidence.T.tocsr()
     arcs.sort_indices()
     arcs.resize((arcs.shape[0], prob.n_vars))
@@ -326,8 +327,8 @@ def ffc_lp_oracle(topo, tm, ts, scen, capacity_mode: str) -> LpProblem:
         (np.ones(ts.total), np.arange(ts.total),
          np.searchsorted(ts.demand_of, np.arange(tm.n + 1))), shape=(tm.n, ts.total))
     own = sp.hstack([members, -sp.identity(tm.n)], format="csr")
-    dead_arcs = scen.dead.toarray() != 0
-    dead_cols = np.zeros((scen.n, prob.n_vars), dtype=bool)
+    dead_arcs = scen.toarray() != 0
+    dead_cols = np.zeros((scen.shape[0], prob.n_vars), dtype=bool)
     dead_cols[:, :ts.total] = ~surviving_tunnels(ts, scen)
     implied = _implied_delivery(ts.demand_of, ~dead_cols[:, :ts.total], tm.n)
 
@@ -336,11 +337,11 @@ def ffc_lp_oracle(topo, tm, ts, scen, capacity_mode: str) -> LpProblem:
         indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
         return sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
 
-    for q in range(scen.n if capacity_mode == "all" else 1):
+    for q in range(scen.shape[0] if capacity_mode == "all" else 1):
         live = np.flatnonzero(~dead_arcs[q])
         prob.add_rows(without_dead(arcs[live], q), "<=", topo.capacities()[live],
                       [f"cap_q{q}_e{e}" for e in live], implied=np.full(len(live), q > 0))
-    for q in range(scen.n):
+    for q in range(scen.shape[0]):
         prob.add_rows(without_dead(own, q), ">=", np.zeros(tm.n),
                       [f"del_f{f}_q{q}" for f in range(tm.n)], implied=implied[q])
     return prob
@@ -380,7 +381,7 @@ def congestion_violations_oracle(sol, ts, scen, topo, cap_tol=1e-6, del_tol=1e-6
     """(scenario, kind, index, amount) per violation, scenario by scenario."""
     caps = topo.capacities()
     out = []
-    for q in range(scen.n):
+    for q in range(scen.shape[0]):
         alive = [tunnel_survives(topo, nodes, q) for nodes in ts.paths]
         loads = np.zeros(topo.n_arcs)
         for t, nodes in enumerate(ts.paths):

@@ -141,7 +141,7 @@ def test_criterion_02_congestion_free_soundness(b4_sweep, calibrated):
         ok = ok and rep.ok
         recheck += 1
     report(2, ok and recheck == 14 and elapsed < 120.0,
-           f"14 FFC solves verified over {scen.n} scenarios (re-checked {recheck} dumps), "
+           f"14 FFC solves verified over {scen.shape[0]} scenarios (re-checked {recheck} dumps), "
            f"sweep took {elapsed:.1f}s (<120s)")
 
 
@@ -220,7 +220,7 @@ def test_criterion_05_criticality_oracle(b4_sweep, calibrated):
     sol_b = manual(topo_b, ts_b, [4.0, 6.0], [4.0, 6.0])
     u_b = link_utilization(sol_b, topo_b)
     s_b = criticality_scores(sol_b, ts_b, u_b)
-    shared = topo_b.arc_by_endpoints[(1, 3)].id
+    shared = topo_b.arc_by_endpoints[(1, 3)]
     ok = ok and abs(s_b[shared] - 5.0) <= 1e-9
 
     # instance C: zero traffic gives zero scores and zero criticality

@@ -155,3 +155,5 @@ def test_scale_tm(line3):
     assert zero.total_volume == 0.0
     with pytest.raises(ValidationError):
         scale_tm(tm, -0.5)
+    with pytest.raises(ValidationError, match="too large for a float"):
+        scale_tm(tm, 1e308)  # 2e308 and 3e308 overflow

@@ -607,6 +607,8 @@ MALFORMED_DUMPS = {  # each edits the diamond's FFC dump in place
     "tunnel out of range": lambda doc: doc["a"][0].update(tunnel=7),
     "rate without value": lambda doc: doc["a"][0].pop("value"),
     "non-finite rate": lambda doc: doc["a"][0].update(value=math.nan),
+    "negative rate": lambda doc: doc["a"][0].update(value=-3.0),
+    "negative delivered flow": lambda doc: doc.update(b=[-3.0]),
     "demand without src": lambda doc: doc["demands"][0].pop("src"),
     "demand node id not a string": lambda doc: doc["demands"][0].update(src=["a"]),
     "tunnel node id not a string": lambda doc: doc["tunnels"][0][0].append(["d"]),
@@ -654,6 +656,85 @@ def test_cli_gen_tm_rejects_a_non_finite_fit(tmp_path, capsys, flags):
     assert rc == 4
     assert capsys.readouterr().err.startswith("error: lognormal fit")
     assert not out.exists()
+
+
+def test_cli_gen_tm_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    rc = cli_main(["gen-tm", "--topo", str(DATA / "diamond.json"), "--mu", "1", "--sigma", "1",
+                   "--seed", "-1", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
+def _diamond_te_sweep(tmp_path, **fields) -> Path:
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"topology": str(DATA / "diamond.json"),
+                                    "tm": str(DATA / "diamond_tm.json"), "models": ["te"],
+                                    "policies": ["fixed:2"], **fields}))
+    return cfg_path
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_cli_rejects_a_scale_that_overflows(tmp_path, capsys, command):
+    # 1e308 times the diamond's volume or capacities (10) is too large for a float
+    if command == "solve":
+        argv = ["solve", "--topo", str(DATA / "diamond.json"), "--tm",
+                str(DATA / "diamond_tm.json"), "--model", "te", "--scale", "1e308",
+                "--backend", "scipy"]
+    else:  # the capacity scale is applied before any point
+        argv = ["sweep", "--config", str(_diamond_te_sweep(tmp_path, capacity_scale=1e308))]
+    assert cli_main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too large for a float" in captured.err
+
+
+def test_sweep_demand_scale_that_overflows_is_an_error_row(tmp_path, capsys, caplog):
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(_diamond_te_sweep(tmp_path)), "--out", str(out),
+                     "--scales", "1,1e308"]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "results.csv").read_text())))
+    assert [(r["scale"], r["status"]) for r in rows] == [("1.0", "optimal"), ("1e+308", "error")]
+    assert "demand scale factor 1e+308 makes a volume too large for a float" in caplog.text
+    assert "Infinity" not in (out / "results.json").read_text()
+
+
+@pytest.fixture
+def empty_instances(tmp_path):
+    """(topology, matrix) paths: the diamond without demands, and two nodes
+    without links and one demand between them."""
+    none, bare, one = tmp_path / "none.json", tmp_path / "bare.json", tmp_path / "one.json"
+    none.write_text(json.dumps({"demands": []}))
+    bare.write_text(json.dumps({"name": "bare", "nodes": [{"id": "a"}, {"id": "b"}],
+                                "links": []}))
+    one.write_text(json.dumps({"demands": [{"src": "a", "dst": "b", "volume": 5.0}]}))
+    return {"no demands": (DATA / "diamond.json", none), "no links": (bare, one)}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("model", ["te", "ffc"])
+def test_cli_solve_empty_instances(empty_instances, capsys, model, backend):
+    for case, (topo, tm) in empty_instances.items():
+        assert cli_main(["solve", "--topo", str(topo), "--tm", str(tm), "--model", model,
+                         "--backend", backend]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        metrics = doc["metrics"]
+        unmet = 0.0 if case == "no demands" else 1.0
+        assert doc["objective"] == 0.0
+        assert doc.get("congestion_free") == ("pass" if model == "ffc" else None)
+        assert {k: v for k, v in metrics.items() if k.endswith("_ratio")} == {
+            "overprovisioning_ratio": 0.0, "unmet_flow_ratio": unmet,
+            "unmet_demands_ratio": unmet, "used_tunnel_ratio": 0.0}
+        assert (metrics["mean_utility"], metrics["critical_link_fraction"],
+                metrics["network_criticality"]) == (0.0, 0.0, 0.0)
+        assert metrics["link_utilizations"] == ([0.0] * 8 if case == "no demands" else [])
+
+
+def test_cli_calibrate_empty_instances(empty_instances, capsys):
+    for topo, tm in empty_instances.values():
+        assert cli_main(["calibrate", "--topo", str(topo), "--tm", str(tm)]) == 0
+        assert json.loads(capsys.readouterr().out)["capacity_factor"] == 1.0
 
 
 def test_cli_calibrate_and_tm_tools(tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_criticality_two_demands_shared_bottleneck():
     sol = _manual_solution(topo, ts, [4.0, 6.0], [4.0, 6.0])
     u = link_utilization(sol, topo)
     s = criticality_scores(sol, ts, u)
-    shared = topo.arc_by_endpoints[(topo.index_of("b"), topo.index_of("d"))].id
+    shared = topo.arc_by_endpoints[(topo.index_of("b"), topo.index_of("d"))]
     assert u[shared] == pytest.approx(1.0)
     assert s[shared] == pytest.approx(5.0, abs=1e-12)
     assert s.sum() == pytest.approx(5.0, abs=1e-12)

@@ -32,7 +32,6 @@ from telab.temodels import (
     solution_from_dict,
     solution_to_dict,
 )
-from telab.tunnels import ScenarioSet
 from conftest import make_tm, make_topology, random_te_instance, syn_topology
 from oracles import (ffc_implied_oracle, ffc_lp_oracle, path_arcs,
                      vertex_enumeration_optimum)
@@ -113,9 +112,9 @@ def test_ffc_builder_rejects_an_unknown_mode_and_a_set_without_the_normal_state(
     ts, scen = diamond_setup(diamond_topo, diamond_tm)
     with pytest.raises(ValidationError, match="unknown capacity mode 'some'"):
         build_ffc_lp(diamond_topo, diamond_tm, ts, scen, "some")
-    for dead in (scen.dead[1:], scen.dead[:0]):
+    for dead in (scen[1:], scen[:0]):
         with pytest.raises(ValidationError, match="must start with the normal state"):
-            build_ffc_lp(diamond_topo, diamond_tm, ts, ScenarioSet(dead))
+            build_ffc_lp(diamond_topo, diamond_tm, ts, dead)
 
 
 def test_extract_requires_optimal():
@@ -248,7 +247,7 @@ def test_verify_flags_unprotected_te_solution(diamond_topo, diamond_tm):
     assert not report.ok
     # the single used path dies in the two scenarios failing its links
     used = next(t for t in range(ts.total) if te.tunnel_rates[t] > 0)
-    expect_scenarios = {diamond_topo.arcs[a].pair_id + 1
+    expect_scenarios = {a // 2 + 1
                         for a in path_arcs(diamond_topo, ts.paths[used])}
     assert {(v.kind, v.index) for v in report.violations} == {("delivery", 0)}
     assert {v.scenario for v in report.violations} == expect_scenarios
@@ -469,7 +468,7 @@ def test_recheck_names_the_violated_rows_of_later_blocks(diamond_topo, diamond_t
     x = np.zeros(prob.n_vars)
     x[ts.total] = 1.0  # demand 0 delivers 1 on no tunnel: every del_f0_q* row fails
     issues = check_feasibility(prob, x)
-    assert issues == ([f"row del_f0_q{q}: lhs -1.0 >= rhs 0.0 violated" for q in range(scen.n)]
+    assert issues == ([f"row del_f0_q{q}: lhs -1.0 >= rhs 0.0 violated" for q in range(scen.shape[0])]
                       + [f"row {start}: lhs 0.0 >= rhs 1.0 violated",
                          "row late: lhs 0.0 >= rhs 2.0 violated"])
     assert prob.row_names[start + 1] == "late"

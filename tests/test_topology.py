@@ -14,7 +14,7 @@ def test_link_materializes_two_arcs():
     fwd, rev = topo.arcs
     assert (fwd.src, fwd.dst) == (0, 1)
     assert (rev.src, rev.dst) == (1, 0)
-    assert fwd.pair_id == rev.pair_id == 0
+    assert topo.arc_by_endpoints[(0, 1)] // 2 == topo.arc_by_endpoints[(1, 0)] // 2 == 0
     assert fwd.capacity == rev.capacity == 10.0
     assert fwd.weight == 1.0  # default
 
@@ -27,8 +27,8 @@ def test_b4_instance_counts(b4_topo):
 
 def test_reverse_arc_pairing(b4_topo):
     by_pair = {}
-    for a in b4_topo.arcs:
-        by_pair.setdefault(a.pair_id, []).append(a)
+    for e, a in enumerate(b4_topo.arcs):
+        by_pair.setdefault(e // 2, []).append(a)
     for pair, arcs in by_pair.items():
         assert len(arcs) == 2
         f, r = arcs
@@ -107,3 +107,5 @@ def test_scale_capacities_rejects_nonpositive():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValidationError):
             scale_capacities(topo, bad)
+    with pytest.raises(ValidationError, match="too large for a float"):
+        scale_capacities(topo, 1e308)  # 1e309 overflows

@@ -106,9 +106,9 @@ def test_ksp_costs_match_bruteforce_with_decimal_weights():
 def test_b4_tunnels_match_yen(b4_topo, b4_tm, policy):
     ts = build_tunnel_sets(b4_topo, b4_tm, policy)
     counts = tunnel_counts(policy, b4_tm)
-    for d in b4_tm.demands:
-        want = yen_oracle(b4_topo, d.src, d.dst, counts[d.id])
-        assert [ts.paths[t] for t in ts.by_demand[d.id]] == want
+    for f, d in enumerate(b4_tm.demands):
+        want = yen_oracle(b4_topo, d.src, d.dst, counts[f])
+        assert [ts.paths[t] for t in ts.by_demand[f]] == want
 
 
 @pytest.mark.parametrize("n", [24, 40])
@@ -259,6 +259,8 @@ def test_parse_policy_labels():
         parse_policy("fixed:x")
     with pytest.raises(ValidationError, match="invalid adaptive tunnel policy 'adaptive:3-x'"):
         parse_policy("adaptive:3-x")
+    with pytest.raises(ValidationError, match="fixed tunnel count must be >= 1"):
+        parse_policy("fixed:0")
 
 
 def test_adaptive_total_never_exceeds_fixed5(b4_topo, b4_tm):
@@ -285,30 +287,30 @@ def test_unroutable_demand_reported():
 
 def test_scenarios_single_link(b4_topo):
     scen = enumerate_single_link_scenarios(b4_topo)
-    assert scen.n == b4_topo.n_links + 1 == 20
-    dead = scen.dead.toarray()
+    assert scen.shape[0] == b4_topo.n_links + 1 == 20
+    dead = scen.toarray()
     assert not dead[0].any()
-    for q in range(1, scen.n):
+    for q in range(1, scen.shape[0]):
         assert np.flatnonzero(dead[q]).tolist() == sorted(dead_arcs(b4_topo, q))
         assert len(dead_arcs(b4_topo, q)) == 2
 
 
 def test_scenarios_one_link_topology():
     topo = make_topology(["a", "b"], [("a", "b", 1)])
-    assert enumerate_single_link_scenarios(topo).n == 2
+    assert enumerate_single_link_scenarios(topo).shape[0] == 2
 
 
 def test_surviving_tunnels_normal_and_failure(diamond_topo, diamond_tm):
     ts = build_tunnel_sets(diamond_topo, diamond_tm, FixedTunnelPolicy(5))
     scen = enumerate_single_link_scenarios(diamond_topo)
     survives = surviving_tunnels(ts, scen)
-    assert survives.shape == (scen.n, ts.total)
+    assert survives.shape == (scen.shape[0], ts.total)
     assert ts.by_demand == (tuple(range(ts.total)),) and survives[0].all()
     # failing one side of the diamond kills exactly one of the two tunnels
-    for q in range(1, scen.n):
+    for q in range(1, scen.shape[0]):
         alive = np.flatnonzero(survives[q])
         assert len(alive) == 1
-        dead = set(np.flatnonzero(scen.dead.toarray()[q]).tolist())
+        dead = set(np.flatnonzero(scen.toarray()[q]).tolist())
         assert dead == dead_arcs(diamond_topo, q)
         assert all(a not in dead for a in path_arcs(diamond_topo, ts.paths[alive[0]]))
 
