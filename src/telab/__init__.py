@@ -20,7 +20,7 @@ from .demands import (
 from .errors import SolveError, ValidationError
 from .harness import ExperimentConfig, ResultRow, calibrate_capacities, run_experiment
 from .lpcore import LpProblem, LpSolution, solve
-from .metrics import MetricsReport, compute_metrics, utilization_histogram
+from .metrics import MetricsReport, compute_metrics
 from .temodels import (
     TeModel,
     TeSolution,
@@ -30,7 +30,7 @@ from .temodels import (
     solve_model,
     verify_congestion_free,
 )
-from .topology import Arc, Topology, load_topology, parse_topology, scale_capacities, serialize_topology
+from .topology import Arc, Topology, load_topology, parse_topology, scale_capacities
 from .tunnels import (
     AdaptiveTunnelPolicy,
     FixedTunnelPolicy,
@@ -45,7 +45,6 @@ __all__ = [
     "Arc",
     "Topology",
     "parse_topology",
-    "serialize_topology",
     "load_topology",
     "scale_capacities",
     "Demand",
@@ -73,7 +72,6 @@ __all__ = [
     "verify_congestion_free",
     "MetricsReport",
     "compute_metrics",
-    "utilization_histogram",
     "ExperimentConfig",
     "ResultRow",
     "calibrate_capacities",

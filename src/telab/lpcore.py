@@ -34,13 +34,13 @@ implied marks and its names, and every reader walks the blocks in place.
 Every model builder names its blocks by a ``NameRule``, one format over a
 grid of indices, so a model with a million rows holds no string per row;
 only hand-built rows pass a list.  ``row_names`` and ``rows`` build a new
-list and a new stacked matrix on each call, for the LP text export and the
-tests; a solve reads neither.
+list and a new stacked matrix on each call, for the tests; a solve reads
+neither.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
-only the unmarked (working) rows, while ``rows``, the LP text export and the
-row count keep every literal row.  Every optimal solution is re-verified by
+only the unmarked (working) rows, while ``rows`` and the row count keep
+every literal row.  Every optimal solution is re-verified by
 direct substitution into all the original rows before ``solve`` returns it,
 so a wrong mark, like any other fault, is reported as a numerical failure,
 never as a silent wrong answer.  A bundled infeasible verdict is checked too,
@@ -685,42 +685,3 @@ def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
             message = "solution failed feasibility re-check: " + "; ".join(issues[:5])
     objective = float(prob.c @ x) if status == OPTIMAL else math.nan
     return LpSolution(status, objective, x, solve_time, iterations, message)
-
-
-def write_lp_text(prob: LpProblem) -> str:
-    """Render in the fixed LP text format for cross-checks with other tools."""
-
-    def num(v: float) -> str:
-        return repr(float(v))
-
-    def term(j: int, c: float, first: bool) -> str:
-        name = prob.var_names[j]
-        if first:
-            return f"{num(c)} {name}"
-        return f"{'+' if c >= 0 else '-'} {num(abs(c))} {name}"
-
-    lines = [f"\\ {prob.name or 'lp'}", "Maximize" if prob.maximize else "Minimize"]
-    obj_terms = " ".join(term(j, prob.c[j], i == 0) for i, j in enumerate(np.flatnonzero(prob.c)))
-    lines.append(f" obj: {obj_terms or '0'}")
-    lines.append("Subject To")
-    A, senses, rhs = prob.rows()
-    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-    for i, (name, sense, b) in enumerate(zip(prob.row_names, senses.tolist(), rhs.tolist())):
-        body = " ".join(term(cols[k], vals[k], k == indptr[i])
-                        for k in range(indptr[i], indptr[i + 1]))
-        lines.append(f" {name or f'c{i}'}: {body or '0'} {sense} {num(b)}")
-    lines.append("Bounds")
-    for j, (lo, hi) in enumerate(zip(prob.lower.tolist(), prob.upper.tolist())):
-        name = prob.var_names[j]
-        if lo == hi:
-            lines.append(f" {name} = {num(lo)}")
-        elif not math.isfinite(lo) and not math.isfinite(hi):
-            lines.append(f" {name} free")
-        elif not math.isfinite(hi):
-            lines.append(f" {num(lo)} <= {name}")
-        elif not math.isfinite(lo):
-            lines.append(f" -inf <= {name} <= {num(hi)}")
-        else:
-            lines.append(f" {num(lo)} <= {name} <= {num(hi)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

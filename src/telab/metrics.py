@@ -106,20 +106,6 @@ def critical_link_fraction(scores: np.ndarray, topo: Topology) -> float:
     return float((scores > 0).sum()) / topo.n_arcs
 
 
-def utilization_histogram(utilization: np.ndarray, bin_width: float) -> list[int]:
-    """Arc counts per utilization bin [k*w, (k+1)*w), final bin closed at 1.0.
-
-    Values above 1.0 (within solver tolerance) land in the final bin.
-    """
-    if not 0 < bin_width <= 1:
-        raise ValidationError(f"bin width must be in (0, 1], got {bin_width!r}")
-    n_bins = int(np.ceil(1.0 / bin_width))
-    idx = np.floor(np.asarray(utilization) / bin_width).astype(int)
-    idx = np.clip(idx, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    return [int(c) for c in counts]
-
-
 def compute_metrics(
     sol: TeSolution,
     tm: TrafficMatrix,

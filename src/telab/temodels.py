@@ -278,19 +278,20 @@ def verify_congestion_free(
     Both checks allow the LP re-check's ``FEASIBILITY_TOL``, which the unit
     coefficients of these rows leave unscaled.
     """
-    # Evaluate the normal-state rows at the solution with the scenario's dead
-    # tunnels zeroed, one scenario at a time: arc rows give loads, delivery
-    # rows minus the shortfalls.
-    arcs, own = _row_templates(ts)
+    # One scenario at a time, the surviving rates give each arc's load and each
+    # demand's shortfall.  They come from the incidence, not from the LP's row
+    # templates, so a fault in those cannot escape both this and the re-check.
     alive = surviving_tunnels(ts, scen)
     dead_arcs = scen.toarray() != 0
     caps = topo.capacities()
+    arc_tunnels = ts.incidence.T
     violations = []
     for q in range(len(dead_arcs)):
-        x = np.concatenate([np.where(alive[q], sol.tunnel_rates, 0.0), sol.delivered])
-        excess = arcs @ x - caps
+        r = np.where(alive[q], sol.tunnel_rates, 0.0)
+        excess = arc_tunnels @ r - caps
         excess[dead_arcs[q]] = 0.0  # dead arcs carry nothing to check
-        for kind, amount in (("capacity", excess), ("delivery", -(own @ x))):
+        shortfall = sol.delivered - np.bincount(ts.demand_of, r, minlength=len(ts.by_demand))
+        for kind, amount in (("capacity", excess), ("delivery", shortfall)):
             violations += [Violation(q, kind, int(i), float(amount[i]))
                            for i in np.flatnonzero(amount > FEASIBILITY_TOL)]
     return CongestionReport(not violations, tuple(violations), len(dead_arcs))
@@ -357,6 +358,12 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
                             topo)
     require(len(tunnel_paths) == len(b) == tm.n, f"solution dump: {tm.n} demands, "
             f"{len(tunnel_paths)} tunnel lists and {len(b)} delivered flows")
+    delivered = np.array(b, dtype=float)
+    over = np.flatnonzero(delivered > tm.volumes() + FEASIBILITY_TOL)  # every LP bounds b by it
+    if over.size:
+        f = int(over[0])
+        raise ValidationError(f"solution dump: demand {f} delivers {b[f]!r}, over its "
+                              f"volume {tm.demands[f].volume!r}")
     ts = make_tunnel_set(
         topo, str(doc.get("policy", "")),
         [[tuple(topo.index_of(n) for n in path) for path in paths] for paths in tunnel_paths])
@@ -372,7 +379,6 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
                 and v >= 0):
             raise ValidationError(f"solution dump: invalid tunnel rate {entry!r}")
         rates[ts.by_demand[f][k]] = float(v)
-    delivered = np.array(b, dtype=float)
     loads = ts.incidence.T @ rates
     return TeSolution(delivered, rates, loads, float(solve_time)), ts, tm
 

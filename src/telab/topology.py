@@ -8,7 +8,6 @@ to dense integer indices for LP column indexing.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -33,7 +32,6 @@ class Topology:
     declared link, is arcs 2l (src to dst) and 2l + 1 (back), so arc e
     belongs to link e // 2."""
 
-    name: str
     node_ids: tuple[str, ...]
     arcs: tuple[Arc, ...]
 
@@ -110,13 +108,13 @@ def parse_topology(text: str) -> Topology:
 
     Expected schema::
 
-        {"name": str, "nodes": [{"id": str}], "links":
+        {"nodes": [{"id": str}], "links":
          [{"src": str, "dst": str, "capacity": number, "weight": number?}]}
 
     Each ``links`` entry is bidirectional and becomes two directed arcs.
     ``weight`` defaults to 1.0, making shortest path equal to fewest hops.
-    Unknown top-level keys are ignored so instance files can carry provenance
-    metadata.
+    Other top-level keys, such as ``"name"``, are ignored so instance files
+    can carry provenance metadata.
     """
     doc = json_object(text, "topology document")
     nodes = list_of(doc, "nodes", lambda e: isinstance(e, dict) and isinstance(e.get("id"), str),
@@ -149,26 +147,7 @@ def parse_topology(text: str) -> Topology:
                 f"link {li}: weight must be a nonnegative number, got {weight!r}")
         arcs += [Arc(u, v, float(cap), float(weight)), Arc(v, u, float(cap), float(weight))]
 
-    return Topology(str(doc.get("name", "")), tuple(index), tuple(arcs))
-
-
-def serialize_topology(topo: Topology) -> str:
-    """Serialize back to the document format; round-trips through parse."""
-    links = [
-        {
-            "src": topo.node_ids[a.src],
-            "dst": topo.node_ids[a.dst],
-            "capacity": a.capacity,
-            "weight": a.weight,
-        }
-        for a in topo.arcs[::2]
-    ]
-    doc = {
-        "name": topo.name,
-        "nodes": [{"id": nid} for nid in topo.node_ids],
-        "links": links,
-    }
-    return json.dumps(doc, indent=2)
+    return Topology(tuple(index), tuple(arcs))
 
 
 def load_topology(path: str | Path) -> Topology:

@@ -5,7 +5,8 @@ basic feasible points directly, the path oracle enumerates every simple path
 by DFS, the Yen oracle runs a full Dijkstra for every spur, and the
 calibration oracle bisects over full TE solves instead of solving the
 min-max-utilization LP.  The first two are exponential and only meant for
-tiny instances.
+tiny instances.  ``write_lp_text`` renders a whole LP as text, so tests can
+compare two problems and pin a model by the digest of its text.
 """
 from __future__ import annotations
 
@@ -434,3 +435,42 @@ def criticality_scores_oracle(sol, ts, topo, utilization, flow_eps=1e-9):
             best = min(candidates, key=lambda e: (-utilization[e], e))
             scores[best] += sol.delivered[f] / len(ts.by_demand)
     return scores
+
+
+def write_lp_text(prob: LpProblem) -> str:
+    """Render in the fixed LP text format for cross-checks with other tools."""
+
+    def num(v: float) -> str:
+        return repr(float(v))
+
+    def term(j: int, c: float, first: bool) -> str:
+        name = prob.var_names[j]
+        if first:
+            return f"{num(c)} {name}"
+        return f"{'+' if c >= 0 else '-'} {num(abs(c))} {name}"
+
+    lines = [f"\\ {prob.name or 'lp'}", "Maximize" if prob.maximize else "Minimize"]
+    obj_terms = " ".join(term(j, prob.c[j], i == 0) for i, j in enumerate(np.flatnonzero(prob.c)))
+    lines.append(f" obj: {obj_terms or '0'}")
+    lines.append("Subject To")
+    A, senses, rhs = prob.rows()
+    indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    for i, (name, sense, b) in enumerate(zip(prob.row_names, senses.tolist(), rhs.tolist())):
+        body = " ".join(term(cols[k], vals[k], k == indptr[i])
+                        for k in range(indptr[i], indptr[i + 1]))
+        lines.append(f" {name or f'c{i}'}: {body or '0'} {sense} {num(b)}")
+    lines.append("Bounds")
+    for j, (lo, hi) in enumerate(zip(prob.lower.tolist(), prob.upper.tolist())):
+        name = prob.var_names[j]
+        if lo == hi:
+            lines.append(f" {name} = {num(lo)}")
+        elif not math.isfinite(lo) and not math.isfinite(hi):
+            lines.append(f" {name} free")
+        elif not math.isfinite(hi):
+            lines.append(f" {num(lo)} <= {name}")
+        elif not math.isfinite(lo):
+            lines.append(f" -inf <= {name} <= {num(hi)}")
+        else:
+            lines.append(f" {num(lo)} <= {name} <= {num(hi)}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"

@@ -176,9 +176,12 @@ def test_criterion_04_adaptive_tunnel_reduction(calibrated, b4_tm):
     exact = ts_a.total == 4 * n and n % 3 == 0 and ts_5.total == 5 * n
 
     scen = enumerate_single_link_scenarios(topo)
+    # 8 wins in 10 alternations: one noisy solve of 0.02-0.04 s weighs little,
+    # and two equally fast policies would pass only about 5% of the time
+    rounds = 10
     wins = 0
     times = []
-    for _ in range(5):
+    for _ in range(rounds):
         t_fixed = solve_model(
             build_ffc_lp(topo, b4_tm, ts_5, scen, CAPACITY_MODE_NORMAL_ONLY)).solve_time
         t_adaptive = solve_model(
@@ -186,9 +189,9 @@ def test_criterion_04_adaptive_tunnel_reduction(calibrated, b4_tm):
         times.append((t_adaptive, t_fixed))
         if t_adaptive <= t_fixed:
             wins += 1
-    report(4, exact and wins >= 4,
+    report(4, exact and wins >= 8,
            f"adaptive tunnel slots {ts_a.total} = 4*|F| vs fixed(5) {ts_5.total}; "
-           f"adaptive solver faster in {wins}/5 runs "
+           f"adaptive solver faster in {wins}/{rounds} runs "
            f"(median {np.median([a for a, _ in times]):.2f}s vs {np.median([f for _, f in times]):.2f}s)")
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +610,7 @@ MALFORMED_DUMPS = {  # each edits the diamond's FFC dump in place
     "non-finite rate": lambda doc: doc["a"][0].update(value=math.nan),
     "negative rate": lambda doc: doc["a"][0].update(value=-3.0),
     "negative delivered flow": lambda doc: doc.update(b=[-3.0]),
+    "delivered flow over its volume": lambda doc: doc["demands"][0].update(volume=1.0),
     "demand without src": lambda doc: doc["demands"][0].pop("src"),
     "demand node id not a string": lambda doc: doc["demands"][0].update(src=["a"]),
     "tunnel node id not a string": lambda doc: doc["tunnels"][0][0].append(["d"]),
@@ -828,3 +830,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 def test_every_exported_name_resolves():
     assert [name for name in telab.__all__ if not hasattr(telab, name)] == []
+    assert len(set(telab.__all__)) == len(telab.__all__)
+    # every public name the package binds, its submodules aside, is exported
+    bound = {name for name, value in vars(telab).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(telab.__all__) == bound | {"__version__"}

@@ -32,9 +32,8 @@ from telab.lpcore import (
     _standardize,
     check_feasibility,
     solve,
-    write_lp_text,
 )
-from oracles import vertex_enumeration_optimum
+from oracles import vertex_enumeration_optimum, write_lp_text
 
 
 def simple_box_lp():

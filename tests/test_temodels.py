@@ -23,7 +23,7 @@ from telab import (
     verify_congestion_free,
 )
 from telab.errors import SolveError, ValidationError
-from telab.lpcore import _standardize, check_feasibility, solve, write_lp_text
+from telab.lpcore import _standardize, check_feasibility, solve
 from telab.temodels import (
     CAPACITY_MODE_ALL,
     CAPACITY_MODE_NORMAL_ONLY,
@@ -34,7 +34,7 @@ from telab.temodels import (
 )
 from conftest import make_tm, make_topology, random_te_instance, syn_topology
 from oracles import (ffc_implied_oracle, ffc_lp_oracle, path_arcs,
-                     vertex_enumeration_optimum)
+                     vertex_enumeration_optimum, write_lp_text)
 
 
 def two_node(capacity=10.0, demand=5.0):

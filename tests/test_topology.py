@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telab import ValidationError, parse_topology, scale_capacities, serialize_topology
+from telab import ValidationError, parse_topology, scale_capacities
 from conftest import make_topology
 
 
@@ -35,11 +35,6 @@ def test_reverse_arc_pairing(b4_topo):
         assert (f.src, f.dst) == (r.dst, r.src)
         assert f.capacity == r.capacity
         assert f.weight == r.weight
-
-
-def test_roundtrip(b4_topo):
-    again = parse_topology(serialize_topology(b4_topo))
-    assert again == b4_topo
 
 
 @pytest.mark.parametrize(
