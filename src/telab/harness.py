@@ -145,6 +145,8 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One sweep point; the defaults are the cells an error or non-optimal row leaves empty."""
+
     model: str
     policy: str
     scale: float
@@ -152,12 +154,12 @@ class ResultRow:
     backend: str
     capacity_mode: str
     status: str
-    objective: float
-    variables: int
-    constraints: int
-    build_time: float
-    metrics: MetricsReport | None
-    congestion_free: str  # "pass" | "fail" | "" (base TE rows)
+    objective: float = math.nan  # the dump's, so both read the same number
+    variables: int = 0
+    constraints: int = 0
+    build_time: float = 0.0
+    metrics: MetricsReport | None = None
+    congestion_free: str = ""  # "pass" | "fail" | "" (base TE rows)
     dump: dict | None = None  # the solution dump of an optimal point; not a column
 
     def as_record(self) -> dict:
@@ -197,8 +199,7 @@ def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
     base = dict(model=model_kind, policy=policy, scale=scale, seed=cfg.seed,
                 backend=cfg.backend,
                 capacity_mode=cfg.capacity_mode if model_kind == "ffc" else "")
-    error_row = ResultRow(status=ERROR, objective=float("nan"), variables=0, constraints=0,
-                          build_time=0.0, metrics=None, congestion_free="", **base)
+    error_row = ResultRow(status=ERROR, **base)
     ts = tunnel_sets[policy]
     if ts is None:
         return error_row
@@ -215,20 +216,17 @@ def _solve_point(cfg: ExperimentConfig, topo: Topology, tm: TrafficMatrix,
         if lp_sol.status != OPTIMAL:
             log.warning("sweep point %s %s scale=%s: status %s: %s", model_kind, policy,
                         scale, lp_sol.status, lp_sol.message)
-            return ResultRow(status=lp_sol.status, objective=float("nan"), metrics=None,
-                             congestion_free="", **base)
+            return ResultRow(status=lp_sol.status, **base)
 
         sol = extract_solution(lp_sol, model)
         verdict = ""
         if model_kind == "ffc":
             verdict = "pass" if verify_congestion_free(sol, ts, scen, topo).ok else "fail"
-        return ResultRow(status=lp_sol.status, objective=lp_sol.objective,
+        dump = solution_to_dict(sol, model, scale=scale, seed=cfg.seed, backend=cfg.backend,
+                                capacity_scale=cfg.capacity_scale)
+        return ResultRow(status=OPTIMAL, objective=dump["objective"],
                          metrics=compute_metrics(sol, tm_scaled, ts, topo),
-                         congestion_free=verdict,
-                         dump=solution_to_dict(sol, model, scale=scale, seed=cfg.seed,
-                                               backend=cfg.backend,
-                                               capacity_scale=cfg.capacity_scale),
-                         **base)
+                         congestion_free=verdict, dump=dump, **base)
     except Exception:
         log.exception("sweep point %s %s scale=%s raised", model_kind, policy, scale)
         return error_row

@@ -15,6 +15,9 @@ It starts from the all-logical basis with every column at the bound its
 objective favours, which is dual feasible on every LP telab builds, so it has
 one phase and no artificial columns.  A hand-built LP whose favoured bound is
 infinite gets an artificial bound there, widened while a verdict rests on it.
+A nonbasic column's one state is the way it may move from its bound, with
+the free columns listed apart.  Its dense products are numpy sums, not BLAS
+calls, so its pivots and its answer are the same on every CPU.
 Its pivots are hypersparse: the updates of the basic values and of the inverse
 touch only the rows where the entering column is nonzero, which on B4 are a
 few dozen of hundreds, and the inverse update only the columns where the pivot
@@ -77,7 +80,8 @@ _HIGHS_SIMPLEX_STRATEGY = {"dual": 1, "primal": 4}
 # The bundled simplex keeps a dense basis inverse.  It refuses a working LP
 # whose inverse plus the two temporaries of one update (the flat indices and
 # the outer product of the entries it touches, each up to m x m), 24*m*m
-# bytes, passes this.
+# bytes, passes this.  A product with the inverse makes one m x m temporary,
+# never while those two exist, so the bound covers it too.
 DENSE_INVERSE_BUDGET_BYTES = 2 << 30
 
 
@@ -323,8 +327,6 @@ def _standardize(prob: LpProblem):
 # Bundled dual simplex
 # ---------------------------------------------------------------------------
 
-_AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
-
 # Stand-in for an infinite bound that a column's objective favours: it puts the
 # column at a finite start that keeps the all-logical basis dual feasible.  It
 # is widened tenfold whenever an infeasible or unbounded verdict would rest
@@ -345,9 +347,13 @@ class _Simplex:
     product form at every pivot.  Only the rows where the entering column
     ``w = Binv a_q`` is nonzero change in ``x_B`` and ``Binv``, and in ``Binv``
     only the columns where the pivot row ``Binv[r]`` is nonzero; every other
-    entry would subtract ``0 * y``.  The bounds of the basic columns
-    (``lo_B``, ``hi_B``) and the way each nonbasic column may move are kept
-    up to date at the columns a pivot swaps.
+    entry would subtract ``0 * y``.  Products with ``Binv`` are elementwise
+    products and numpy sums: a BLAS kernel sums in an order the CPU picks.
+    The bounds of the basic columns (``lo_B``, ``hi_B``) are kept up to date
+    at the columns a pivot swaps.  A nonbasic column's one state is the way
+    it may move, ``direction``: +1 up from its lower bound, -1 down from its
+    upper bound, 0 for a basic or fixed column (at 0 or at its one bound).
+    The free nonbasic columns, at 0 and movable either way, are in ``free``.
     """
 
     def __init__(self, A: sp.csr_matrix, b: np.ndarray, ineq: np.ndarray, lb: np.ndarray,
@@ -366,10 +372,10 @@ class _Simplex:
         ub = np.where(self.art_ub, np.where(np.isfinite(lb), lb, 0.0) + ARTIFICIAL_BOUND, ub)
         lb = np.where(self.art_lb, np.where(np.isfinite(ub), ub, 0.0) - ARTIFICIAL_BOUND, lb)
         self.lb, self.ub = lb, ub
-        status = np.where(up | (~down & np.isinf(lb)), _AT_UB, _AT_LB).astype(np.int8)
-        status[np.isinf(lb) & np.isinf(ub)] = _FREE
-        status[n:] = _BASIC
-        self.status = status
+        self.free = np.flatnonzero(np.isinf(lb) & np.isinf(ub))
+        self.direction = np.where(up | (~down & np.isinf(lb)), -1.0, 1.0) * (ub > lb)
+        self.direction[self.free] = 0.0
+        self.direction[n:] = 0.0
         self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
         self.iterations = 0
@@ -388,8 +394,7 @@ class _Simplex:
         return True
 
     def _at_artificial_bound(self) -> np.ndarray:
-        return ((self.art_ub & (self.status == _AT_UB))
-                | (self.art_lb & (self.status == _AT_LB)))
+        return (self.art_ub & (self.direction < 0)) | (self.art_lb & (self.direction > 0))
 
     def _has_unbounded_ray(self, tol: float) -> bool:
         """Whether widening the artificial bounds without end keeps the basic
@@ -397,21 +402,24 @@ class _Simplex:
         along a ray that gains the reduced cost of each column it pushes, so
         such a ray proves the LP unbounded."""
         out = np.flatnonzero(self._at_artificial_bound())
-        r = -(self.Binv @ (self.A[:, out] @ np.where(self.art_ub[out], 1.0, -1.0)))
+        r = -(self.Binv * (self.A[:, out] @ np.where(self.art_ub[out], 1.0, -1.0))).sum(axis=1)
         lo = np.where(self.art_lb[self.basis], -np.inf, self.lb[self.basis])
         hi = np.where(self.art_ub[self.basis], np.inf, self.ub[self.basis])
         return not (((r < -tol) & np.isfinite(lo)) | ((r > tol) & np.isfinite(hi))).any()
 
     def _nonbasic_point(self) -> np.ndarray:
-        x = np.where(self.status == _AT_UB, self.ub, self.lb)
-        x[(self.status == _BASIC) | (self.status == _FREE)] = 0.0
+        x = np.where(self.direction < 0, self.ub, self.lb)
+        x[self.basis] = 0.0
+        x[self.free] = 0.0
         return x
 
     def _refresh(self) -> None:
         """Recompute the basic values and the reduced costs from ``Binv``."""
         x = self._nonbasic_point()
-        self.x_B = self.Binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
-        y = self.Binv.T @ self.c[self.basis]
+        self.x_B = (self.Binv * (self.b - self.A @ x[:self.n] - x[self.n:])).sum(axis=1)
+        c_B = self.c[self.basis]
+        i = np.flatnonzero(c_B)  # a sum in row order: rows with no cost add only zeros
+        y = (self.Binv[i].T * c_B[i]).sum(axis=1)
         self.d = self.c - np.concatenate([self.AT @ y, y])
         self.d[self.basis] = 0.0
         self.lo_B, self.hi_B = self.lb[self.basis], self.ub[self.basis]
@@ -421,7 +429,7 @@ class _Simplex:
         basic values against the rounding in ``Binv``."""
         x = self._nonbasic_point()
         x[self.basis] = self.x_B
-        x[self.basis] += self.Binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
+        x[self.basis] += (self.Binv * (self.b - self.A @ x[:self.n] - x[self.n:])).sum(axis=1)
         return x
 
     def optimize(self) -> str:
@@ -430,27 +438,20 @@ class _Simplex:
         The leaving row is the one with the largest bound violation; the
         entering column comes from a plain dual ratio test over the pivot
         row.  Basic values and reduced costs are updated at every pivot and
-        recomputed every 100 pivots and before optimality is claimed.  An
-        optimum is kept only if its exact reduced costs are dual feasible.
-        A verdict that rests on an artificial bound (an infeasibility proof
-        whose row or pivot row touches one, or an optimum where a column's
-        reduced cost pushes against one) widens the artificial bounds and
-        goes on from the same basis, unless widening them moves the point
-        along an unbounded ray.  At the cap either verdict becomes a
-        numerical failure.
+        recomputed every 100 pivots and before a verdict: an optimum (no
+        violated row), kept only if its exact reduced costs are dual
+        feasible, or an infeasibility proof (no entering column).  A verdict
+        that rests on an artificial bound (an infeasibility proof whose row or
+        pivot row touches one, or an optimum where a column's reduced cost
+        pushes against one) widens the artificial bounds and goes on from the
+        same basis, unless widening them moves the point along an unbounded
+        ray.  At the cap either verdict becomes a numerical failure.
         """
         primal_tol = 1e-9
         dual_tol = 1e-9
         piv_tol = 1e-9
         m, n = self.m, self.n
-        lb, ub, status = self.lb, self.ub, self.status
-        movable = ub > lb
-        # The way each nonbasic column may move: +1 up from its lower bound,
-        # -1 down from its upper bound, 0 when basic or fixed.  Free nonbasic
-        # columns may move either way and are listed apart.
-        direction = movable * np.where(status == _AT_LB, 1.0,
-                                       np.where(status == _AT_UB, -1.0, 0.0))
-        free = np.flatnonzero(status == _FREE)
+        lb, ub, direction = self.lb, self.ub, self.direction
         flat = self.Binv.reshape(-1)
         stall = 0
         bland = False
@@ -467,42 +468,39 @@ class _Simplex:
                 r = int(rows[np.argmin(self.basis[rows])]) if len(rows) else 0
             else:
                 r = int(infeas.argmax()) if m else 0
-            if not m or infeas[r] <= primal_tol:
+            optimal = not m or infeas[r] <= primal_tol
+            if not optimal:
+                if self.iterations >= MAX_ITERATIONS:
+                    return NUMERICAL_FAILURE
+                # The leaving variable rises to its lower bound (s = 1) or falls
+                # to its upper bound (s = -1); the reduced costs move by
+                # -t * s * alpha, so a column enters only if that pushes it the
+                # way it may move.
+                s = 1.0 if self.x_B[r] < lo[r] else -1.0
+                rho = self.Binv[r]
+                alpha = np.concatenate([self.AT @ rho, rho])
+                push = direction * alpha
+                cand = (push < -piv_tol if s > 0 else push > piv_tol).nonzero()[0]
+                free = self.free
+                if len(free):
+                    cand = np.union1d(cand, free[np.abs(alpha[free]) > piv_tol])
+            if optimal or not len(cand):
                 if not exact:
                     self._refresh()
                     exact = True
                     continue
-                verdict = self._check_optimum(movable, dual_tol)
-                if verdict != UNBOUNDED or self._has_unbounded_ray(primal_tol):
+                if optimal:
+                    verdict, what = self._check_optimum(dual_tol), "optimum"
+                    artificial = verdict == UNBOUNDED and not self._has_unbounded_ray(primal_tol)
+                else:
+                    verdict, what, self.proof = INFEASIBLE, "infeasibility proof", rho
+                    leave = self.basis[r]
+                    artificial = ((self.art_lb[leave] if s > 0 else self.art_ub[leave])
+                                  or (self._at_artificial_bound()
+                                      & (np.abs(alpha) > piv_tol)).any())
+                if not artificial:
                     return verdict
-                if self._widen("optimum"):
-                    continue
-                return NUMERICAL_FAILURE
-            if self.iterations >= MAX_ITERATIONS:
-                return NUMERICAL_FAILURE
-
-            # The leaving variable rises to its lower bound (s = 1) or falls to
-            # its upper bound (s = -1); the reduced costs move by -t * s * alpha,
-            # so a column enters only if that pushes it the way it may move.
-            s = 1.0 if self.x_B[r] < lo[r] else -1.0
-            rho = self.Binv[r]
-            rnz = rho.nonzero()[0]  # the only columns of Binv this pivot changes
-            alpha = np.concatenate([self.AT @ rho, rho])
-            push = direction * alpha
-            cand = (push < -piv_tol if s > 0 else push > piv_tol).nonzero()[0]
-            if len(free):
-                cand = np.union1d(cand, free[np.abs(alpha[free]) > piv_tol])
-            if not len(cand):
-                if not exact:
-                    self._refresh()
-                    exact = True
-                    continue
-                leave = self.basis[r]
-                if not ((self.art_lb[leave] if s > 0 else self.art_ub[leave])
-                        or (self._at_artificial_bound() & (np.abs(alpha) > piv_tol)).any()):
-                    self.proof = rho
-                    return INFEASIBLE
-                if self._widen("infeasibility proof"):
+                if self._widen(what):
                     continue
                 return NUMERICAL_FAILURE
             s_alpha = s * alpha[cand]
@@ -523,23 +521,22 @@ class _Simplex:
 
             if q < n:
                 a, z = self.A.indptr[q], self.A.indptr[q + 1]
-                w = self.Binv[:, self.A.indices[a:z]] @ self.A.data[a:z]
+                w = (self.Binv[:, self.A.indices[a:z]] * self.A.data[a:z]).sum(axis=1)
             else:
                 w = self.Binv[:, q - n].copy()
             nz = w.nonzero()[0]  # the only rows this pivot changes
             w_nz = w[nz]
             leave = self.basis[r]
             step = (self.x_B[r] - (lo[r] if s > 0 else hi[r])) / w[r]
-            enter_val = (0.0 if status[q] == _FREE else
-                         ub[q] if status[q] == _AT_UB else lb[q]) + step
+            # An entering column with no direction is free, at 0.
+            enter_val = (ub[q] if direction[q] < 0 else lb[q] if direction[q] > 0
+                         else 0.0) + step
             self.x_B[nz] -= w_nz * step
             self.x_B[r] = enter_val
             lo[r], hi[r] = lb[q], ub[q]
-            if status[q] == _FREE:
-                free = free[free != q]
-            status[leave] = _AT_LB if s > 0 else _AT_UB
-            status[q] = _BASIC
-            direction[leave] = s * movable[leave]
+            if not direction[q]:
+                self.free = free[free != q]
+            direction[leave] = s * (ub[leave] > lb[leave])
             direction[q] = 0.0
             self.basis[r] = q
 
@@ -547,9 +544,10 @@ class _Simplex:
             self.d[self.basis] = 0.0
             self.d[leave] = -s * t
 
-            # Rank-1 update of Binv at rows nz and columns rnz, in place through
-            # flat indices; every other entry would subtract w_i * 0.  Row r is
-            # then set to rho / w_r.
+            # Rank-1 update of Binv at rows nz and columns rnz, the only columns
+            # where rho is nonzero, in place through flat indices; every other
+            # entry would subtract w_i * 0.  Row r is then set to rho / w_r.
+            rnz = rho.nonzero()[0]
             pivot_row = rho[rnz] / w[r]
             np.subtract.at(flat, (nz[:, None] * m + rnz).reshape(-1),
                            (w_nz[:, None] * pivot_row).reshape(-1))
@@ -557,12 +555,9 @@ class _Simplex:
             self.iterations += 1
             exact = False
 
-    def _check_optimum(self, movable: np.ndarray, dual_tol: float) -> str:
-        d, status = self.d, self.status
-        wrong = np.where(status == _AT_LB, d > dual_tol,
-                         np.where(status == _AT_UB, d < -dual_tol,
-                                  (status == _FREE) & (np.abs(d) > dual_tol)))
-        if (wrong & movable).any():
+    def _check_optimum(self, dual_tol: float) -> str:
+        d = self.d
+        if (self.direction * d > dual_tol).any() or (np.abs(d[self.free]) > dual_tol).any():
             return NUMERICAL_FAILURE
         if (self._at_artificial_bound() & (np.abs(d) > dual_tol)).any():
             return UNBOUNDED

@@ -212,6 +212,19 @@ def test_sweep_parallel_matches_serial(small_sweep_cfg):
     assert _strip_timing(a) == _strip_timing(b)
 
 
+def test_row_objective_is_its_dump_objective(tmp_path):
+    # On this point the LP's c @ x and the dump's sum of delivered flow
+    # differ in their last digit, and c @ x differed between BLAS kernels.
+    rows = run_experiment(ExperimentConfig(
+        topology=str(DATA / "b4.json"), tm=str(DATA / "b4_tm.json"),
+        capacity_scale=0.9798494123726695, scales=[0.5], models=["te"], policies=["fixed:5"],
+        out_dir=str(tmp_path)))
+    dump = json.loads((tmp_path / "solutions" / "sol_te_fixed5_0.5.json").read_text())
+    assert rows[0].objective == rows[0].dump["objective"] == dump["objective"]
+    record, = json.loads((tmp_path / "results.json").read_text())
+    assert record["objective"] == dump["objective"]
+
+
 def _dumps_without_solve_time(out: Path) -> dict[str, dict]:
     manifest = json.loads((out / "manifest.json").read_text())
     dumps = {}

@@ -28,7 +28,7 @@ from telab import (
     verify_congestion_free,
 )
 from telab.demands import tm_to_json
-from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, NameRule, _standardize,
+from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, NameRule, _Simplex, _standardize,
                           check_feasibility, solve)
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import TeSolution
@@ -347,6 +347,33 @@ def test_bundled_agrees_with_highs_on_every_column_kind(prob):
     if bundled.status == OPTIMAL:
         assert abs(bundled.objective - highs.objective) <= 1e-9 * max(1.0, abs(highs.objective))
         assert check_feasibility(prob, bundled.values) == []
+
+
+@settings(PROPERTY, max_examples=300)
+@given(mixed_lps())
+def test_bundled_keeps_one_consistent_nonbasic_state(prob):
+    std = _standardize(prob)
+    if std is None:
+        return
+    sx = _Simplex(*std, prob.lower, prob.upper, prob.c if prob.maximize else -prob.c)
+    sx.optimize()
+    lb, ub, direction = sx.lb, sx.ub, sx.direction
+    assert set(np.unique(direction)) <= {-1.0, 0.0, 1.0}
+    assert (direction[sx.basis] == 0).all() and (direction[lb == ub] == 0).all()
+    assert (lb[direction != 0] < ub[direction != 0]).all()
+    nonbasic = np.ones(len(direction), dtype=bool)
+    nonbasic[sx.basis] = False
+    assert nonbasic[sx.free].all()
+    x = sx._nonbasic_point()
+    assert (x[sx.free] == 0).all()
+    bounded = nonbasic.copy()
+    bounded[sx.free] = False
+    assert np.isfinite(x[bounded]).all()
+    assert ((x[bounded] == lb[bounded]) | (x[bounded] == ub[bounded])).all()
+    # A movable column that is neither basic nor free moves inward from its bound.
+    assert (x[direction > 0] == lb[direction > 0]).all()
+    assert (x[direction < 0] == ub[direction < 0]).all()
+    assert (direction[bounded & (lb < ub)] != 0).all()
 
 
 @settings(PROPERTY, max_examples=300)
