@@ -32,19 +32,22 @@ solution dumps record ``"solution_kind": "vertex"``.  Interior-point methods
 are deliberately not offered.
 
 An ``LpProblem`` holds its rows as a block store: each ``add_rows`` call
-appends one block, a CSR matrix with one sense, its right-hand sides, its
-implied marks and its names, and every reader walks the blocks in place.
-Every model builder names its blocks by a ``NameRule``, one format over a
-grid of indices, so a model with a million rows holds no string per row;
-only hand-built rows pass a list.  ``row_names`` and ``rows`` build a new
-list and a new stacked matrix on each call, for the tests; a solve reads
-neither.
+appends one block, a rule for its rows, and every reader walks the blocks in
+place.  A block is a CSR template with one sense, held over scenarios: each
+row is a template row without the columns its scenario kills.  The FFC
+builder's blocks hold every failure scenario so; any other block is one
+scenario in which no column dies.  Every model builder names its blocks by a
+``NameRule``, one format over a grid of indices, so a model with a million
+rows holds no string and no array per row; only hand-built rows pass a list.
+``row_names`` and ``rows`` build a new list and a new stacked matrix on each
+call, for the tests; a solve reads neither.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
-only the unmarked (working) rows, while ``rows`` and the row count keep
-every literal row.  Every optimal solution is re-verified by
-direct substitution into all the original rows before ``solve`` returns it,
+only the unmarked (working) rows, built straight from the templates, while
+``rows`` and the row count keep every literal row.  Every optimal solution is
+re-verified by direct substitution into all the original rows, a scenario's
+rows at a time, before ``solve`` returns it,
 so a wrong mark, like any other fault, is reported as a numerical failure,
 never as a silent wrong answer.  A bundled infeasible verdict is checked too,
 as a proof that the working rows, some of the LP's rows, have no point.
@@ -83,6 +86,8 @@ _HIGHS_SIMPLEX_STRATEGY = {"dual": 1, "primal": 4}
 # bytes, passes this.  A product with the inverse makes one m x m temporary,
 # never while those two exist, so the bound covers it too.
 DENSE_INVERSE_BUDGET_BYTES = 2 << 30
+# Values of x, one copy per scenario, that the re-check of a block holds at once.
+_RECHECK_CHUNK = 1 << 14
 
 
 class NameRule(Sequence):
@@ -111,14 +116,45 @@ class NameRule(Sequence):
 
 
 class _Block(NamedTuple):
-    """The rows of one ``add_rows`` call."""
+    """The rows of one ``add_rows`` call, held as a rule over a template.
+
+    Row (q, i) of the block is template row i without the leading columns
+    dead in scenario q (``alive[q, j]`` false), for each cell where
+    ``live[q, i]`` holds, in scenario-major order, with right-hand side
+    ``rhs[i]``.  A plain block is the one-scenario case with no columns that
+    can die.
+    """
 
     start: int  # LP index of the block's first row
-    matrix: sp.csr_matrix  # over every variable of the LP
+    size: int  # rows of the block
+    template: sp.csr_matrix  # over every variable of the LP
     sense: str
-    rhs: np.ndarray
-    implied: np.ndarray
-    names: Sequence[str]
+    rhs: np.ndarray  # per template row
+    alive: np.ndarray  # scenario x leading column
+    live: np.ndarray  # scenario x template row: the row exists
+    implied: np.ndarray  # scenario x template row: the row is marked implied
+    names: Sequence[str]  # per row of the block
+
+
+def _scenario_rows(template: sp.csr_matrix, alive: np.ndarray,
+                   rows: np.ndarray) -> sp.csr_matrix:
+    """The template's rows for every scenario q in turn, those where
+    ``rows[q]`` holds, each without the leading columns dead in q, as one CSR.
+
+    ``alive`` is scenario x leading column; a column past them never dies.
+    One mask over the template's entries, for each scenario with a row to
+    build, selects the kept entries of all of them at once.
+    """
+    m = template.shape[0]
+    qs = np.flatnonzero(rows.any(axis=1))
+    keep = np.repeat(rows[qs], np.diff(template.indptr), axis=1)
+    dies = template.indices < alive.shape[1]
+    keep[:, dies] &= alive[np.ix_(qs, template.indices[dies])]
+    q, e = np.nonzero(keep)  # scenario-major, entries ascending: so are their rows
+    cell = qs[q] * m + np.searchsorted(template.indptr, e, side="right") - 1
+    indptr = np.append(np.searchsorted(cell, np.flatnonzero(rows)), len(cell))
+    return sp.csr_matrix((template.data[e], template.indices[e], indptr),
+                         shape=(len(indptr) - 1, template.shape[1]))
 
 
 @dataclass(eq=False)
@@ -128,13 +164,12 @@ class LpProblem:
     The columns are float64 arrays of length ``n_vars``: the bounds ``lower``
     and ``upper`` and the objective ``c``, which ``add_vars`` extends with
     zeros.  The rows are a store of blocks, one per ``add_rows`` call (one
-    row: ``add_constraint``), each a CSR matrix over all columns with one
-    sense, its right-hand sides, its builder's marks "implied by another row"
-    and its names: a ``NameRule`` from every model builder, a list for
-    hand-built rows.  ``row_names`` (a list), ``rows`` and ``implied`` are
-    made anew from the blocks on each call and keep nothing.  ``simplex``
-    ("dual" or "primal") names the simplex a backend that has both should
-    run; ``solve`` checks it.
+    row: ``add_constraint``), each a rule (``_Block``) with one sense, its
+    builder's marks "implied by another row" and its names: a ``NameRule``
+    from every model builder, a list for hand-built rows.  ``row_names`` (a
+    list), ``rows`` and ``implied`` are made anew from the blocks on each
+    call and keep nothing.  ``simplex`` ("dual" or "primal") names the
+    simplex a backend that has both should run; ``solve`` checks it.
     """
 
     name: str = ""
@@ -152,7 +187,7 @@ class LpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return self._blocks[-1].start + len(self._blocks[-1].rhs) if self._blocks else 0
+        return self._blocks[-1].start + self._blocks[-1].size if self._blocks else 0
 
     @property
     def row_names(self) -> list[str]:
@@ -175,43 +210,66 @@ class LpProblem:
         self.upper = np.concatenate([self.upper, upper])
         self.c = np.concatenate([self.c, np.zeros(len(names))])
         for blk in self._blocks:  # widens the LP's own header, never the arrays
-            blk.matrix.resize((len(blk.rhs), self.n_vars))
+            blk.template.resize((len(blk.rhs), self.n_vars))
         return self.n_vars - len(names)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         return self.add_vars([name], [lb], [ub])
 
-    def add_rows(self, matrix, sense: str, rhs, names: Sequence[str], implied=None) -> int:
+    def add_rows(self, matrix, sense: str, rhs, names: Sequence[str], implied=None,
+                 alive=None, live=None) -> int:
         """Append a block of rows sharing one sense; returns the first new row index.
 
-        ``implied`` marks, per row, that another row of the problem implies it
-        over the variable bounds, so the backends need not solve it.  The LP
-        owns a CSR ``matrix`` of float64 and the ``names`` sequence from then
-        on: both are kept, not copied, and the caller must not change them.
+        Without ``alive`` and ``live`` each row of ``matrix`` is one row of the
+        LP, and ``implied`` marks, per row, that another row of the problem
+        implies it over the variable bounds, so the backends need not solve
+        it.  With them ``matrix`` is a template over scenarios: ``alive`` is
+        scenario x leading column (false where the column is dead) and
+        ``live`` and ``implied`` are scenario x template row, and the block's
+        rows are, for each scenario q in turn, the template rows i with
+        ``live[q, i]``, each without the columns dead in q, right-hand side
+        ``rhs[i]``, and one name each.  The LP owns a CSR ``matrix`` of float64,
+        the masks and the ``names`` sequence from then on: they are kept, not
+        copied, and the caller must not change them.
         """
         if sense not in _SENSES:
             raise ValidationError(f"unknown constraint sense {sense!r}")
-        block = sp.csr_matrix(matrix, dtype=float)
+        template = sp.csr_matrix(matrix, dtype=float)
         rhs = np.array(rhs, dtype=float).reshape(-1)
-        m = block.shape[0]
-        implied = np.zeros(m, dtype=bool) if implied is None else np.array(
-            implied, dtype=bool).reshape(-1)
-        if not len(rhs) == len(names) == len(implied) == m:
+        m = template.shape[0]
+        live = np.ones((1, m), dtype=bool) if live is None else np.asarray(live, dtype=bool)
+        alive = (np.ones((len(live), 0), dtype=bool) if alive is None
+                 else np.asarray(alive, dtype=bool))
+        implied = np.zeros(live.shape, dtype=bool) if implied is None else np.asarray(
+            implied, dtype=bool)
+        size = int(np.count_nonzero(live))
+        if not (len(rhs) == m and len(names) == size and implied.size == live.size):
             raise ValidationError(f"row block: {m} rows, {len(rhs)} rhs, {len(names)} names, "
-                                  f"{len(implied)} implied marks")
+                                  f"{implied.size} implied marks")
+        if not (alive.ndim == live.ndim == 2 and len(alive) == len(live)
+                and live.shape[1] == m and alive.shape[1] <= self.n_vars):
+            raise ValidationError(f"row block: masks of shapes {alive.shape} and {live.shape} "
+                                  f"for {m} rows over {self.n_vars} variables")
+
+        def name_of(i):  # a template row is named by its first row in the block
+            q = int(live[:, i].argmax())
+            j = int(np.count_nonzero(live[:q])) + int(np.count_nonzero(live[q, :i]))
+            return names[j] if live[q, i] else f"template row {i}"
+
         if not np.isfinite(rhs).all():
-            name = names[int(np.argmax(~np.isfinite(rhs)))]
+            name = name_of(int(np.argmax(~np.isfinite(rhs))))
             raise ValidationError(f"constraint {name!r}: right-hand side must be finite")
-        j = block.indices
-        bad = (j < 0) | (j >= self.n_vars) | ~np.isfinite(block.data)
+        j = template.indices
+        bad = (j < 0) | (j >= self.n_vars) | ~np.isfinite(template.data)
         if bad.any():
             k = int(np.argmax(bad))
-            name = names[np.searchsorted(block.indptr, k, side="right") - 1]
+            name = name_of(np.searchsorted(template.indptr, k, side="right") - 1)
             what = ("non-finite coefficient" if 0 <= j[k] < self.n_vars
                     else f"unknown variable index {j[k]}")
             raise ValidationError(f"constraint {name!r}: {what}")
-        block.resize((m, self.n_vars))
-        self._blocks.append(_Block(self.n_constraints, block, sense, rhs, implied, names))
+        template.resize((m, self.n_vars))
+        self._blocks.append(_Block(self.n_constraints, size, template, sense, rhs, alive,
+                                   live, implied.reshape(live.shape), names))
         return self._blocks[-1].start
 
     def add_constraint(
@@ -228,19 +286,22 @@ class LpProblem:
         return self.add_rows(row, sense, [rhs], [name])
 
     def rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """Every constraint row, stacked anew: (CSR matrix over all variables,
-        senses, rhs)."""
+        """Every constraint row, built and stacked anew: (CSR matrix over all
+        variables, senses, rhs)."""
         blocks = self._blocks
-        return (sp.vstack([sp.csr_matrix((0, self.n_vars))] + [b.matrix for b in blocks],
+        return (sp.vstack([sp.csr_matrix((0, self.n_vars))]
+                          + [_scenario_rows(b.template, b.alive, b.live) for b in blocks],
                           format="csr"),
                 np.repeat(np.array([b.sense for b in blocks], dtype="<U2"),
-                          [len(b.rhs) for b in blocks]),
-                np.concatenate([np.zeros(0)] + [b.rhs for b in blocks]))
+                          [b.size for b in blocks]),
+                np.concatenate([np.zeros(0)]
+                               + [np.broadcast_to(b.rhs, b.live.shape)[b.live] for b in blocks]))
 
     @property
     def implied(self) -> np.ndarray:
         """Per row: marked by its builder as implied by another row."""
-        return np.concatenate([np.zeros(0, dtype=bool)] + [b.implied for b in self._blocks])
+        return np.concatenate([np.zeros(0, dtype=bool)]
+                              + [b.implied[b.live] for b in self._blocks])
 
     def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
         """Set ``c`` from (column, coefficient) pairs, summing a repeated column's."""
@@ -266,7 +327,15 @@ class LpSolution:
 
 
 def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
-    """Substitute x into the original rows and bounds; return violations."""
+    """Substitute x into the original rows and bounds; return violations.
+
+    A block's rows are evaluated a chunk of scenarios at a time, as the
+    template times ``x`` with the columns dead in each scenario set to 0:
+    every kept entry adds the term it adds to the row, in the row's order, and
+    a dead one adds 0, so each row's sum is the one its own entries give.  A
+    row's tolerance is ``FEASIBILITY_TOL`` times its largest kept |coefficient|,
+    at least 1.
+    """
     issues: list[str] = []
     for j in np.flatnonzero(~np.isfinite(x)):
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} is not finite")
@@ -279,41 +348,60 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
         issues.append(f"var {prob.var_names[j]}: {float(x[j])!r} above upper bound "
                       f"{float(prob.upper[j])!r}")
     for blk in prob._blocks:
-        A = blk.matrix
-        lhs = A @ x
-        filled = np.diff(A.indptr) > 0
-        starts = A.indptr[:-1][filled]
-        scale = np.ones(len(lhs))  # max(1, largest |coefficient|) per row, with no |A| copy
-        top = np.maximum.reduceat(A.data, starts)
-        np.maximum(top, -np.minimum.reduceat(A.data, starts), out=top)
-        scale[filled] = np.maximum(top, 1.0, out=top)
-        resid, tol = lhs - blk.rhs, FEASIBILITY_TOL * scale
-        bad = (resid > tol if blk.sense == "<=" else resid < -tol if blk.sense == ">="
-               else np.abs(resid) > tol)
-        for i in np.flatnonzero(bad):
-            row_lhs = float(lhs[i]) if filled[i] else 0  # an empty sum is the integer 0
-            issues.append(f"row {blk.names[i] or blk.start + i}: lhs {row_lhs!r} {blk.sense} "
-                          f"rhs {float(blk.rhs[i])!r} violated")
+        T, alive, live, sense = blk.template, blk.alive, blk.live, blk.sense
+        n_die = alive.shape[1]
+        dies = T.indices < n_die
+        step = max(1, _RECHECK_CHUNK // max(len(x), 1))
+        first = 0  # the block's index of the chunk's first row
+        for q0 in range(0, len(live), step):
+            on, kept = live[q0:q0 + step], alive[q0:q0 + step]
+            X = np.empty((len(x), len(on)))
+            X[:n_die] = np.where(kept.T, x[:n_die, None], 0.0)
+            X[n_die:] = x[n_die:, None]
+            lhs = (T @ X).T  # scenario x template row
+            resid = lhs - blk.rhs
+            # No row's scale is below 1, so only a row that fails at scale 1 is
+            # tested again, at the scale of the entries its scenario keeps.
+            bad = _violated(resid, FEASIBILITY_TOL, sense) & on
+            if bad.any():
+                index = first - 1 + np.cumsum(on).reshape(bad.shape)
+                for q, i in zip(*np.nonzero(bad)):
+                    lo, hi = T.indptr[i], T.indptr[i + 1]
+                    keep = ~dies[lo:hi]
+                    keep[~keep] = kept[q, T.indices[lo:hi][~keep]]
+                    scale = max(1.0, float(np.abs(T.data[lo:hi][keep]).max(initial=0.0)))
+                    if not _violated(resid[q, i], FEASIBILITY_TOL * scale, sense):
+                        continue
+                    row_lhs = float(lhs[q, i]) if keep.any() else 0  # an empty sum is int 0
+                    j = int(index[q, i])
+                    issues.append(f"row {blk.names[j] or blk.start + j}: lhs {row_lhs!r} "
+                                  f"{sense} rhs {float(blk.rhs[i])!r} violated")
+            first += int(np.count_nonzero(on))
     return issues
+
+
+def _violated(resid, tol, sense: str):
+    return resid > tol if sense == "<=" else resid < -tol if sense == ">=" else np.abs(resid) > tol
 
 
 def _standardize(prob: LpProblem):
     """The working rows both backends solve, as (A, b, ineq), or None for a
     constant row that can never hold.
 
-    The rows not marked implied, with >= rows negated to <=, duplicate
-    coefficients merged, zero coefficients dropped, and an empty row that
-    holds dropped.  The FFC builder marks every failure-scenario capacity row
-    implied, so both capacity modes give the same working rows.
+    The rows not marked implied, built straight from each block's template,
+    with >= rows negated to <=, duplicate coefficients merged, zero
+    coefficients dropped, and an empty row that holds dropped.  The FFC
+    builder marks every failure-scenario capacity row implied, so both
+    capacity modes give the same working rows.
     """
     mats, bs, ineqs = [sp.csr_matrix((0, prob.n_vars))], [np.zeros(0)], [np.zeros(0, dtype=bool)]
     for blk in prob._blocks:
-        keep = ~blk.implied
+        keep = blk.live & ~blk.implied
         flip = -1.0 if blk.sense == ">=" else 1.0
-        A = blk.matrix[keep] * flip
+        A = _scenario_rows(blk.template, blk.alive, keep) * flip
         A.sum_duplicates()
         A.eliminate_zeros()
-        b, ineq = flip * blk.rhs[keep], blk.sense != "="
+        b, ineq = flip * np.broadcast_to(blk.rhs, keep.shape)[keep], blk.sense != "="
         filled = np.diff(A.indptr) > 0
         if (~filled & ((b < -FEASIBILITY_TOL) if ineq else (np.abs(b) > FEASIBILITY_TOL))).any():
             return None

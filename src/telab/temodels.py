@@ -12,7 +12,8 @@ Capacity rows can be emitted for every scenario (``all``, the literal
 substitution) or only for the normal state (``normal_only``); failures only
 remove load, so both modes share the same optimum, which tests assert.  The
 builder marks the rows another row implies (see ``build_ffc_lp``), so both
-modes also solve the same working rows, while the LP keeps every literal row.
+modes also solve the same working rows, while the LP keeps every literal row
+as a rule: a normal-state template and the tunnels each scenario leaves.
 """
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ from .tunnels import TunnelSet, make_tunnel_set, surviving_tunnels
 
 CAPACITY_MODE_ALL = "all"
 CAPACITY_MODE_NORMAL_ONLY = "normal_only"
+
+# The FFC builder refuses an LP whose arrays that grow with the scenarios
+# (``_ffc_bytes``) would pass this, so an oversized instance fails cleanly.
+FFC_BUILD_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -108,32 +113,6 @@ def _row_templates(ts: TunnelSet) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return arcs, own
 
 
-def _scenario_rows(template: sp.csr_matrix, alive: np.ndarray,
-                   live_rows: np.ndarray) -> sp.csr_matrix:
-    """The template's rows for every scenario q in turn, those where
-    ``live_rows[q]`` holds, each without the tunnels dead in q, as one CSR.
-
-    ``alive`` is scenario x tunnel.  The template's tunnel columns come first;
-    a column past them (a delivered flow) never dies.  One scenario x entry
-    mask selects the kept entries of every scenario at once.
-    """
-    lengths = np.diff(template.indptr)
-    keep = np.repeat(live_rows, lengths, axis=1)
-    tunnel = template.indices < alive.shape[1]
-    keep[:, tunnel] &= alive[:len(live_rows), template.indices[tunnel]]
-    # Kept entries per row.  Without a dtype, reduceat sums bools as a logical
-    # or; it cannot start a segment at an empty row; int32 counts keep this
-    # per-row array small, and cumsum widens them.
-    filled = lengths > 0
-    counts = np.zeros(live_rows.shape, np.int32)
-    counts[:, filled] = np.add.reduceat(keep, template.indptr[:-1][filled], axis=1,
-                                        dtype=np.int32)
-    indptr = np.concatenate([[0], np.cumsum(counts[live_rows])])
-    indices = np.broadcast_to(template.indices, keep.shape)[keep]
-    data = np.broadcast_to(template.data, keep.shape)[keep]
-    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, template.shape[1]))
-
-
 def _implied_delivery(demand_of: np.ndarray, alive: np.ndarray, n_dem: int) -> np.ndarray:
     """Scenario x demand: the delivery row is implied by another of the same demand.
 
@@ -147,22 +126,38 @@ def _implied_delivery(demand_of: np.ndarray, alive: np.ndarray, n_dem: int) -> n
     ``demand_of`` gives each tunnel's demand, ``alive`` is scenario x tunnel.
     """
     n_scen, n_tun = alive.shape
-    q, k = np.nonzero(~alive)
+    q, k = np.nonzero(~alive)  # scenario-major, tunnels ascending: so are their rows
     row = q * n_dem + demand_of[k]  # delivery row index, in build order
-    killed = sp.csr_matrix((np.ones(len(k)), (row, k)), shape=(n_scen * n_dem, n_tun))
-    size = np.bincount(row, minlength=n_scen * n_dem)
-    shared = (killed @ killed.T).tocoo()  # same demand only: a tunnel has one demand
-    i, j = shared.row, shared.col
-    inside = shared.data == size[i]  # killed(i) is a subset of killed(j)
-    implied = np.zeros(n_scen * n_dem, dtype=bool)
-    implied[i[inside & ((size[j] > size[i]) | ((size[j] == size[i]) & (j < i)))]] = True
+    first = np.flatnonzero(np.diff(row, prepend=-1))  # each nonempty killed set's first entry
+    killed = sp.csr_matrix((np.ones(len(k), dtype=np.int32), k, np.append(first, len(k))),
+                           shape=(len(first), n_tun))  # over the rows that lose a tunnel
+    size = np.diff(killed.indptr)
+    shared = killed @ killed.T  # same demand only: a tunnel has one demand
+    i = np.repeat(np.arange(len(first), dtype=np.int32), np.diff(shared.indptr))
+    j = shared.indices
+    nest = np.flatnonzero(shared.data == size[i])  # killed(i) is a subset of killed(j)
+    i, j = i[nest], j[nest]
     # A row whose scenario kills none of the demand's tunnels repeats the
     # normal-state row, which is implied as soon as some scenario kills one.
-    hit = np.zeros(n_dem, dtype=bool)
-    hit[demand_of[k]] = True
-    untouched = (size == 0).reshape(n_scen, n_dem)
-    untouched[0] &= hit
-    return implied.reshape(n_scen, n_dem) | untouched
+    implied = np.ones((n_scen, n_dem), dtype=bool)
+    implied[0, :] = False
+    implied[0, demand_of[k]] = True
+    marks = implied.reshape(-1)
+    marks[row[first]] = False
+    marks[row[first[i[(size[j] > size[i]) | ((size[j] == size[i]) & (j < i))]]]] = True
+    return implied
+
+
+def _ffc_bytes(ts: TunnelSet, n_scen: int, n_dem: int) -> int:
+    """About the peak bytes of the arrays that grow with the scenarios, from
+    the tunnels alone.  Per scenario: a byte per tunnel for the survivor mask
+    and four for the masks ``_implied_delivery`` and ``_scenario_rows`` make
+    from it, and two per demand for the marks and the delivered-flow entries.
+    Then 40 bytes per (scenario, killed tunnel), and 24 per pair of
+    scenarios that kill one tunnel, the pairs ``_implied_delivery`` compares."""
+    hops = np.diff(ts.incidence.indptr)  # links on each tunnel, each a scenario that kills it
+    return (n_scen * (5 * ts.total + 2 * n_dem) + 40 * int(hops.sum())
+            + 24 * int(np.square(hops).sum()))
 
 
 def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
@@ -213,11 +208,20 @@ def build_ffc_lp(
     of its tunnels and the same capacity), and every delivery row that another
     scenario's row of the same demand implies (``_implied_delivery``).  Both
     capacity modes therefore solve the same working rows.
+
+    The LP holds each kind of row as its normal-state template, the
+    scenario x tunnel survivor mask and the marks; a solve builds only the
+    working rows.  An LP whose scenario-sized arrays (``_ffc_bytes``) would
+    pass ``FFC_BUILD_BUDGET_BYTES`` raises ``SolveError`` before any is made.
     """
     require(capacity_mode in (CAPACITY_MODE_ALL, CAPACITY_MODE_NORMAL_ONLY),
             f"unknown capacity mode {capacity_mode!r}")
     n_scen = scen.shape[0]
     require(n_scen > 0 and not scen[0].nnz, "scenario set must start with the normal state")
+    need = _ffc_bytes(ts, n_scen, tm.n)
+    if need > FFC_BUILD_BUDGET_BYTES:
+        raise SolveError(f"FFC LP of {n_scen} scenarios and {ts.total} tunnels needs about "
+                         f"{need:,} bytes, over the {FFC_BUILD_BUDGET_BYTES:,}-byte budget")
     prob = _base_problem(topo, tm, ts, "ffc")
     prob.simplex = "primal"  # starts at the feasible x = 0; TE stays faster on the dual
     arcs, own = _row_templates(ts)
@@ -225,17 +229,16 @@ def build_ffc_lp(
     implied = _implied_delivery(ts.demand_of, alive, tm.n)
 
     # Rows in scenario order: the alive arcs' capacity rows, then every
-    # demand's delivery row, each over the scenario's surviving tunnels.
+    # demand's delivery row, each over the scenario's surviving tunnels.  The
+    # LP holds each as its template and masks; no row is built here.
     n_cap = n_scen if capacity_mode == CAPACITY_MODE_ALL else 1
     live_arcs = scen[:n_cap].toarray() == 0
-    cells = np.flatnonzero(live_arcs)  # q * n_arcs + e of each capacity row
-    prob.add_rows(_scenario_rows(arcs, alive, live_arcs), "<=",
-                  topo.capacities()[cells % topo.n_arcs],
-                  NameRule("cap_q{0}_e{1}", live_arcs.shape, cells),
-                  implied=cells >= topo.n_arcs)  # every row with q > 0
-    prob.add_rows(_scenario_rows(own, alive, np.broadcast_to(True, (n_scen, tm.n))), ">=",
-                  np.zeros(n_scen * tm.n), NameRule("del_f{1}_q{0}", (n_scen, tm.n)),
-                  implied=implied.reshape(-1))
+    prob.add_rows(arcs, "<=", topo.capacities(),
+                  NameRule("cap_q{0}_e{1}", live_arcs.shape, np.flatnonzero(live_arcs)),
+                  implied=np.broadcast_to(np.arange(n_cap)[:, None] > 0, live_arcs.shape),
+                  alive=alive[:n_cap], live=live_arcs)
+    prob.add_rows(own, ">=", np.zeros(tm.n), NameRule("del_f{1}_q{0}", (n_scen, tm.n)),
+                  implied=implied, alive=alive, live=np.broadcast_to(True, implied.shape))
 
     meta = ModelMeta("ffc", ts.policy, capacity_mode, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)

@@ -23,7 +23,7 @@ from telab import (
     solve_model,
 )
 import telab
-from telab import cli, harness, lpcore
+from telab import cli, harness, lpcore, temodels
 from telab.cli import cli_main
 from telab.harness import RESULT_COLUMNS, TIMING_COLUMNS, ExperimentConfig, rows_to_csv
 from telab.lpcore import BACKENDS, NUMERICAL_FAILURE, LpSolution, solve
@@ -391,6 +391,43 @@ def test_sweep_point_over_the_dense_inverse_budget_is_one_failed_row(monkeypatch
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 2
     assert all("dense basis inverse of" in w and "byte budget" in w for w in warnings)
+
+
+def test_sweep_point_over_the_ffc_build_budget_is_one_error_row(monkeypatch, caplog):
+    # fixed:1 gives the diamond demand one tunnel and fixed:5 two, so a budget
+    # of the fixed:1 FFC LP's size refuses the fixed:5 one alone.
+    topo = harness.load_topology(DATA / "diamond.json")
+    tm = harness.load_tm(DATA / "diamond_tm.json", topo)
+    n_scen = topo.n_links + 1
+    need = [temodels._ffc_bytes(build_tunnel_sets(topo, tm, FixedTunnelPolicy(k)), n_scen, tm.n)
+            for k in (1, 5)]
+    assert need[0] < need[1]
+    cfg = ExperimentConfig(topology=str(DATA / "diamond.json"), tm=str(DATA / "diamond_tm.json"),
+                           scales=[1.0], models=["te", "ffc"], policies=["fixed:1", "fixed:5"])
+    want = [r.as_record() for r in run_experiment(cfg)]
+    monkeypatch.setattr(temodels, "FFC_BUILD_BUDGET_BYTES", need[0])
+    with caplog.at_level("ERROR", logger="telab.harness"):
+        rows = run_experiment(cfg)
+    assert [(r.model, r.policy, r.status) for r in rows] == [
+        ("ffc", "fixed:1", "optimal"), ("ffc", "fixed:5", "error"),
+        ("te", "fixed:1", "optimal"), ("te", "fixed:5", "optimal")]
+    assert f"over the {need[0]:,}-byte budget" in caplog.text
+    for got, expected in zip([r.as_record() for r in rows], want):
+        if got["status"] == "optimal":
+            assert ({k: v for k, v in got.items() if k not in TIMING_COLUMNS}
+                    == {k: v for k, v in expected.items() if k not in TIMING_COLUMNS})
+
+
+def test_cli_solve_over_the_ffc_build_budget_exits_1_with_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(temodels, "FFC_BUILD_BUDGET_BYTES", 0)
+    argv = ["solve", "--topo", str(DATA / "diamond.json"), "--tm", str(DATA / "diamond_tm.json"),
+            "--model", "ffc"]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: FFC LP of 5 scenarios") and line.endswith("-byte budget")
+    assert cli_main([*argv[:-1], "te"]) == 0  # the TE model has no scenarios to hold
 
 
 def test_sweep_rows_sorted_by_reported_policy_label():

@@ -240,6 +240,17 @@ def test_problem_validation():
         p.set_objective([(x, math.nan)])
     with pytest.raises(ValidationError, match="row block: 1 rows, 2 rhs"):
         p.add_rows(sp.csr_matrix([[1.0]]), "<=", [1.0, 2.0], ["r0"])
+    with pytest.raises(ValidationError, match=r"masks of shapes \(2, 1\) and \(1, 1\)"):
+        p.add_rows(sp.csr_matrix([[1.0]]), "<=", [1.0], ["r0"], alive=[[True], [False]],
+                   live=[[True]])
+    # A template row is named by its first row in the block, or, when no
+    # scenario has it, by its template index.
+    for live, name in (([[True, False], [True, True]], "s1_q1"),
+                       ([[True, False], [True, False]], "template row 1")):
+        with pytest.raises(ValidationError, match=f"constraint '{name}': right-hand side"):
+            p.add_rows(sp.csr_matrix((2, 1)), "<=", [1.0, math.inf],
+                       lpcore.NameRule("s{1}_q{0}", (2, 2), np.flatnonzero(live)),
+                       alive=[[True], [False]], live=live)
     with pytest.raises(ValidationError):
         solve(p, backend="nope")
     assert LpProblem().simplex == "dual"
@@ -435,6 +446,26 @@ def test_wrong_implied_mark_is_caught_by_the_recheck(backend):
     assert sol.status == NUMERICAL_FAILURE
     assert "re-check: row cap: lhs" in sol.message and "<= rhs 1.0 violated" in sol.message
     assert "np." not in sol.message
+
+
+def test_a_scenario_block_scales_each_row_by_the_coefficients_its_scenario_keeps():
+    # Row 0 is 3 x0 + x1 <= 0 while x0 lives and x1 <= 0 once it dies, so at
+    # x1 = 2e-6 only the second breaks its tolerance (3e-6, then 1e-6).  Row 1,
+    # -2 x0 <= -1, is empty once x0 dies, and an empty row's lhs prints as 0.
+    p = LpProblem("scenarios")
+    p.add_vars(["x0", "x1"], [0, 0], [1, 1])
+    p.add_rows(sp.csr_matrix([[3.0, 1.0], [-2.0, 0.0]]), "<=", [0.0, -1.0],
+               lpcore.NameRule("r{1}_q{0}", (2, 2)), implied=[[False, False], [False, True]],
+               alive=[[True], [False]], live=np.ones((2, 2), dtype=bool))
+    A, senses, rhs = p.rows()
+    assert A.toarray().tolist() == [[3.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    assert (senses.tolist(), rhs.tolist()) == (["<="] * 4, [0.0, -1.0, 0.0, -1.0])
+    assert p.implied.tolist() == [False, False, False, True]
+    assert check_feasibility(p, np.array([0.0, 2e-6])) == [
+        "row r1_q0: lhs 0.0 <= rhs -1.0 violated", "row r0_q1: lhs 2e-06 <= rhs 0.0 violated",
+        "row r1_q1: lhs 0 <= rhs -1.0 violated"]
+    A, b, ineq = _standardize(p)  # the marked row is not built
+    assert A.toarray().tolist() == [[3.0, 1.0], [-2.0, 0.0], [0.0, 1.0]]
 
 
 def test_add_rows_leaves_the_callers_block_intact():

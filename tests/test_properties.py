@@ -6,6 +6,7 @@ loop from ``oracles.py``, in content and in order, or checks an invariant of
 the TE and FFC models, the calibration LP or the file formats on it.
 """
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from telab import (
     solve_model,
     verify_congestion_free,
 )
+from telab import lpcore
 from telab.demands import tm_to_json
 from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, NameRule, _Simplex, _standardize,
                           check_feasibility, solve)
@@ -141,11 +143,29 @@ def test_one_pass_ffc_build_equals_the_per_scenario_build(inst, capacity_mode):
     assert write_lp_text(prob) == write_lp_text(want)
     assert prob.implied.tolist() == want.implied.tolist()
     assert prob.simplex == want.simplex
-    # The oracle adds one block per scenario and kind: capacity, then delivery.
-    cap, own = (blk.matrix for blk in prob._blocks)
-    n_cap = len(want._blocks) - scen.shape[0]
-    _assert_stacks(cap, [blk.matrix for blk in want._blocks[:n_cap]])
-    _assert_stacks(own, [blk.matrix for blk in want._blocks[n_cap:]])
+    # The oracle adds one plain block per scenario and kind, capacity then
+    # delivery, whose template is its rows; prob holds two templates and
+    # their masks, and rows() builds every row from them.
+    _assert_stacks(prob.rows()[0], [blk.template for blk in want._blocks])
+
+
+@PROPERTY
+@given(instances(), st.sampled_from(["all", "normal_only"]), st.integers(0, 2**32 - 1))
+def test_recheck_from_the_templates_equals_the_recheck_of_the_literal_rows(inst, capacity_mode,
+                                                                           seed):
+    # Points that break rows of every kind: tunnel rates over the capacities,
+    # deliveries over the surviving rates, and values out of bounds or not
+    # finite, whose terms a dead tunnel's rows must not see.
+    topo, tm, ts, scen = inst
+    prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
+    want = ffc_lp_oracle(topo, tm, ts, scen, capacity_mode)
+    rng = np.random.default_rng(seed)
+    for values in ([0.0, 0.5, 1.0, 4.0, 25.0], [-1.0, 0.0, 3.0, 30.0, np.inf, -np.inf, np.nan]):
+        x = rng.choice(values, prob.n_vars)
+        issues = check_feasibility(want, x)
+        assert check_feasibility(prob, x) == issues
+        with mock.patch.object(lpcore, "_RECHECK_CHUNK", 1):  # one scenario at a time
+            assert check_feasibility(prob, x) == issues
 
 
 @PROPERTY
@@ -390,7 +410,11 @@ def block_stores(draw):
     named by a list or a ``NameRule``, with columns added between the blocks
     and after them, the same rows added to a second LP as one block (its
     names the blocks' names in turn) after all its columns, and a point that
-    may violate rows and bounds.  Rows may repeat a column or be empty."""
+    may violate rows and bounds.  Rows may repeat a column or be empty.
+
+    About half the blocks hold 1-3 scenarios: random survivor masks over the
+    leading columns and random live and implied masks over the template rows.
+    The second LP gets their rows as the literal loop spells them out."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sense = str(rng.choice(["<=", ">=", "="]))
     blocks, single = LpProblem(name="blocks"), LpProblem(name="blocks")
@@ -403,22 +427,32 @@ def block_stores(draw):
     for b in range(int(rng.integers(1, 5))):
         add_columns(int(rng.integers(0 if b else 1, 3)))
         m = int(rng.integers(0, 4))
-        start = len(cols)
-        for _ in range(m):
-            k = int(rng.integers(0, 4))
-            cols += rng.integers(0, blocks.n_vars, k).tolist()
-            vals += rng.choice([-2.5, -1.0, 0.5, 1.0, 3.0], k).tolist()
-            indptr.append(len(cols))
-        matrix = sp.csr_matrix((vals[start:], cols[start:],
-                                np.array(indptr[-m - 1:]) - start), shape=(m, blocks.n_vars))
+        rows = [(rng.integers(0, blocks.n_vars, k).tolist(),
+                 rng.choice([-2.5, -1.0, 0.5, 1.0, 3.0], k).tolist())
+                for k in rng.integers(0, 4, m)]
+        matrix = sp.csr_matrix((sum((v for _, v in rows), []), sum((c for c, _ in rows), []),
+                                np.cumsum([0] + [len(c) for c, _ in rows])),
+                               shape=(m, blocks.n_vars))
         block_rhs = rng.choice([-1.0, 0.0, 1.0, 2.5], m)
-        block_marks = rng.random(m) < 0.3
-        block_names = (NameRule(f"b{b}_r{{1}}", (1, m)) if rng.random() < 0.5
-                       else [str(rng.choice(["", f"b{b}_{i}"])) for i in range(m)])
-        blocks.add_rows(matrix, sense, block_rhs, block_names, implied=block_marks)
-        rhs += block_rhs.tolist()
+        alive, live, scenarios = np.ones((1, 0), dtype=bool), np.ones((1, m), dtype=bool), {}
+        if rng.random() < 0.5:
+            n_scen, n_lead = int(rng.integers(1, 4)), int(rng.integers(0, blocks.n_vars + 1))
+            alive, live = rng.random((n_scen, n_lead)) < 0.6, rng.random((n_scen, m)) < 0.7
+            scenarios = dict(alive=alive, live=live)
+        block_marks = rng.random(live.shape) < 0.3
+        block_names = (NameRule(f"b{b}_r{{1}}_q{{0}}", live.shape, np.flatnonzero(live))
+                       if rng.random() < 0.5
+                       else [str(rng.choice(["", f"b{b}_{i}"])) for i in range(live.sum())])
+        blocks.add_rows(matrix, sense, block_rhs, block_names,
+                        implied=block_marks if scenarios else block_marks[0], **scenarios)
+        for q, i in zip(*np.nonzero(live)):
+            kept = [(c, v) for c, v in zip(*rows[i]) if c >= alive.shape[1] or alive[q, c]]
+            cols += [c for c, _ in kept]
+            vals += [v for _, v in kept]
+            indptr.append(len(cols))
+            rhs.append(block_rhs[i])
+            marks.append(block_marks[q, i])
         names += list(block_names)
-        marks += block_marks.tolist()
     add_columns(int(rng.integers(0, 2)))
     single.add_vars(list(blocks.var_names), blocks.lower, blocks.upper)
     single.add_rows(sp.csr_matrix((vals, cols, indptr), shape=(len(rhs), single.n_vars)),

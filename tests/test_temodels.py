@@ -488,11 +488,12 @@ def _traced_peak_mb(fn) -> float:
 
 # Traced peaks of one call on syn24 (fixed:4; the build and verify on
 # normal_only, the re-check on the larger all-mode LP, at x = 0).  Measured
-# with numpy 2.4 at 2.26, 0.42 and 1.11 MiB; each bound adds about a third
-# for other numpy versions.  The parent tree, which named every row with a
-# string, stacked dense copies and tested |a| through a copy, peaked at 4.09,
-# 2.62 and 3.90 MiB.
-MEMORY_BOUNDS_MB = {"build": 3.0, "verify": 0.6, "recheck": 1.5}
+# with numpy 2.4 at 1.66, 0.29 and 0.30 MiB; each bound adds about a third
+# for other numpy versions.  Built as literal CSR rows and re-checked a whole
+# block at a time, the rows peaked at 2.26 MiB in the build and 1.11 MiB in
+# the re-check; named by a string per row, with stacked dense copies and |a|
+# tested through a copy, at 4.09 and 3.90 MiB.
+MEMORY_BOUNDS_MB = {"build": 2.21, "verify": 0.6, "recheck": 0.4}
 
 
 @pytest.fixture(scope="module")
