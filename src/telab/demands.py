@@ -107,12 +107,15 @@ def load_tm(path: str | Path, topo: Topology) -> TrafficMatrix:
     return parse_tm(Path(path).read_text(), topo)
 
 
+def _demand_entries(tm: TrafficMatrix, topo: Topology) -> list[dict]:
+    """The ``"demands"`` entries of a traffic matrix or solution document."""
+    return [{"src": topo.node_ids[d.src], "dst": topo.node_ids[d.dst], "volume": d.volume}
+            for d in tm.demands]
+
+
 def tm_to_json(tm: TrafficMatrix, topo: Topology, meta: dict | None = None) -> str:
     doc = dict(meta or {})
-    doc["demands"] = [
-        {"src": topo.node_ids[d.src], "dst": topo.node_ids[d.dst], "volume": d.volume}
-        for d in tm.demands
-    ]
+    doc["demands"] = _demand_entries(tm, topo)
     return json.dumps(doc, indent=2)
 
 

@@ -46,11 +46,13 @@ A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
 only the unmarked (working) rows, built straight from the templates, while
 ``rows`` and the row count keep every literal row.  Every optimal solution is
-re-verified by direct substitution into all the original rows, a scenario's
-rows at a time, before ``solve`` returns it,
-so a wrong mark, like any other fault, is reported as a numerical failure,
-never as a silent wrong answer.  A bundled infeasible verdict is checked too,
-as a proof that the working rows, some of the LP's rows, have no point.
+re-verified by direct substitution into all the original rows, a chunk of
+scenarios at a time, before ``solve`` returns it; the rows that fail at scale
+1 are rebuilt by ``_scenario_rows`` and tested at the scale their kept entries
+give.  So a wrong mark, like any other fault, is reported as a numerical
+failure, never as a silent wrong answer.  A bundled infeasible verdict is
+checked too, as a proof that the working rows, some of the LP's rows, have
+no point.
 """
 from __future__ import annotations
 
@@ -334,7 +336,8 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
     every kept entry adds the term it adds to the row, in the row's order, and
     a dead one adds 0, so each row's sum is the one its own entries give.  A
     row's tolerance is ``FEASIBILITY_TOL`` times its largest kept |coefficient|,
-    at least 1.
+    at least 1: the rows that fail at scale 1 are rebuilt by ``_scenario_rows``
+    and tested again at the scale their kept entries give.
     """
     issues: list[str] = []
     for j in np.flatnonzero(~np.isfinite(x)):
@@ -350,7 +353,6 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
     for blk in prob._blocks:
         T, alive, live, sense = blk.template, blk.alive, blk.live, blk.sense
         n_die = alive.shape[1]
-        dies = T.indices < n_die
         step = max(1, _RECHECK_CHUNK // max(len(x), 1))
         first = 0  # the block's index of the chunk's first row
         for q0 in range(0, len(live), step):
@@ -364,18 +366,16 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
             # tested again, at the scale of the entries its scenario keeps.
             bad = _violated(resid, FEASIBILITY_TOL, sense) & on
             if bad.any():
-                index = first - 1 + np.cumsum(on).reshape(bad.shape)
-                for q, i in zip(*np.nonzero(bad)):
-                    lo, hi = T.indptr[i], T.indptr[i + 1]
-                    keep = ~dies[lo:hi]
-                    keep[~keep] = kept[q, T.indices[lo:hi][~keep]]
-                    scale = max(1.0, float(np.abs(T.data[lo:hi][keep]).max(initial=0.0)))
-                    if not _violated(resid[q, i], FEASIBILITY_TOL * scale, sense):
-                        continue
-                    row_lhs = float(lhs[q, i]) if keep.any() else 0  # an empty sum is int 0
-                    j = int(index[q, i])
+                rows = _scenario_rows(T, kept, bad)
+                scale = np.maximum(1.0, abs(rows).max(axis=1).toarray().ravel())
+                q, i = np.nonzero(bad)
+                index = (first - 1 + np.cumsum(on).reshape(bad.shape))[q, i]
+                filled = np.diff(rows.indptr) > 0
+                for k in np.flatnonzero(_violated(resid[q, i], FEASIBILITY_TOL * scale, sense)):
+                    row_lhs = float(lhs[q[k], i[k]]) if filled[k] else 0  # an empty sum is int 0
+                    j = int(index[k])
                     issues.append(f"row {blk.names[j] or blk.start + j}: lhs {row_lhs!r} "
-                                  f"{sense} rhs {float(blk.rhs[i])!r} violated")
+                                  f"{sense} rhs {float(blk.rhs[i[k]])!r} violated")
             first += int(np.count_nonzero(on))
     return issues
 

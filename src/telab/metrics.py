@@ -92,8 +92,6 @@ def network_criticality(scores: np.ndarray, utilization: np.ndarray) -> float:
     least one flow-carrying tunnel.
     """
     mask = scores > 0
-    if not mask.any():
-        return 0.0
     if np.any(utilization[mask] <= 0):
         raise ValidationError("scored arc with zero utilization: inconsistent solution")
     return float((scores[mask] / utilization[mask]).sum())
@@ -101,9 +99,12 @@ def network_criticality(scores: np.ndarray, utilization: np.ndarray) -> float:
 
 def critical_link_fraction(scores: np.ndarray, topo: Topology) -> float:
     """Fraction of arcs carrying a positive criticality score."""
-    if topo.n_arcs == 0:
-        return 0.0
-    return float((scores > 0).sum()) / topo.n_arcs
+    return _ratio(float((scores > 0).sum()), topo.n_arcs)
+
+
+def _ratio(part: float, whole: float) -> float:
+    """``part / whole``, or 0.0 over an empty whole: no arcs, demand or tunnels."""
+    return part / whole if whole else 0.0
 
 
 def compute_metrics(
@@ -117,36 +118,16 @@ def compute_metrics(
     total_rates = float(sol.tunnel_rates.sum())
 
     utilization = link_utilization(sol, topo)
-    mean_utility = float(utilization.mean()) if topo.n_arcs else 0.0
-
-    if total_demand > 0:
-        overprovisioning = max(0.0, total_rates - total_delivered) / total_demand
-        unmet_flow = max(0.0, total_demand - total_delivered) / total_demand
-    else:
-        overprovisioning = 0.0
-        unmet_flow = 0.0
-
-    if tm.n > 0:
-        volumes = tm.volumes()
-        short = sol.delivered < volumes - FLOW_EPS * np.maximum(1.0, volumes)
-        unmet_demands = float(short.sum()) / tm.n
-    else:
-        unmet_demands = 0.0
-
-    if ts.total > 0:
-        used = int((sol.tunnel_rates > FLOW_EPS).sum())
-        used_tunnel = used / ts.total
-    else:
-        used_tunnel = 0.0
-
+    volumes = tm.volumes()
+    short = sol.delivered < volumes - FLOW_EPS * np.maximum(1.0, volumes)
     scores = criticality_scores(sol, ts, utilization)
     return MetricsReport(
         solver_time=sol.solve_time,
-        mean_utility=mean_utility,
-        overprovisioning_ratio=overprovisioning,
-        unmet_flow_ratio=unmet_flow,
-        unmet_demands_ratio=unmet_demands,
-        used_tunnel_ratio=used_tunnel,
+        mean_utility=_ratio(float(utilization.sum()), topo.n_arcs),
+        overprovisioning_ratio=_ratio(max(0.0, total_rates - total_delivered), total_demand),
+        unmet_flow_ratio=_ratio(max(0.0, total_demand - total_delivered), total_demand),
+        unmet_demands_ratio=_ratio(float(short.sum()), tm.n),
+        used_tunnel_ratio=_ratio(int((sol.tunnel_rates > FLOW_EPS).sum()), ts.total),
         link_utilizations=utilization,
         criticality_scores=scores,
         critical_link_fraction=critical_link_fraction(scores, topo),

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lpcore
-from .demands import TrafficMatrix, _demands_from_rows
+from .demands import TrafficMatrix, _demands_from_rows, _demand_entries
 from .errors import SolveError, ValidationError, is_index, is_number, json_object, list_of, require
 from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution, NameRule
 from .topology import Topology
@@ -279,25 +279,25 @@ def verify_congestion_free(
     the residual load (surviving tunnels only) must fit every alive arc, and
     the surviving rates of each demand must still cover its admitted flow.
     Both checks allow the LP re-check's ``FEASIBILITY_TOL``, which the unit
-    coefficients of these rows leave unscaled.
+    coefficients of these rows leave unscaled.  A dead arc needs no mask:
+    every tunnel that crosses it is dead, so its load is 0.0, below the
+    positive capacity that the parser and ``scale_capacities`` keep.
     """
     # One scenario at a time, the surviving rates give each arc's load and each
     # demand's shortfall.  They come from the incidence, not from the LP's row
     # templates, so a fault in those cannot escape both this and the re-check.
     alive = surviving_tunnels(ts, scen)
-    dead_arcs = scen.toarray() != 0
     caps = topo.capacities()
     arc_tunnels = ts.incidence.T
     violations = []
-    for q in range(len(dead_arcs)):
+    for q in range(len(alive)):
         r = np.where(alive[q], sol.tunnel_rates, 0.0)
         excess = arc_tunnels @ r - caps
-        excess[dead_arcs[q]] = 0.0  # dead arcs carry nothing to check
         shortfall = sol.delivered - np.bincount(ts.demand_of, r, minlength=len(ts.by_demand))
         for kind, amount in (("capacity", excess), ("delivery", shortfall)):
             violations += [Violation(q, kind, int(i), float(amount[i]))
                            for i in np.flatnonzero(amount > FEASIBILITY_TOL)]
-    return CongestionReport(not violations, tuple(violations), len(dead_arcs))
+    return CongestionReport(not violations, tuple(violations), len(alive))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +325,7 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
         "objective": float(sol.delivered.sum()),
         "solve_time": sol.solve_time,
         "solution_kind": "vertex",  # both backends return vertices
-        "demands": [
-            {"src": topo.node_ids[d.src], "dst": topo.node_ids[d.dst], "volume": d.volume}
-            for d in tm.demands
-        ],
+        "demands": _demand_entries(tm, topo),
         "tunnels": [
             [[topo.node_ids[n] for n in ts.paths[tid]] for tid in ids]
             for ids in ts.by_demand
@@ -357,6 +354,8 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
     solve_time = doc.get("solve_time", 0.0)
     require(is_number(solve_time),
             f"solution dump: 'solve_time' must be a number, got {solve_time!r}")
+    policy = doc.get("policy", "")
+    require(isinstance(policy, str), f"solution dump: 'policy' must be a string, got {policy!r}")
     tm = _demands_from_rows([(d.get("src"), d.get("dst"), d.get("volume")) for d in entries],
                             topo)
     require(len(tunnel_paths) == len(b) == tm.n, f"solution dump: {tm.n} demands, "
@@ -368,7 +367,7 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
         raise ValidationError(f"solution dump: demand {f} delivers {b[f]!r}, over its "
                               f"volume {tm.demands[f].volume!r}")
     ts = make_tunnel_set(
-        topo, str(doc.get("policy", "")),
+        topo, policy,
         [[tuple(topo.index_of(n) for n in path) for path in paths] for paths in tunnel_paths])
     for tid, f in enumerate(ts.demand_of.tolist()):
         d, path = tm.demands[f], ts.paths[tid]

@@ -670,6 +670,7 @@ MALFORMED_DUMPS = {  # each edits the diamond's FFC dump in place
     "delivered flows not a list": lambda doc: doc.update(b="x"),
     "demand volume a boolean": lambda doc: doc["demands"][0].update(volume=True),
     "tunnel over a missing arc": lambda doc: doc["tunnels"][0].append(["a", "d"]),
+    "policy not a string": lambda doc: doc.update(policy=[1, 2]),
 }
 
 
