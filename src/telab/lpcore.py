@@ -335,9 +335,9 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
     template times ``x`` with the columns dead in each scenario set to 0:
     every kept entry adds the term it adds to the row, in the row's order, and
     a dead one adds 0, so each row's sum is the one its own entries give.  A
-    row's tolerance is ``FEASIBILITY_TOL`` times its largest kept |coefficient|,
-    at least 1: the rows that fail at scale 1 are rebuilt by ``_scenario_rows``
-    and tested again at the scale their kept entries give.
+    row's tolerance is ``FEASIBILITY_TOL`` times its largest kept |coefficient|
+    (a repeated column's entries unmerged), at least 1: the rows that fail at
+    scale 1 are rebuilt by ``_scenario_rows`` and tested again at that scale.
     """
     issues: list[str] = []
     for j in np.flatnonzero(~np.isfinite(x)):
@@ -367,10 +367,12 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
             bad = _violated(resid, FEASIBILITY_TOL, sense) & on
             if bad.any():
                 rows = _scenario_rows(T, kept, bad)
-                scale = np.maximum(1.0, abs(rows).max(axis=1).toarray().ravel())
+                filled = np.diff(rows.indptr) > 0
+                scale = np.ones(len(filled))
+                scale[filled] = np.maximum(1.0, np.maximum.reduceat(
+                    np.abs(rows.data), rows.indptr[:-1][filled]))
                 q, i = np.nonzero(bad)
                 index = (first - 1 + np.cumsum(on).reshape(bad.shape))[q, i]
-                filled = np.diff(rows.indptr) > 0
                 for k in np.flatnonzero(_violated(resid[q, i], FEASIBILITY_TOL * scale, sense)):
                     row_lhs = float(lhs[q[k], i[k]]) if filled[k] else 0  # an empty sum is int 0
                     j = int(index[k])

@@ -280,8 +280,8 @@ def verify_congestion_free(
     the surviving rates of each demand must still cover its admitted flow.
     Both checks allow the LP re-check's ``FEASIBILITY_TOL``, which the unit
     coefficients of these rows leave unscaled.  A dead arc needs no mask:
-    every tunnel that crosses it is dead, so its load is 0.0, below the
-    positive capacity that the parser and ``scale_capacities`` keep.
+    every tunnel that crosses it is dead, so its load is exactly 0.0 and its
+    excess, minus a nonnegative capacity, is never above the tolerance.
     """
     # One scenario at a time, the surviving rates give each arc's load and each
     # demand's shortfall.  They come from the incidence, not from the LP's row

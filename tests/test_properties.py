@@ -396,8 +396,24 @@ def test_bundled_keeps_one_consistent_nonbasic_state(prob):
     assert (direction[bounded & (lb < ub)] != 0).all()
 
 
+def lp_with_point(n, rows, x):
+    """``lps_with_points``'s case for n columns in [0, inf), rows as
+    (coeffs, sense, rhs, name) and the point x."""
+    prob = LpProblem(name="h")
+    prob.add_vars([f"x{j}" for j in range(n)], np.zeros(n), np.full(n, np.inf))
+    for coeffs, sense, rhs, name in rows:
+        prob.add_constraint(coeffs, sense, rhs, name)
+    return prob, rows, np.array(x, dtype=float)
+
+
 @settings(PROPERTY, max_examples=300)
 @given(lps_with_points())
+# A repeated column is scaled by its largest single |coefficient|, not by the sum
+# of its coefficients: 3 here, where the sums are 1 and 6.
+@example(lp_with_point(1, [([(0, 3.0), (0, -1.0), (0, -1.0)], "<=", 0.0, "r0")], [2e-6]))
+@example(lp_with_point(1, [([(0, 3.0), (0, 3.0)], "<=", 0.0, "r0")], [8e-7]))
+# An empty row of an LP without columns.
+@example(lp_with_point(0, [([], ">=", 5.0, "r0")], []))
 def test_check_feasibility_matches_scalar_row_loop(case):
     prob, rows, x = case
     want = feasibility_issues_oracle(prob.var_names, prob.lower, prob.upper, rows, x)
