@@ -127,8 +127,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = json_object(text, "experiment config")
-        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+        kwargs = json_object(text, "experiment config")
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        require(not unknown, f"experiment config: unknown keys {unknown}")
         require("topology" in kwargs, "experiment config needs a 'topology' path")
         fit = kwargs.get("fit")  # null, as a manifest writes a config without a fit
         if fit is not None:
@@ -136,6 +137,8 @@ class ExperimentConfig:
                     and is_number(fit.get("sigma")) and is_index(fit.get("n_samples", 0), math.inf),
                     f"fit needs numeric 'mu' and 'sigma' and an integer 'n_samples' >= 0, "
                     f"got {fit!r}")
+            unknown = sorted(set(fit) - {f.name for f in fields(LognormalFit)})
+            require(not unknown, f"fit block: unknown keys {unknown}")
             kwargs["fit"] = LognormalFit(float(fit["mu"]), float(fit["sigma"]),
                                          fit.get("n_samples", 0))
         cfg = cls(**kwargs)

@@ -36,9 +36,9 @@ appends one block, a rule for its rows, and every reader walks the blocks in
 place.  A block is a CSR template with one sense, held over scenarios: each
 row is a template row without the columns its scenario kills.  The FFC
 builder's blocks hold every failure scenario so; any other block is one
-scenario in which no column dies.  Every model builder names its blocks by a
-``NameRule``, one format over a grid of indices, so a model with a million
-rows holds no string and no array per row; only hand-built rows pass a list.
+scenario in which no column dies.  Every model builder names a block's rows
+by one format over their (scenario, template row) cells, so a model with a
+million rows holds no string per row; only hand-built rows pass a list.
 ``row_names`` and ``rows`` build a new list and a new stacked matrix on each
 call, for the tests; a solve reads neither.
 
@@ -57,10 +57,8 @@ no point.
 from __future__ import annotations
 
 import math
-import operator
 import time
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,31 +90,6 @@ DENSE_INVERSE_BUDGET_BYTES = 2 << 30
 _RECHECK_CHUNK = 1 << 14
 
 
-class NameRule(Sequence):
-    """Names of a block of rows from one format, each made when it is read.
-
-    Row i of the block is cell ``cells[i]`` (without ``cells``, cell i) of a
-    grid of ``shape`` (rows, columns), in row-major order, and is named
-    ``fmt.format(grid_row, grid_column)``: ``NameRule("del_f{1}_q{0}",
-    (n_scenarios, n_demands))`` names scenario-major delivery rows.  An index
-    may be negative; one past either end raises ``IndexError``.
-    """
-
-    def __init__(self, fmt: str, shape: tuple[int, int], cells: np.ndarray | None = None):
-        self.fmt, self.shape, self.cells = fmt, shape, cells
-
-    def __len__(self) -> int:
-        return self.shape[0] * self.shape[1] if self.cells is None else len(self.cells)
-
-    def __getitem__(self, i) -> str:
-        i, n = operator.index(i), len(self)
-        if not -n <= i < n:
-            raise IndexError(f"name index {i} out of range for {n} names")
-        i %= n
-        return self.fmt.format(*divmod(i if self.cells is None else int(self.cells[i]),
-                                       self.shape[1]))
-
-
 class _Block(NamedTuple):
     """The rows of one ``add_rows`` call, held as a rule over a template.
 
@@ -124,7 +97,8 @@ class _Block(NamedTuple):
     dead in scenario q (``alive[q, j]`` false), for each cell where
     ``live[q, i]`` holds, in scenario-major order, with right-hand side
     ``rhs[i]``.  A plain block is the one-scenario case with no columns that
-    can die.
+    can die.  ``names`` is a list, one per row of the block, or one format
+    that names row (q, i) ``names.format(q, i)``.
     """
 
     start: int  # LP index of the block's first row
@@ -135,7 +109,11 @@ class _Block(NamedTuple):
     alive: np.ndarray  # scenario x leading column
     live: np.ndarray  # scenario x template row: the row exists
     implied: np.ndarray  # scenario x template row: the row is marked implied
-    names: Sequence[str]  # per row of the block
+    names: str | list[str]  # a format over (q, i), or one per row of the block
+
+    def name(self, q: int, i: int, j: int) -> str:
+        """The name of the block's row j, which is its cell (q, i)."""
+        return self.names.format(q, i) if isinstance(self.names, str) else self.names[j]
 
 
 def _scenario_rows(template: sp.csr_matrix, alive: np.ndarray,
@@ -167,14 +145,13 @@ class LpProblem:
     and ``upper`` and the objective ``c``, which ``add_vars`` extends with
     zeros.  The rows are a store of blocks, one per ``add_rows`` call (one
     row: ``add_constraint``), each a rule (``_Block``) with one sense, its
-    builder's marks "implied by another row" and its names: a ``NameRule``
-    from every model builder, a list for hand-built rows.  ``row_names`` (a
+    builder's marks "implied by another row" and its names: a format from
+    every model builder, a list for hand-built rows.  ``row_names`` (a
     list), ``rows`` and ``implied`` are made anew from the blocks on each
     call and keep nothing.  ``simplex`` ("dual" or "primal") names the
     simplex a backend that has both should run; ``solve`` checks it.
     """
 
-    name: str = ""
     var_names: list[str] = field(default_factory=list)
     lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
     upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -194,7 +171,8 @@ class LpProblem:
     @property
     def row_names(self) -> list[str]:
         """Every row's name, in row order, as a new list on each call."""
-        return [name for blk in self._blocks for name in blk.names]
+        return [blk.name(q, i, j) for blk in self._blocks
+                for j, (q, i) in enumerate(zip(*(a.tolist() for a in np.nonzero(blk.live))))]
 
     def add_vars(self, names: list[str], lower, upper) -> int:
         """Append a block of variables; returns the index of the first."""
@@ -218,7 +196,7 @@ class LpProblem:
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         return self.add_vars([name], [lb], [ub])
 
-    def add_rows(self, matrix, sense: str, rhs, names: Sequence[str], implied=None,
+    def add_rows(self, matrix, sense: str, rhs, names: str | list[str], implied=None,
                  alive=None, live=None) -> int:
         """Append a block of rows sharing one sense; returns the first new row index.
 
@@ -230,9 +208,10 @@ class LpProblem:
         ``live`` and ``implied`` are scenario x template row, and the block's
         rows are, for each scenario q in turn, the template rows i with
         ``live[q, i]``, each without the columns dead in q, right-hand side
-        ``rhs[i]``, and one name each.  The LP owns a CSR ``matrix`` of float64,
-        the masks and the ``names`` sequence from then on: they are kept, not
-        copied, and the caller must not change them.
+        ``rhs[i]``.  ``names`` is a list with one name per row, or one format
+        that names row (q, i) ``names.format(q, i)``.  The LP owns a CSR
+        ``matrix`` of float64, the masks and a ``names`` list from then on:
+        they are kept, not copied, and the caller must not change them.
         """
         if sense not in _SENSES:
             raise ValidationError(f"unknown constraint sense {sense!r}")
@@ -245,18 +224,21 @@ class LpProblem:
         implied = np.zeros(live.shape, dtype=bool) if implied is None else np.asarray(
             implied, dtype=bool)
         size = int(np.count_nonzero(live))
-        if not (len(rhs) == m and len(names) == size and implied.size == live.size):
-            raise ValidationError(f"row block: {m} rows, {len(rhs)} rhs, {len(names)} names, "
+        n_names = size if isinstance(names, str) else len(names)
+        if not (len(rhs) == m and n_names == size and implied.size == live.size):
+            raise ValidationError(f"row block: {m} rows, {len(rhs)} rhs, {n_names} names, "
                                   f"{implied.size} implied marks")
         if not (alive.ndim == live.ndim == 2 and len(alive) == len(live)
                 and live.shape[1] == m and alive.shape[1] <= self.n_vars):
             raise ValidationError(f"row block: masks of shapes {alive.shape} and {live.shape} "
                                   f"for {m} rows over {self.n_vars} variables")
+        blk = _Block(self.n_constraints, size, template, sense, rhs, alive, live,
+                     implied.reshape(live.shape), names)
 
         def name_of(i):  # a template row is named by its first row in the block
             q = int(live[:, i].argmax())
             j = int(np.count_nonzero(live[:q])) + int(np.count_nonzero(live[q, :i]))
-            return names[j] if live[q, i] else f"template row {i}"
+            return blk.name(q, int(i), j) if live[q, i] else f"template row {i}"
 
         if not np.isfinite(rhs).all():
             name = name_of(int(np.argmax(~np.isfinite(rhs))))
@@ -270,9 +252,8 @@ class LpProblem:
                     else f"unknown variable index {j[k]}")
             raise ValidationError(f"constraint {name!r}: {what}")
         template.resize((m, self.n_vars))
-        self._blocks.append(_Block(self.n_constraints, size, template, sense, rhs, alive,
-                                   live, implied.reshape(live.shape), names))
-        return self._blocks[-1].start
+        self._blocks.append(blk)
+        return blk.start
 
     def add_constraint(
         self,
@@ -376,7 +357,8 @@ def check_feasibility(prob: LpProblem, x: np.ndarray) -> list[str]:
                 for k in np.flatnonzero(_violated(resid[q, i], FEASIBILITY_TOL * scale, sense)):
                     row_lhs = float(lhs[q[k], i[k]]) if filled[k] else 0  # an empty sum is int 0
                     j = int(index[k])
-                    issues.append(f"row {blk.names[j] or blk.start + j}: lhs {row_lhs!r} "
+                    name = blk.name(q0 + int(q[k]), int(i[k]), j) or blk.start + j
+                    issues.append(f"row {name}: lhs {row_lhs!r} "
                                   f"{sense} rhs {float(blk.rhs[i[k]])!r} violated")
             first += int(np.count_nonzero(on))
     return issues

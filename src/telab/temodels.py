@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import lpcore
 from .demands import TrafficMatrix, _demands_from_rows, _demand_entries
 from .errors import SolveError, ValidationError, is_index, is_number, json_object, list_of, require
-from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution, NameRule
+from .lpcore import FEASIBILITY_TOL, LpProblem, LpSolution
 from .topology import Topology
 from .tunnels import TunnelSet, make_tunnel_set, surviving_tunnels
 
@@ -42,7 +42,6 @@ FFC_BUILD_BUDGET_BYTES = 1 << 30
 @dataclass(frozen=True)
 class ModelMeta:
     kind: str  # "te" | "ffc"
-    policy: str
     capacity_mode: str | None
     n_vars: int
     n_constraints: int
@@ -86,8 +85,8 @@ class CongestionReport:
     scenarios_checked: int
 
 
-def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet, name: str) -> LpProblem:
-    prob = LpProblem(name=name)
+def _base_problem(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> LpProblem:
+    prob = LpProblem()
     names = ([f"a_{f}_{tid}" for tid, f in enumerate(ts.demand_of.tolist())]
              + [f"b_{f}" for f in range(tm.n)])
     volumes = [d.volume if ids else 0.0 for d, ids in zip(tm.demands, ts.by_demand)]
@@ -162,11 +161,11 @@ def _ffc_bytes(ts: TunnelSet, n_scen: int, n_dem: int) -> int:
 
 def build_te_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> TeModel:
     """Base model: one capacity row per arc, one delivery row per demand."""
-    prob = _base_problem(topo, tm, ts, "te")
+    prob = _base_problem(topo, tm, ts)
     arcs, own = _row_templates(ts)
-    prob.add_rows(arcs, "<=", topo.capacities(), NameRule("cap_e{1}", (1, topo.n_arcs)))
-    prob.add_rows(own, ">=", np.zeros(tm.n), NameRule("del_f{1}", (1, tm.n)))
-    meta = ModelMeta("te", ts.policy, None, prob.n_vars, prob.n_constraints)
+    prob.add_rows(arcs, "<=", topo.capacities(), "cap_e{1}")
+    prob.add_rows(own, ">=", np.zeros(tm.n), "del_f{1}")
+    meta = ModelMeta("te", None, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
 
 
@@ -177,13 +176,13 @@ def build_calibration_lp(topo: Topology, tm: TrafficMatrix, ts: TunnelSet) -> Lp
     delivered flow fixed to its volume (0 if unroutable): the least uniform
     capacity factor at which TE carries all routable demand.
     """
-    prob = _base_problem(topo, tm, ts, "calibrate")
+    prob = _base_problem(topo, tm, ts)
     prob.lower[ts.total:] = prob.upper[ts.total:]
     lam = prob.add_var("lam", 0.0, math.inf)
     arcs, own = _row_templates(ts)
     load = sp.hstack([arcs, -topo.capacities()[:, None]], format="csr")
-    prob.add_rows(load, "<=", np.zeros(topo.n_arcs), NameRule("cap_e{1}", (1, topo.n_arcs)))
-    prob.add_rows(own, ">=", np.zeros(tm.n), NameRule("del_f{1}", (1, tm.n)))
+    prob.add_rows(load, "<=", np.zeros(topo.n_arcs), "cap_e{1}")
+    prob.add_rows(own, ">=", np.zeros(tm.n), "del_f{1}")
     prob.set_objective([(lam, 1.0)], maximize=False)
     return prob
 
@@ -222,7 +221,7 @@ def build_ffc_lp(
     if need > FFC_BUILD_BUDGET_BYTES:
         raise SolveError(f"FFC LP of {n_scen} scenarios and {ts.total} tunnels needs about "
                          f"{need:,} bytes, over the {FFC_BUILD_BUDGET_BYTES:,}-byte budget")
-    prob = _base_problem(topo, tm, ts, "ffc")
+    prob = _base_problem(topo, tm, ts)
     prob.simplex = "primal"  # starts at the feasible x = 0; TE stays faster on the dual
     arcs, own = _row_templates(ts)
     alive = surviving_tunnels(ts, scen)
@@ -233,14 +232,13 @@ def build_ffc_lp(
     # LP holds each as its template and masks; no row is built here.
     n_cap = n_scen if capacity_mode == CAPACITY_MODE_ALL else 1
     live_arcs = scen[:n_cap].toarray() == 0
-    prob.add_rows(arcs, "<=", topo.capacities(),
-                  NameRule("cap_q{0}_e{1}", live_arcs.shape, np.flatnonzero(live_arcs)),
+    prob.add_rows(arcs, "<=", topo.capacities(), "cap_q{0}_e{1}",
                   implied=np.broadcast_to(np.arange(n_cap)[:, None] > 0, live_arcs.shape),
                   alive=alive[:n_cap], live=live_arcs)
-    prob.add_rows(own, ">=", np.zeros(tm.n), NameRule("del_f{1}_q{0}", (n_scen, tm.n)),
+    prob.add_rows(own, ">=", np.zeros(tm.n), "del_f{1}_q{0}",
                   implied=implied, alive=alive, live=np.broadcast_to(True, implied.shape))
 
-    meta = ModelMeta("ffc", ts.policy, capacity_mode, prob.n_vars, prob.n_constraints)
+    meta = ModelMeta("ffc", capacity_mode, prob.n_vars, prob.n_constraints)
     return TeModel(prob, topo, tm, ts, meta)
 
 
@@ -320,7 +318,7 @@ def solution_to_dict(sol: TeSolution, model: TeModel, **extra) -> dict:
                 entries.append({"demand": f, "tunnel": k, "value": v})
     doc = {
         "model": meta.kind,
-        "policy": meta.policy,
+        "policy": ts.policy,
         "capacity_mode": meta.capacity_mode,
         "objective": float(sol.delivered.sum()),
         "solve_time": sol.solve_time,
@@ -374,12 +372,14 @@ def solution_from_dict(doc: dict, topo: Topology) -> tuple[TeSolution, TunnelSet
         if len(path) < 2 or (path[0], path[-1]) != (d.src, d.dst):
             raise ValidationError(f"solution dump: tunnel {tid} does not join demand {f}'s "
                                   "endpoints")
-    rates = np.zeros(ts.total)
+    rates, seen = np.zeros(ts.total), set()
     for entry in a_entries:
         f, k, v = entry.get("demand"), entry.get("tunnel"), entry.get("value")
         if not (is_index(f, tm.n) and is_index(k, len(ts.by_demand[f])) and is_number(v)
                 and v >= 0):
             raise ValidationError(f"solution dump: invalid tunnel rate {entry!r}")
+        require((f, k) not in seen, f"solution dump: repeated rate of demand {f}'s tunnel {k}")
+        seen.add((f, k))
         rates[ts.by_demand[f][k]] = float(v)
     loads = ts.incidence.T @ rates
     return TeSolution(delivered, rates, loads, float(solve_time)), ts, tm

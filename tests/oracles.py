@@ -315,7 +315,7 @@ def ffc_implied_oracle(topo, tm, ts, scen, capacity_mode: str) -> list[bool]:
 def ffc_lp_oracle(topo, tm, ts, scen, capacity_mode: str) -> LpProblem:
     """The FFC LP built one column and one scenario at a time: each scenario's
     alive-arc capacity rows and delivery rows filtered to its surviving tunnels."""
-    prob = LpProblem(name="ffc", simplex="primal")
+    prob = LpProblem(simplex="primal")
     for tid, f in enumerate(ts.demand_of.tolist()):
         prob.add_var(f"a_{f}_{tid}", 0.0, math.inf)
     for f, d in enumerate(tm.demands):
@@ -437,8 +437,9 @@ def criticality_scores_oracle(sol, ts, topo, utilization, flow_eps=1e-9):
     return scores
 
 
-def write_lp_text(prob: LpProblem) -> str:
-    """Render in the fixed LP text format for cross-checks with other tools."""
+def write_lp_text(prob: LpProblem, lp_name: str = "lp") -> str:
+    """Render in the fixed LP text format for cross-checks with other tools,
+    under a header line that gives ``lp_name``."""
 
     def num(v: float) -> str:
         return repr(float(v))
@@ -449,7 +450,7 @@ def write_lp_text(prob: LpProblem) -> str:
             return f"{num(c)} {name}"
         return f"{'+' if c >= 0 else '-'} {num(abs(c))} {name}"
 
-    lines = [f"\\ {prob.name or 'lp'}", "Maximize" if prob.maximize else "Minimize"]
+    lines = [f"\\ {lp_name}", "Maximize" if prob.maximize else "Minimize"]
     obj_terms = " ".join(term(j, prob.c[j], i == 0) for i, j in enumerate(np.flatnonzero(prob.c)))
     lines.append(f" obj: {obj_terms or '0'}")
     lines.append("Subject To")

@@ -103,13 +103,13 @@ def test_calibrate_solves_one_lp(b4_topo, b4_tm, monkeypatch):
     calls = []
 
     def counting_solve(prob, backend="bundled"):
-        calls.append(prob.name)
+        calls.append(prob.var_names[-1])  # the calibration LP's last column is lam
         return solve(prob, backend)
 
     monkeypatch.setattr(harness, "solve", counting_solve)
     ts = build_tunnel_sets(b4_topo, b4_tm, FixedTunnelPolicy(5))
     calibrate_capacities(b4_topo, b4_tm, ts)
-    assert calls == ["calibrate"]
+    assert calls == ["lam"]
 
 
 def test_calibrate_raises_on_a_failed_solve(monkeypatch):
@@ -188,6 +188,21 @@ def test_sweep_artifacts(small_sweep_cfg, sweep_rows):
     assert header.split(",") == RESULT_COLUMNS
     rows = json.loads((out / "results.json").read_text())
     assert len(rows) == len(sweep_rows)
+
+
+# The fixed results.csv column order, as the README lists it.
+README_COLUMNS = """model, policy, scale, seed, backend, capacity_mode, status, objective,
+variables, constraints, build_time, solver_time, mean_utility,
+overprovisioning_ratio, unmet_flow_ratio, unmet_demands_ratio,
+used_tunnel_ratio, critical_link_fraction, network_criticality,
+congestion_free"""
+
+
+def test_results_csv_keeps_the_readme_column_order(small_sweep_cfg, sweep_rows):
+    header = (Path(small_sweep_cfg.out_dir) / "results.csv").read_text().splitlines()[0]
+    assert header.split(",") == README_COLUMNS.replace("\n", " ").split(", ")
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert f"```\n{README_COLUMNS}\n```" in readme
 
 
 def _strip_timing(csv_text: str) -> list[list[str]]:
@@ -517,6 +532,9 @@ def test_config_validation():
     {"fit": {"mu": "3.0", "sigma": 0.4}, "tm": None},
     {"fit": {"mu": 1.0, "sigma": True}, "tm": None},
     {"fit": {"mu": 1.0, "sigma": 0.4, "n_samples": 2.7}, "tm": None},
+    {"capacity_scal": 0.5},  # unknown keys: a misspelt field is never silently dropped
+    {"worker": 2},
+    {"fit": {"mu": 1.0, "sigma": 0.4, "n_sample": 3}, "tm": None},
 ])
 def test_cli_sweep_rejects_mistyped_config_fields(tmp_path, capsys, field):
     doc = {"topology": str(DATA / "diamond.json"), "tm": str(DATA / "diamond_tm.json"),
@@ -671,6 +689,7 @@ MALFORMED_DUMPS = {  # each edits the diamond's FFC dump in place
     "demand volume a boolean": lambda doc: doc["demands"][0].update(volume=True),
     "tunnel over a missing arc": lambda doc: doc["tunnels"][0].append(["a", "d"]),
     "policy not a string": lambda doc: doc.update(policy=[1, 2]),
+    "repeated tunnel rate": lambda doc: doc["a"].append({**doc["a"][0], "value": 0.0}),
 }
 
 

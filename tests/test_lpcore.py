@@ -38,7 +38,7 @@ from oracles import vertex_enumeration_optimum, write_lp_text
 
 
 def simple_box_lp():
-    p = LpProblem("box")
+    p = LpProblem()
     x = p.add_var("x", 0, 1)
     y = p.add_var("y", 0, 1)
     p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0, "cap")
@@ -249,8 +249,7 @@ def test_problem_validation():
                        ([[True, False], [True, False]], "template row 1")):
         with pytest.raises(ValidationError, match=f"constraint '{name}': right-hand side"):
             p.add_rows(sp.csr_matrix((2, 1)), "<=", [1.0, math.inf],
-                       lpcore.NameRule("s{1}_q{0}", (2, 2), np.flatnonzero(live)),
-                       alive=[[True], [False]], live=live)
+                       "s{1}_q{0}", alive=[[True], [False]], live=live)
     with pytest.raises(ValidationError):
         solve(p, backend="nope")
     assert LpProblem().simplex == "dual"
@@ -265,7 +264,7 @@ def test_problem_validation():
 def degenerate_box_lp(n=400):
     """Zero objective, rows ``x_i >= 1`` over ``0 <= x_i <= 2``: every pivot
     of the bundled simplex from its slack start is degenerate."""
-    p = LpProblem("degenerate")
+    p = LpProblem()
     p.add_vars([f"x{i}" for i in range(n)], np.zeros(n), np.full(n, 2.0))
     p.add_rows(sp.identity(n, format="csr"), ">=", np.ones(n), [f"r{i}" for i in range(n)])
     return p
@@ -338,7 +337,7 @@ def test_empty_lp_is_optimal_at_zero_on_every_backend(backend):
 def _random_box_lp(rng):
     n = int(rng.integers(2, 8))
     m = int(rng.integers(1, 10))
-    p = LpProblem("rand")
+    p = LpProblem()
     for j in range(n):
         p.add_var(f"x{j}", 0.0, float(rng.uniform(1, 6)))
     for i in range(m):
@@ -437,7 +436,7 @@ def test_backend_registry():
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_wrong_implied_mark_is_caught_by_the_recheck(backend):
-    p = LpProblem("box")
+    p = LpProblem()
     x = p.add_var("x", 0, 1)
     y = p.add_var("y", 0, 1)
     p.add_rows(sp.csr_matrix([[1.0, 1.0]]), "<=", [1.0], ["cap"], implied=[True])
@@ -452,10 +451,10 @@ def test_a_scenario_block_scales_each_row_by_the_coefficients_its_scenario_keeps
     # Row 0 is 3 x0 + x1 <= 0 while x0 lives and x1 <= 0 once it dies, so at
     # x1 = 2e-6 only the second breaks its tolerance (3e-6, then 1e-6).  Row 1,
     # -2 x0 <= -1, is empty once x0 dies, and an empty row's lhs prints as 0.
-    p = LpProblem("scenarios")
+    p = LpProblem()
     p.add_vars(["x0", "x1"], [0, 0], [1, 1])
     p.add_rows(sp.csr_matrix([[3.0, 1.0], [-2.0, 0.0]]), "<=", [0.0, -1.0],
-               lpcore.NameRule("r{1}_q{0}", (2, 2)), implied=[[False, False], [False, True]],
+               "r{1}_q{0}", implied=[[False, False], [False, True]],
                alive=[[True], [False]], live=np.ones((2, 2), dtype=bool))
     A, senses, rhs = p.rows()
     assert A.toarray().tolist() == [[3.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
@@ -471,7 +470,7 @@ def test_a_scenario_block_scales_each_row_by_the_coefficients_its_scenario_keeps
 def test_add_rows_leaves_the_callers_block_intact():
     # The LP keeps the block it is given; widening and stacking it for rows()
     # must build new arrays, never write into the caller's.
-    p = LpProblem("own")
+    p = LpProblem()
     p.add_vars(["x", "y"], [0, 0], [1, 1])
     block = sp.csr_matrix(([2.0, 3.0, 4.0], [1, 0, 1], [0, 1, 3]), shape=(2, 2))
     before = [block.indptr.copy(), block.indices.copy(), block.data.copy()]
@@ -582,7 +581,7 @@ print(sol.iterations)
 def _dense_lp(m=40, n=60, seed=3):
     """Positive dense rows: every entering column is nonzero in most rows."""
     rng = np.random.default_rng(seed)
-    p = LpProblem("dense")
+    p = LpProblem()
     for j in range(n):
         p.add_var(f"x{j}")
     p.add_rows(rng.uniform(0.1, 1.0, (m, n)), "<=", rng.uniform(1.0, 2.0, m),

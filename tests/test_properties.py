@@ -30,7 +30,7 @@ from telab import (
 )
 from telab import lpcore
 from telab.demands import tm_to_json
-from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, NameRule, _Simplex, _standardize,
+from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _Simplex, _standardize,
                           check_feasibility, solve)
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import TeSolution
@@ -295,7 +295,7 @@ _coef = st.sampled_from([-2.5, -1.0, 0.5, 1.0, 3.0])
 def lps_with_points(draw):
     """A small LP (duplicate and empty rows allowed) and a point that may violate it."""
     n = draw(st.integers(1, 5))
-    prob = LpProblem(name="h")
+    prob = LpProblem()
     for j in range(n):
         prob.add_var(f"x{j}", draw(st.sampled_from([0.0, -1.0, -np.inf])),
                      draw(st.sampled_from([1.0, 4.0, np.inf])))
@@ -319,7 +319,7 @@ def mixed_lps(draw):
     inside the bounds, some by a margin that may be negative."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    prob = LpProblem(name="mixed")
+    prob = LpProblem()
     point = np.zeros(n)
     for j in range(n):
         lo, hi = np.sort(rng.integers(-6, 7, 2) / 2.0)
@@ -340,7 +340,7 @@ def mixed_lps(draw):
 
 def lp_from(bounds, rows, objective, maximize=True):
     """An LP from (lb, ub) per column, (coefficients, sense, rhs) per row and c."""
-    prob = LpProblem(name="example")
+    prob = LpProblem()
     prob.add_vars([f"x{j}" for j in range(len(bounds))], *zip(*bounds))
     for i, (coeffs, sense, rhs) in enumerate(rows):
         prob.add_rows([coeffs], sense, [rhs], [f"r{i}"])
@@ -399,7 +399,7 @@ def test_bundled_keeps_one_consistent_nonbasic_state(prob):
 def lp_with_point(n, rows, x):
     """``lps_with_points``'s case for n columns in [0, inf), rows as
     (coeffs, sense, rhs, name) and the point x."""
-    prob = LpProblem(name="h")
+    prob = LpProblem()
     prob.add_vars([f"x{j}" for j in range(n)], np.zeros(n), np.full(n, np.inf))
     for coeffs, sense, rhs, name in rows:
         prob.add_constraint(coeffs, sense, rhs, name)
@@ -423,7 +423,7 @@ def test_check_feasibility_matches_scalar_row_loop(case):
 @st.composite
 def block_stores(draw):
     """A seeded LP built as 1-4 blocks of rows of one sense, some empty, each
-    named by a list or a ``NameRule``, with columns added between the blocks
+    named by a list or a format, with columns added between the blocks
     and after them, the same rows added to a second LP as one block (its
     names the blocks' names in turn) after all its columns, and a point that
     may violate rows and bounds.  Rows may repeat a column or be empty.
@@ -433,7 +433,7 @@ def block_stores(draw):
     The second LP gets their rows as the literal loop spells them out."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sense = str(rng.choice(["<=", ">=", "="]))
-    blocks, single = LpProblem(name="blocks"), LpProblem(name="blocks")
+    blocks, single = LpProblem(), LpProblem()
     cols, vals, indptr, rhs, names, marks = [], [], [0], [], [], []
 
     def add_columns(k):
@@ -456,8 +456,7 @@ def block_stores(draw):
             alive, live = rng.random((n_scen, n_lead)) < 0.6, rng.random((n_scen, m)) < 0.7
             scenarios = dict(alive=alive, live=live)
         block_marks = rng.random(live.shape) < 0.3
-        block_names = (NameRule(f"b{b}_r{{1}}_q{{0}}", live.shape, np.flatnonzero(live))
-                       if rng.random() < 0.5
+        block_names = (f"b{b}_r{{1}}_q{{0}}" if rng.random() < 0.5
                        else [str(rng.choice(["", f"b{b}_{i}"])) for i in range(live.sum())])
         blocks.add_rows(matrix, sense, block_rhs, block_names,
                         implied=block_marks if scenarios else block_marks[0], **scenarios)
@@ -468,7 +467,8 @@ def block_stores(draw):
             indptr.append(len(cols))
             rhs.append(block_rhs[i])
             marks.append(block_marks[q, i])
-        names += list(block_names)
+        names += ([block_names.format(q, i) for q, i in zip(*np.nonzero(live))]
+                  if isinstance(block_names, str) else block_names)
     add_columns(int(rng.integers(0, 2)))
     single.add_vars(list(blocks.var_names), blocks.lower, blocks.upper)
     single.add_rows(sp.csr_matrix((vals, cols, indptr), shape=(len(rhs), single.n_vars)),
@@ -481,7 +481,7 @@ def block_stores(draw):
 @given(block_stores())
 def test_a_block_store_reads_as_its_rows_in_one_block(case):
     blocks, single, x = case
-    names = blocks.row_names  # the list, NameRule and empty blocks' names in turn
+    names = blocks.row_names  # the list, format and empty blocks' names in turn
     assert type(names) is list and names == single.row_names
     names[:] = ["edited"]  # a new list on each read: editing one leaves the LP alone
     assert blocks.row_names == single.row_names != names

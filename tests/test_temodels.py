@@ -347,7 +347,7 @@ def test_lp_text_is_pinned(b4_topo, b4_tm, diamond_topo, diamond_tm,
         model = build_te_lp(topo, tm, ts)
     else:
         model = build_ffc_lp(topo, tm, ts, enumerate_single_link_scenarios(topo), kind)
-    text = write_lp_text(model.problem)
+    text = write_lp_text(model.problem, "te" if kind == "te" else "ffc")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
