@@ -13,8 +13,8 @@ dense basis inverse, implicit logical columns) that always returns a vertex
 solution and falls back to Bland's rule when it stalls on degenerate bases.
 It starts from the all-logical basis with every column at the bound its
 objective favours, which is dual feasible on every LP telab builds, so it has
-one phase and no artificial columns.  A hand-built LP whose favoured bound is
-infinite gets an artificial bound there, widened while a verdict rests on it.
+one phase and no artificial columns.  It refuses a hand-built LP whose
+objective favours an infinite bound; the scipy backend solves any LP.
 A nonbasic column's one state is the way it may move from its bound, with
 the free columns listed apart.  Its dense products are numpy sums, not BLAS
 calls, so its pivots and its answer are the same on every CPU.
@@ -232,6 +232,11 @@ class LpProblem:
                 and live.shape[1] == m and alive.shape[1] <= self.n_vars):
             raise ValidationError(f"row block: masks of shapes {alive.shape} and {live.shape} "
                                   f"for {m} rows over {self.n_vars} variables")
+        if isinstance(names, str):
+            try:  # one cell now, not a bare error from a later reader of the names
+                names.format(0, 0)
+            except (LookupError, ValueError, AttributeError, TypeError) as e:
+                raise ValidationError(f"row names format {names!r}: {e}") from None
         blk = _Block(self.n_constraints, size, template, sense, rhs, alive, live,
                      implied.reshape(live.shape), names)
 
@@ -399,12 +404,6 @@ def _standardize(prob: LpProblem):
 # Bundled dual simplex
 # ---------------------------------------------------------------------------
 
-# Stand-in for an infinite bound that a column's objective favours: it puts the
-# column at a finite start that keeps the all-logical basis dual feasible.  It
-# is widened tenfold whenever an infeasible or unbounded verdict would rest
-# on it, up to ARTIFICIAL_BOUND_CAP.
-ARTIFICIAL_BOUND = 1e7
-ARTIFICIAL_BOUND_CAP = 1e13
 MAX_ITERATIONS = 200_000  # pivots before the bundled simplex reports a numerical failure
 
 
@@ -414,12 +413,12 @@ class _Simplex:
     Row i has an implicit logical column ``e_i`` in [0, inf) for an inequality
     and [0, 0] for an equality; logicals are numbered after the structurals.
     The start is the all-logical basis (``Binv = I``) with every structural at
-    the bound its objective favours, which is dual feasible, so there is no
-    phase 1.  The basis inverse ``Binv`` is a dense m x m array, updated in
-    product form at every pivot.  Only the rows where the entering column
-    ``w = Binv a_q`` is nonzero change in ``x_B`` and ``Binv``, and in ``Binv``
-    only the columns where the pivot row ``Binv[r]`` is nonzero; every other
-    entry would subtract ``0 * y``.  Products with ``Binv`` are elementwise
+    the bound its objective favours, which must be finite, so the start is
+    dual feasible and there is no phase 1.  The basis inverse ``Binv`` is a
+    dense m x m array, updated in product form at every pivot.  Only the
+    rows where the entering column ``w = Binv a_q`` is nonzero change in
+    ``x_B`` and ``Binv``, and in ``Binv`` only the columns where the pivot row
+    ``Binv[r]`` is nonzero; every other entry would subtract ``0 * y``.  Products with ``Binv`` are elementwise
     products and numpy sums: a BLAS kernel sums in an order the CPU picks.
     The bounds of the basic columns (``lo_B``, ``hi_B``) are kept up to date
     at the columns a pivot swaps.  A nonbasic column's one state is the way
@@ -438,11 +437,6 @@ class _Simplex:
         lb = np.concatenate([lb, np.zeros(m)])
         ub = np.concatenate([ub, np.where(ineq, np.inf, 0.0)])
         up, down = self.c > 0, self.c < 0
-        # A favoured bound that is infinite becomes an artificial one.
-        self.art_ub, self.art_lb = up & np.isinf(ub), down & np.isinf(lb)
-        self.art_bound = ARTIFICIAL_BOUND
-        ub = np.where(self.art_ub, np.where(np.isfinite(lb), lb, 0.0) + ARTIFICIAL_BOUND, ub)
-        lb = np.where(self.art_lb, np.where(np.isfinite(ub), ub, 0.0) - ARTIFICIAL_BOUND, lb)
         self.lb, self.ub = lb, ub
         self.free = np.flatnonzero(np.isinf(lb) & np.isinf(ub))
         self.direction = np.where(up | (~down & np.isinf(lb)), -1.0, 1.0) * (ub > lb)
@@ -451,33 +445,7 @@ class _Simplex:
         self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
         self.iterations = 0
-        self.message = ""
         self._refresh()
-
-    def _widen(self, what: str) -> bool:
-        """Move the artificial bounds ten times further out; False at the cap."""
-        if self.art_bound >= ARTIFICIAL_BOUND_CAP:
-            self.message = f"{what} rests on an artificial bound"
-            return False
-        self.ub[self.art_ub] += 9.0 * self.art_bound
-        self.lb[self.art_lb] -= 9.0 * self.art_bound
-        self.art_bound *= 10.0
-        self._refresh()
-        return True
-
-    def _at_artificial_bound(self) -> np.ndarray:
-        return (self.art_ub & (self.direction < 0)) | (self.art_lb & (self.direction > 0))
-
-    def _has_unbounded_ray(self, tol: float) -> bool:
-        """Whether widening the artificial bounds without end keeps the basic
-        columns within their real bounds.  The widening moves the point
-        along a ray that gains the reduced cost of each column it pushes, so
-        such a ray proves the LP unbounded."""
-        out = np.flatnonzero(self._at_artificial_bound())
-        r = -(self.Binv * (self.A[:, out] @ np.where(self.art_ub[out], 1.0, -1.0))).sum(axis=1)
-        lo = np.where(self.art_lb[self.basis], -np.inf, self.lb[self.basis])
-        hi = np.where(self.art_ub[self.basis], np.inf, self.ub[self.basis])
-        return not (((r < -tol) & np.isfinite(lo)) | ((r > tol) & np.isfinite(hi))).any()
 
     def _nonbasic_point(self) -> np.ndarray:
         x = np.where(self.direction < 0, self.ub, self.lb)
@@ -512,12 +480,8 @@ class _Simplex:
         row.  Basic values and reduced costs are updated at every pivot and
         recomputed every 100 pivots and before a verdict: an optimum (no
         violated row), kept only if its exact reduced costs are dual
-        feasible, or an infeasibility proof (no entering column).  A verdict
-        that rests on an artificial bound (an infeasibility proof whose row or
-        pivot row touches one, or an optimum where a column's reduced cost
-        pushes against one) widens the artificial bounds and goes on from the
-        same basis, unless widening them moves the point along an unbounded
-        ray.  At the cap either verdict becomes a numerical failure.
+        feasible, or an infeasibility proof (no entering column), whose row
+        of the inverse is kept as ``proof``.
         """
         primal_tol = 1e-9
         dual_tol = 1e-9
@@ -561,20 +525,13 @@ class _Simplex:
                     self._refresh()
                     exact = True
                     continue
-                if optimal:
-                    verdict, what = self._check_optimum(dual_tol), "optimum"
-                    artificial = verdict == UNBOUNDED and not self._has_unbounded_ray(primal_tol)
-                else:
-                    verdict, what, self.proof = INFEASIBLE, "infeasibility proof", rho
-                    leave = self.basis[r]
-                    artificial = ((self.art_lb[leave] if s > 0 else self.art_ub[leave])
-                                  or (self._at_artificial_bound()
-                                      & (np.abs(alpha) > piv_tol)).any())
-                if not artificial:
-                    return verdict
-                if self._widen(what):
-                    continue
-                return NUMERICAL_FAILURE
+                if not optimal:
+                    self.proof = rho
+                    return INFEASIBLE
+                d = self.d
+                dual_ok = not ((direction * d > dual_tol).any()
+                               or (np.abs(d[self.free]) > dual_tol).any())
+                return OPTIMAL if dual_ok else NUMERICAL_FAILURE
             s_alpha = s * alpha[cand]
             ratios = np.maximum(self.d[cand] / s_alpha, 0.0)
             t = ratios.min()
@@ -627,14 +584,6 @@ class _Simplex:
             self.iterations += 1
             exact = False
 
-    def _check_optimum(self, dual_tol: float) -> str:
-        d = self.d
-        if (self.direction * d > dual_tol).any() or (np.abs(d[self.free]) > dual_tol).any():
-            return NUMERICAL_FAILURE
-        if (self._at_artificial_bound() & (np.abs(d) > dual_tol)).any():
-            return UNBOUNDED
-        return OPTIMAL
-
 
 def _proves_infeasible(prob: LpProblem, A, b, ineq, y: np.ndarray) -> bool:
     """Whether y is a Farkas certificate for the rows ``A x + s = b`` over the
@@ -653,12 +602,21 @@ def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | N
 
     One phase from the all-logical basis, which every LP telab builds makes
     dual feasible.  It has no primal simplex, so ``prob.simplex`` does not
-    apply to it.  The optimum is clipped to the bounds, against round-off, and
-    an infeasible verdict kept only if ``_proves_infeasible`` accepts its row
-    of the inverse.  Returns a numerical failure, before allocating anything
-    m x m, when the dense basis inverse and the temporaries of one update
-    (24*m*m bytes) would pass ``DENSE_INVERSE_BUDGET_BYTES``.
+    apply to it, and no unbounded verdict.  The optimum is clipped to the
+    bounds, against round-off, and an infeasible verdict kept only if
+    ``_proves_infeasible`` accepts its row of the inverse.  Before allocating
+    anything m x m, it returns a numerical failure with 0 iterations for an
+    LP with no such start, one whose objective favours an infinite bound
+    (``c_j > 0``, ``upper = inf`` or ``c_j < 0``, ``lower = -inf``), and for
+    one whose dense basis inverse and the temporaries of one update (24*m*m
+    bytes) would pass ``DENSE_INVERSE_BUDGET_BYTES``.
     """
+    unstartable = ((c > 0) & (prob.upper == math.inf)) | ((c < 0) & (prob.lower == -math.inf))
+    if unstartable.any():
+        return (NUMERICAL_FAILURE, None, 0,
+                f"variable {prob.var_names[int(unstartable.argmax())]!r}: its objective "
+                "favours an infinite bound, which the bundled simplex cannot start from; "
+                "use the scipy backend")
     m = A.shape[0]
     if 24 * m * m > DENSE_INVERSE_BUDGET_BYTES:
         return (NUMERICAL_FAILURE, None, 0,
@@ -669,7 +627,7 @@ def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | N
     if status == INFEASIBLE and not _proves_infeasible(prob, A, b, ineq, sx.proof):
         return NUMERICAL_FAILURE, None, sx.iterations, "infeasibility proof failed re-check"
     if status != OPTIMAL:
-        return status, None, sx.iterations, sx.message or f"simplex ended with {status}"
+        return status, None, sx.iterations, f"simplex ended with {status}"
     x = sx.solution()[:prob.n_vars]
     np.clip(x, prob.lower, prob.upper, out=x)
     return OPTIMAL, x, sx.iterations, ""

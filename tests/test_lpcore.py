@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,7 +56,7 @@ def test_analytic_optimum():
 
 def test_contradictory_constraints_infeasible():
     p = LpProblem()
-    x = p.add_var("x")
+    x = p.add_var("x", 0.0, 10.0)
     p.add_constraint([(x, 1.0)], ">=", 2.0)
     p.add_constraint([(x, 1.0)], "<=", 1.0)
     p.set_objective([(x, 1.0)])
@@ -110,104 +111,95 @@ def test_constant_rows_are_decided_before_either_backend(backend, sense, rhs):
     assert (sol.status, sol.message) == (INFEASIBLE, "constant infeasible row")
 
 
-def test_unbounded_detected():
+def _lp(columns, rows, objective, maximize=True):
+    """An LP from (name, lb, ub) per column, (coefficients, sense, rhs) per row and c."""
     p = LpProblem()
-    x = p.add_var("x")
-    p.set_objective([(x, 1.0)])
-    assert solve(p).status == UNBOUNDED
-
-
-def test_unbounded_lp_with_rows_matches_highs():
-    # x starts at its artificial bound; y enters to restore x - y <= 1 and
-    # leaves x's reduced cost positive at that bound.
-    p = LpProblem()
-    x = p.add_var("x")
-    y = p.add_var("y")
-    p.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0)
-    p.add_constraint([(x, 1.0), (y, 1.0)], ">=", 2.0)
-    p.set_objective([(x, 1.0)])
-    assert [solve(p, backend).status for backend in ("bundled", "scipy")] == [UNBOUNDED] * 2
-
-
-def _max_x(*rows):
-    p = LpProblem()
-    x = p.add_var("x")
-    for sense, rhs in rows:
-        p.add_constraint([(x, 1.0)], sense, rhs)
-    p.set_objective([(x, 1.0)])
+    p.add_vars(*(list(bounds) for bounds in zip(*columns)))
+    for coeffs, sense, rhs in rows:
+        p.add_constraint(list(enumerate(coeffs)), sense, rhs)
+    p.set_objective(list(enumerate(objective)), maximize)
     return p
 
 
-@pytest.mark.parametrize("rows,status,objective", [
-    ([("<=", 5e7)], OPTIMAL, 5e7),                 # binds past the artificial bound
-    ([(">=", 2e7), ("<=", 3e7)], OPTIMAL, 3e7),    # violated row needs x past it
-    ([(">=", 2e7)], UNBOUNDED, None),
-    ([("<=", 5e12)], OPTIMAL, 5e12),               # just under the widening cap
-], ids=["le-5e7", "ge-2e7-le-3e7", "ge-2e7", "le-5e12"])
-def test_verdicts_resting_on_an_artificial_bound_match_highs(rows, status, objective):
-    bundled, highs = solve(_max_x(*rows), "bundled"), solve(_max_x(*rows), "scipy")
-    assert bundled.status == highs.status == status
-    if objective is not None:
-        assert bundled.objective == highs.objective == objective
+X = [("x", 0.0, math.inf)]
+# LPs whose objective favours an infinite bound, with the variable the bundled
+# simplex names and HiGHS's verdict.
+FAVOURED_INFINITE_BOUND = {
+    "no-rows": (_lp(X, [], [1.0]), "x", UNBOUNDED, None),
+    # x - y <= 1 and x + y >= 2: x rises with y without end.
+    "rows": (_lp([("x", 0.0, math.inf), ("y", 0.0, math.inf)],
+                 [([1.0, -1.0], "<=", 1.0), ([1.0, 1.0], ">=", 2.0)], [1.0]),
+             "x", UNBOUNDED, None),
+    # Neither column can rise alone (each row blocks it), but both rise together.
+    "two-columns": (_lp([("a", 0.0, math.inf), ("b", 0.0, math.inf)],
+                        [([1.0, -1.0], "<=", 1.0), ([-1.0, 1.0], "<=", 1.0)], [1.0, 1.0]),
+                    "a", UNBOUNDED, None),
+    "le-5e7": (_lp(X, [([1.0], "<=", 5e7)], [1.0]), "x", OPTIMAL, 5e7),
+    "ge-2e7-le-3e7": (_lp(X, [([1.0], ">=", 2e7), ([1.0], "<=", 3e7)], [1.0]), "x", OPTIMAL, 3e7),
+    "ge-2e7": (_lp(X, [([1.0], ">=", 2e7)], [1.0]), "x", UNBOUNDED, None),
+    "le-5e12": (_lp(X, [([1.0], "<=", 5e12)], [1.0]), "x", OPTIMAL, 5e12),
+    "le-5e14": (_lp(X, [([1.0], "<=", 5e14)], [1.0]), "x", OPTIMAL, 5e14),
+    "ge-2e14": (_lp(X, [([1.0], ">=", 2e14)], [1.0]), "x", UNBOUNDED, None),
+    # Minimizing y over (-inf, 0] favours its infinite lower bound; x's is finite.
+    "min-y": (_lp([("x", 0.0, 1.0), ("y", -math.inf, 0.0)], [([1.0, 1.0], "<=", 1.0)],
+                  [-1.0, 1.0], maximize=False), "y", UNBOUNDED, None),
+}
 
 
-def test_unbounded_ray_moving_two_artificial_columns_together():
-    # Neither column alone can leave its artificial bound (each row blocks
-    # it), but widening moves both and keeps every row: an unbounded ray.
-    p = LpProblem()
-    a = p.add_var("a")
-    b = p.add_var("b")
-    p.add_constraint([(a, 1.0), (b, -1.0)], "<=", 1.0)
-    p.add_constraint([(a, -1.0), (b, 1.0)], "<=", 1.0)
-    p.set_objective([(a, 1.0), (b, 1.0)])
-    assert [solve(p, backend).status for backend in ("bundled", "scipy")] == [UNBOUNDED] * 2
+@pytest.mark.parametrize("case", FAVOURED_INFINITE_BOUND.values(), ids=FAVOURED_INFINITE_BOUND)
+def test_bundled_refuses_an_lp_that_favours_an_infinite_bound(case, monkeypatch):
+    prob, name, status, objective = case
 
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("the dense basis inverse was allocated")
 
-@pytest.mark.parametrize("rows,message", [
-    ([("<=", 5e14)], "optimum rests on an artificial bound"),
-    ([(">=", 2e14)], "infeasibility proof rests on an artificial bound"),
-], ids=["le-5e14", "ge-2e14"])
-def test_verdicts_past_the_widening_cap_are_numerical_failures(rows, message):
-    # HiGHS finds an optimum and an unbounded LP; past ARTIFICIAL_BOUND_CAP
-    # the bundled simplex says it cannot tell rather than give a wrong status.
-    assert lpcore.ARTIFICIAL_BOUND_CAP < abs(rows[0][1])
-    sol = solve(_max_x(*rows), "bundled")
-    assert (sol.status, sol.message) == (NUMERICAL_FAILURE, message)
+    with monkeypatch.context() as patch:
+        patch.setattr(lpcore, "_Simplex", no_simplex)
+        bundled = solve(prob, "bundled")
+    assert (bundled.status, bundled.iterations, bundled.values) == (NUMERICAL_FAILURE, 0, None)
+    assert bundled.message == (f"variable {name!r}: its objective favours an infinite bound, "
+                               "which the bundled simplex cannot start from; "
+                               "use the scipy backend")
+    highs = solve(prob, "scipy")
+    assert highs.status == status
+    assert highs.objective == objective if objective is not None else math.isnan(highs.objective)
 
 
 def test_basic_values_are_refined_against_the_rounding_of_the_inverse():
-    # The unique point of three equalities with right-hand sides near 1e8:
-    # unrefined, row 0 misses its right-hand side by 4.8e-6 and fails the
-    # re-check.
+    # The unique point of three equalities with right-hand sides near 1e8,
+    # (-2.961e9, 2.755e9, -8.96e8), inside the bounds: unrefined, row 1
+    # misses its right-hand side by 3.1e-6 and fails the re-check.
     p = LpProblem()
-    x = [p.add_var("x0", -math.inf, math.inf), p.add_var("x1"),
-         p.add_var("x2", -math.inf, math.inf)]
+    x = [p.add_var("x0", -math.inf, 0.0), p.add_var("x1", 0.0, 3e9),
+         p.add_var("x2", -math.inf, 0.0)]
     p.add_constraint([(x[0], 2.0), (x[1], 3.0), (x[2], 3.0)], "=", -345e6)
     p.add_constraint([(x[1], 3.0), (x[0], 3.0), (x[2], -1.0)], "=", 278e6)
     p.add_constraint([(x[0], -1.0), (x[1], -2.0), (x[2], -3.0)], "=", 139e6)
-    p.set_objective([(x[0], 1.0), (x[1], 2.0), (x[2], -1.0)])
+    p.set_objective([(x[0], 1.0), (x[1], 2.0), (x[2], 1.0)])
     bundled, highs = solve(p, "bundled"), solve(p, "scipy")
     assert bundled.status == highs.status == OPTIMAL
     assert bundled.objective == pytest.approx(highs.objective, rel=1e-12)
 
 
 def test_bounded_lp_with_free_columns_matches_highs():
-    # x and w are free with a nonzero cost (artificial bounds at the start),
-    # z is free with none (nonbasic at 0); all three end up basic.
+    # x, w and z are free with no cost (nonbasic at 0 at the start) and t,
+    # which carries the cost, is bounded by x - w; all four end up basic.
     p = LpProblem()
     x = p.add_var("x", -math.inf, math.inf)
     w = p.add_var("w", -math.inf, math.inf)
     z = p.add_var("z", -math.inf, math.inf)
     y = p.add_var("y", 0.0, 4.0)
+    t = p.add_var("t", -math.inf, 100.0)
     p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 3.0)
     p.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0)
     p.add_constraint([(z, 1.0), (x, -1.0)], "=", 0.0)
     p.add_constraint([(w, 1.0), (z, 1.0)], ">=", -4.0)
-    p.set_objective([(x, 1.0), (w, -1.0)])
+    p.add_constraint([(t, 1.0), (x, -1.0), (w, 1.0)], "<=", 0.0)
+    p.set_objective([(t, 1.0)])
     bundled, highs = solve(p, "bundled"), solve(p, "scipy")
     assert bundled.status == highs.status == OPTIMAL
     assert bundled.objective == pytest.approx(highs.objective, rel=1e-12) == 8.0
-    np.testing.assert_allclose(bundled.values, [2.0, -6.0, 2.0, 1.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bundled.values, [2.0, -6.0, 2.0, 1.0, 8.0], rtol=0, atol=1e-12)
 
 
 def test_degenerate_redundant_rows_terminate():
@@ -250,6 +242,10 @@ def test_problem_validation():
         with pytest.raises(ValidationError, match=f"constraint '{name}': right-hand side"):
             p.add_rows(sp.csr_matrix((2, 1)), "<=", [1.0, math.inf],
                        "s{1}_q{0}", alive=[[True], [False]], live=live)
+    # A names format is tried on one cell when its block is added.
+    for names in ("r{2}", "r{q}", "r{0}x{"):
+        with pytest.raises(ValidationError, match=f"row names format '{re.escape(names)}': "):
+            p.add_rows(sp.csr_matrix([[1.0]]), "<=", [1.0], names)
     with pytest.raises(ValidationError):
         solve(p, backend="nope")
     assert LpProblem().simplex == "dual"
@@ -579,11 +575,13 @@ print(sol.iterations)
 
 
 def _dense_lp(m=40, n=60, seed=3):
-    """Positive dense rows: every entering column is nonzero in most rows."""
+    """Positive dense rows: every entering column is nonzero in most rows.
+    Each column's upper bound, 20, is one its rows imply (coefficients of at
+    least 0.1, right-hand sides of at most 2)."""
     rng = np.random.default_rng(seed)
     p = LpProblem()
     for j in range(n):
-        p.add_var(f"x{j}")
+        p.add_var(f"x{j}", 0.0, 20.0)
     p.add_rows(rng.uniform(0.1, 1.0, (m, n)), "<=", rng.uniform(1.0, 2.0, m),
                [f"r{i}" for i in range(m)])
     p.set_objective([(j, float(c)) for j, c in enumerate(rng.uniform(0.5, 1.0, n))])
@@ -614,7 +612,7 @@ def test_slack_start_is_dual_feasible_without_artificial_bounds(b4_topo, b4_tm, 
     else:
         prob = _calibrated_b4_lp(b4_topo, b4_tm, lp, "fixed:5", 1.0)
     sx = _simplex(prob)
-    assert not (sx.art_ub | sx.art_lb).any()
+    assert not (((sx.c > 0) & np.isinf(sx.ub)) | ((sx.c < 0) & np.isinf(sx.lb))).any()
     assert sx.basis.tolist() == list(range(sx.n, sx.n + sx.m))
     assert (sx.d[sx.direction > 0] <= 0).all()  # at a lower bound, may rise
     assert (sx.d[sx.direction < 0] >= 0).all()  # at an upper bound, may fall

@@ -30,8 +30,8 @@ from telab import (
 )
 from telab import lpcore
 from telab.demands import tm_to_json
-from telab.lpcore import (BACKENDS, OPTIMAL, LpProblem, _Simplex, _standardize,
-                          check_feasibility, solve)
+from telab.lpcore import (BACKENDS, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, _Simplex,
+                          _standardize, check_feasibility, solve)
 from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import TeSolution
 from telab.tunnels import surviving_tunnels
@@ -316,7 +316,9 @@ def lps_with_points(draw):
 def mixed_lps(draw):
     """A seeded LP over free, half-bounded, boxed and fixed columns, with <=, >=
     and = rows whose right-hand sides are of order 1: most rows hold at a point
-    inside the bounds, some by a margin that may be negative."""
+    inside the bounds, some by a margin that may be negative.  No column's
+    objective favours an infinite bound: in maximizing form a column with no
+    upper bound has c <= 0, one with no lower bound c >= 0, a free one c = 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     prob = LpProblem()
@@ -334,7 +336,13 @@ def mixed_lps(draw):
         rhs = A[i] @ point + (-margin if sense == ">=" else margin)
         prob.add_rows(A[i:i + 1], str(sense), [rhs], [f"r{i}"])
     c = rng.choice([-2.0, -1.0, 0.0, 1.0, 1.5], n)
-    prob.set_objective([(j, float(v)) for j, v in enumerate(c)], maximize=bool(rng.random() < 0.5))
+    maximize = bool(rng.random() < 0.5)
+    sign = 1.0 if maximize else -1.0  # c in maximizing form is sign * c
+    no_lb, no_ub = np.isinf(prob.lower), np.isinf(prob.upper)
+    c[no_lb] = sign * np.abs(c[no_lb])
+    c[no_ub] = -sign * np.abs(c[no_ub])
+    c[no_lb & no_ub] = 0.0
+    prob.set_objective([(j, float(v)) for j, v in enumerate(c)], maximize=maximize)
     return prob
 
 
@@ -348,19 +356,25 @@ def lp_from(bounds, rows, objective, maximize=True):
     return prob
 
 
+@pytest.mark.parametrize("prob,status", [
+    # Unbounded, and HiGHS's presolve calls it infeasible under either simplex strategy.
+    (lp_from([(-np.inf, np.inf), (-1, np.inf), (0, np.inf), (-4, 3), (-3, 3)],
+             [([-1, -2, 3, 1, 3], "<=", 5.5), ([-1, -2, 0, -2, 3], ">=", -6.8),
+              ([3, 0, 3, 3, 1], "<=", -3.2)], [0, 1, -1, 1, 1]), UNBOUNDED),
+    # Infeasible, and HiGHS without its presolve ends in a solve error.
+    (lp_from([(-np.inf, 1), (-np.inf, -1), (0, np.inf), (-4, 2), (-1, 4), (-np.inf, 2)],
+             [([1, 1, 3, -2, 3, -1], "<=", -8209385979.323227),
+              ([-1, 3, 3, -2, 3, 3], ">=", 1584211778.2755697),
+              ([0, 0, -1, -1, -2, 3], ">=", 2443202482.9406223),
+              ([0, -1, 3, 3, 1, -1], "<=", -12727173559.312784)],
+             [1, -1, -1, 0, 1, 2], maximize=False), INFEASIBLE),
+], ids=["presolve-says-infeasible", "retry-fails"])
+def test_highs_verdict_survives_its_presolve_retry(prob, status):
+    assert solve(prob, "scipy").status == status
+
+
 @settings(PROPERTY, max_examples=300)
 @given(mixed_lps())
-# Unbounded, and HiGHS's presolve calls it infeasible under either simplex strategy.
-@example(lp_from([(-np.inf, np.inf), (-1, np.inf), (0, np.inf), (-4, 3), (-3, 3)],
-                 [([-1, -2, 3, 1, 3], "<=", 5.5), ([-1, -2, 0, -2, 3], ">=", -6.8),
-                  ([3, 0, 3, 3, 1], "<=", -3.2)], [0, 1, -1, 1, 1]))
-# Infeasible, and HiGHS without its presolve ends in a solve error.
-@example(lp_from([(-np.inf, 1), (-np.inf, -1), (0, np.inf), (-4, 2), (-1, 4), (-np.inf, 2)],
-                 [([1, 1, 3, -2, 3, -1], "<=", -8209385979.323227),
-                  ([-1, 3, 3, -2, 3, 3], ">=", 1584211778.2755697),
-                  ([0, 0, -1, -1, -2, 3], ">=", 2443202482.9406223),
-                  ([0, -1, 3, 3, 1, -1], "<=", -12727173559.312784)],
-                 [1, -1, -1, 0, 1, 2], maximize=False))
 def test_bundled_agrees_with_highs_on_every_column_kind(prob):
     bundled, highs = solve(prob, "bundled"), solve(prob, "scipy")
     assert bundled.status == highs.status
