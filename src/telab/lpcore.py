@@ -593,7 +593,7 @@ def _proves_infeasible(prob: LpProblem, A, b, ineq, y: np.ndarray) -> bool:
     on = np.abs(g) > 1e-9
     lo, hi = np.r_[prob.lower, np.zeros(len(b))], np.r_[prob.upper, np.where(ineq, np.inf, 0.0)]
     least, most = np.sort(g[on] * [lo[on], hi[on]], axis=0).sum(axis=1)
-    return not least - FEASIBILITY_TOL <= y @ b <= most + FEASIBILITY_TOL
+    return not least - FEASIBILITY_TOL <= (y * b).sum() <= most + FEASIBILITY_TOL
 
 
 def bundled_simplex(prob: LpProblem, A, b, ineq, c) -> tuple[str, np.ndarray | None, int, str]:
@@ -684,7 +684,8 @@ def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
     the first import of scipy's solvers.  An optimal ``x`` is accepted only
     after direct substitution into the original rows and bounds succeeds;
     otherwise the status is downgraded to a numerical failure with the
-    violations listed.  The objective is ``prob.c @ x``.
+    violations listed.  The objective is ``prob.c @ x``, summed by numpy rather
+    than BLAS, so its bits do not depend on the CPU.
     """
     try:
         fn = BACKENDS[backend]
@@ -708,5 +709,5 @@ def solve(prob: LpProblem, backend: str = "bundled") -> LpSolution:
         if issues:
             status, x = NUMERICAL_FAILURE, None
             message = "solution failed feasibility re-check: " + "; ".join(issues[:5])
-    objective = float(prob.c @ x) if status == OPTIMAL else math.nan
+    objective = float((prob.c * x).sum()) if status == OPTIMAL else math.nan
     return LpSolution(status, objective, x, solve_time, iterations, message)

@@ -29,6 +29,10 @@ from telab.harness import RESULT_COLUMNS, TIMING_COLUMNS, ExperimentConfig, rows
 from telab.lpcore import BACKENDS, NUMERICAL_FAILURE, LpSolution, solve
 from conftest import DATA, make_tm, make_topology
 
+# The environment of a new interpreter that imports telab from this checkout.
+_paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in _paths if p)}
+
 
 # ---------------------------------------------------------------------------
 # calibration
@@ -630,12 +634,10 @@ def test_cli_sweep_overrides_reach_the_rows_and_the_manifest(tmp_path, capsys):
 def test_cli_entry_ends_quietly_when_stdout_is_closed():
     # ``telab solve ... | head -1``: the B4 TE document (about 88 kB) overfills
     # the pipe, so the write after the reader has gone fails.
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     with subprocess.Popen(
             [sys.executable, "-m", "telab.cli", "solve", "--topo", str(DATA / "b4.json"),
              "--tm", str(DATA / "b4_tm.json"), "--model", "te", "--backend", "scipy"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -905,3 +907,46 @@ def test_every_exported_name_resolves():
     bound = {name for name, value in vars(telab).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(telab.__all__) == bound | {"__version__"}
+
+
+def _fresh_interpreter(script: str) -> str:
+    """Standard output of ``script`` run by a new interpreter that imports
+    telab from this checkout."""
+    done = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_the_package_loads_a_layer_on_first_use():
+    submodules = ["cli", "demands", "errors", "harness", "lpcore", "metrics", "temodels",
+                  "topology", "tunnels"]
+    # the names perfbench/make_inputs.py writes its inputs with; then the CLI,
+    # whose namespace perfbench patches, imports every layer
+    loaded, with_cli = json.loads(_fresh_interpreter("""
+import json, sys
+import telab
+from telab import LognormalFit, fit_lognormal, generate_lognormal_tm, load_topology
+from telab.demands import load_tm, tm_to_json
+loaded = sorted(sys.modules)
+import telab.cli
+print(json.dumps([loaded, sorted(name for name in sys.modules if name.startswith("telab."))]))
+"""))
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    assert [f"telab.{layer}" for layer in ("tunnels", "lpcore", "temodels", "metrics", "harness")
+            if f"telab.{layer}" in loaded] == []
+    assert with_cli == [f"telab.{name}" for name in submodules]
+    # a bare import still lists every name and reaches every submodule, and *
+    # binds exactly __all__
+    unlisted, resolved, star = json.loads(_fresh_interpreter(f"""
+import json
+import telab
+unlisted = sorted({{*telab.__all__, *{submodules!r}}} - set(dir(telab)))
+resolved = [getattr(telab, name).__name__ for name in {submodules!r}]
+star = {{}}
+exec("from telab import *", star)
+print(json.dumps([unlisted, resolved, sorted(set(star) - {{"__builtins__"}})]))
+"""))
+    assert unlisted == []
+    assert resolved == [f"telab.{name}" for name in submodules]
+    assert star == sorted(telab.__all__)

@@ -554,6 +554,7 @@ def test_bundled_pivot_path_is_pinned_on_calibrated_b4(b4_topo, b4_tm, model, po
 def test_bundled_pivot_path_does_not_depend_on_the_blas_kernel(b4_topo, b4_tm, tmp_path):
     # When the simplex's products went through BLAS, OpenBLAS's SSE3 kernels
     # rounded them differently and this LP took 458 pivots instead of 483.
+    # The objective, taken as ``c @ x`` through BLAS, moved too with the same x.
     prob = _calibrated_b4_lp(b4_topo, b4_tm, "ffc", "fixed:5", 2.0)
     sol = solve(prob, "bundled")
     (tmp_path / "lp.pickle").write_bytes(pickle.dumps(prob))
@@ -563,14 +564,14 @@ import numpy as np
 from telab.lpcore import solve
 sol = solve(pickle.loads(open({str(tmp_path / "lp.pickle")!r}, "rb").read()), "bundled")
 np.save({str(tmp_path / "x.npy")!r}, sol.values)
-print(sol.iterations)
+print(sol.iterations, sol.objective.hex())
 """
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
            "OPENBLAS_CORETYPE": "Prescott"}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == sol.iterations
+    assert done.stdout.split() == [str(sol.iterations), sol.objective.hex()]
     assert np.load(tmp_path / "x.npy").tobytes() == sol.values.tobytes()
 
 
