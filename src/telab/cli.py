@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 missing input file,
+Exit codes: 0 success, 2 usage error (argparse), 3 a path that is missing
+or of the wrong kind (a directory given for a file, a file for a directory),
 4 schema or validation error, 5 verification found violations, 1 no optimum
 where one was required, a stdout closed by its reader, or anything else
 unexpected.
@@ -210,6 +211,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         print(f"error: file not found: {e.filename}", file=sys.stderr)
+        return EXIT_MISSING_FILE
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as e:
+        # never a broad OSError: cli_main_entry handles a BrokenPipeError
+        print(f"error: {e.strerror}: {e.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

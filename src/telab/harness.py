@@ -107,6 +107,7 @@ class ExperimentConfig:
         require(isinstance(self.models, list) and self.models
                 and all(m in MODELS for m in self.models),
                 f"models must be a nonempty subset of {MODELS}")
+        require(len(set(self.models)) == len(self.models), f"models repeat a value: {self.models}")
         require(isinstance(self.policies, list) and self.policies
                 and all(isinstance(p, str) for p in self.policies),
                 "policies must be a nonempty list of policy strings")
@@ -294,8 +295,11 @@ def _write_artifacts(cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "results.csv", rows_to_csv(rows))
-    _atomic_write(out / "results.json",
-                  json.dumps([r.as_record() for r in rows], indent=2))
+    records = [r.as_record() for r in rows]
+    for record in records:  # strict JSON has no NaN: a point without an optimum has none
+        if math.isnan(record["objective"]):
+            record["objective"] = None
+    _atomic_write(out / "results.json", json.dumps(records, indent=2, allow_nan=False))
     config_doc = asdict(cfg)
     manifest = {
         "seed": cfg.seed,

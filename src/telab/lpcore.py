@@ -39,13 +39,13 @@ builder's blocks hold every failure scenario so; any other block is one
 scenario in which no column dies.  Every model builder names a block's rows
 by one format over their (scenario, template row) cells, so a model with a
 million rows holds no string per row; only hand-built rows pass a list.
-``row_names`` and ``rows`` build a new list and a new stacked matrix on each
-call, for the tests; a solve reads neither.
+Nothing here stacks every literal row or lists every name: a solve never
+needs them, and the tests' views of them are in their oracles.
 
 A model builder may mark a row as implied by another row of the problem over
 the variable bounds; the mark is the whole presolve.  Both backends solve
 only the unmarked (working) rows, built straight from the templates, while
-``rows`` and the row count keep every literal row.  Every optimal solution is
+the row count keeps every literal row.  Every optimal solution is
 re-verified by direct substitution into all the original rows, a chunk of
 scenarios at a time, before ``solve`` returns it; the rows that fail at scale
 1 are rebuilt by ``_scenario_rows`` and tested at the scale their kept entries
@@ -143,13 +143,12 @@ class LpProblem:
 
     The columns are float64 arrays of length ``n_vars``: the bounds ``lower``
     and ``upper`` and the objective ``c``, which ``add_vars`` extends with
-    zeros.  The rows are a store of blocks, one per ``add_rows`` call (one
-    row: ``add_constraint``), each a rule (``_Block``) with one sense, its
-    builder's marks "implied by another row" and its names: a format from
-    every model builder, a list for hand-built rows.  ``row_names`` (a
-    list), ``rows`` and ``implied`` are made anew from the blocks on each
-    call and keep nothing.  ``simplex`` ("dual" or "primal") names the
-    simplex a backend that has both should run; ``solve`` checks it.
+    zeros.  The rows are a store of blocks, one per ``add_rows`` call, each
+    a rule (``_Block``) with one sense, its builder's marks "implied by
+    another row" and its names: a format from every model builder, a list
+    for hand-built rows.  The solve, the re-check and the row count read the
+    blocks in place.  ``simplex`` ("dual" or "primal") names the simplex a
+    backend that has both should run; ``solve`` checks it.
     """
 
     var_names: list[str] = field(default_factory=list)
@@ -167,12 +166,6 @@ class LpProblem:
     @property
     def n_constraints(self) -> int:
         return self._blocks[-1].start + self._blocks[-1].size if self._blocks else 0
-
-    @property
-    def row_names(self) -> list[str]:
-        """Every row's name, in row order, as a new list on each call."""
-        return [blk.name(q, i, j) for blk in self._blocks
-                for j, (q, i) in enumerate(zip(*(a.tolist() for a in np.nonzero(blk.live))))]
 
     def add_vars(self, names: list[str], lower, upper) -> int:
         """Append a block of variables; returns the index of the first."""
@@ -259,37 +252,6 @@ class LpProblem:
         template.resize((m, self.n_vars))
         self._blocks.append(blk)
         return blk.start
-
-    def add_constraint(
-        self,
-        coeffs: list[tuple[int, float]],
-        sense: str,
-        rhs: float,
-        name: str = "",
-    ) -> int:
-        """Append one row given as (column, coefficient) pairs."""
-        cols, vals = zip(*coeffs) if coeffs else ((), ())
-        row = sp.csr_matrix((np.array(vals, dtype=float), np.array(cols, dtype=np.int64),
-                             [0, len(cols)]), shape=(1, self.n_vars))
-        return self.add_rows(row, sense, [rhs], [name])
-
-    def rows(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """Every constraint row, built and stacked anew: (CSR matrix over all
-        variables, senses, rhs)."""
-        blocks = self._blocks
-        return (sp.vstack([sp.csr_matrix((0, self.n_vars))]
-                          + [_scenario_rows(b.template, b.alive, b.live) for b in blocks],
-                          format="csr"),
-                np.repeat(np.array([b.sense for b in blocks], dtype="<U2"),
-                          [b.size for b in blocks]),
-                np.concatenate([np.zeros(0)]
-                               + [np.broadcast_to(b.rhs, b.live.shape)[b.live] for b in blocks]))
-
-    @property
-    def implied(self) -> np.ndarray:
-        """Per row: marked by its builder as implied by another row."""
-        return np.concatenate([np.zeros(0, dtype=bool)]
-                              + [b.implied[b.live] for b in self._blocks])
 
     def set_objective(self, coeffs: list[tuple[int, float]], maximize: bool = True) -> None:
         """Set ``c`` from (column, coefficient) pairs, summing a repeated column's."""

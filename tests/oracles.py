@@ -5,8 +5,11 @@ basic feasible points directly, the path oracle enumerates every simple path
 by DFS, the Yen oracle runs a full Dijkstra for every spur, and the
 calibration oracle bisects over full TE solves instead of solving the
 min-max-utilization LP.  The first two are exponential and only meant for
-tiny instances.  ``write_lp_text`` renders a whole LP as text, so tests can
-compare two problems and pin a model by the digest of its text.
+tiny instances.  ``rows``, ``row_names`` and ``implied`` are literal-row
+views of an ``LpProblem``, built anew from its blocks on each call, and
+``add_constraint`` appends one hand-written row.  ``write_lp_text`` renders
+a whole LP as text, so tests can compare two problems and pin a model by the
+digest of its text.
 """
 from __future__ import annotations
 
@@ -17,9 +20,48 @@ import numpy as np
 import scipy.sparse as sp
 
 from telab import ValidationError, build_te_lp, scale_capacities
-from telab.lpcore import OPTIMAL, LpProblem, solve
+from telab.lpcore import OPTIMAL, LpProblem, _scenario_rows, solve
 from telab.temodels import _implied_delivery
 from telab.tunnels import surviving_tunnels
+
+
+def add_constraint(
+    prob: LpProblem,
+    coeffs: list[tuple[int, float]],
+    sense: str,
+    rhs: float,
+    name: str = "",
+) -> int:
+    """Append one row given as (column, coefficient) pairs."""
+    cols, vals = zip(*coeffs) if coeffs else ((), ())
+    row = sp.csr_matrix((np.array(vals, dtype=float), np.array(cols, dtype=np.int64),
+                         [0, len(cols)]), shape=(1, prob.n_vars))
+    return prob.add_rows(row, sense, [rhs], [name])
+
+
+def rows(prob: LpProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Every constraint row, built and stacked anew: (CSR matrix over all
+    variables, senses, rhs)."""
+    blocks = prob._blocks
+    return (sp.vstack([sp.csr_matrix((0, prob.n_vars))]
+                      + [_scenario_rows(b.template, b.alive, b.live) for b in blocks],
+                      format="csr"),
+            np.repeat(np.array([b.sense for b in blocks], dtype="<U2"),
+                      [b.size for b in blocks]),
+            np.concatenate([np.zeros(0)]
+                           + [np.broadcast_to(b.rhs, b.live.shape)[b.live] for b in blocks]))
+
+
+def row_names(prob: LpProblem) -> list[str]:
+    """Every row's name, in row order, as a new list on each call."""
+    return [blk.name(q, i, j) for blk in prob._blocks
+            for j, (q, i) in enumerate(zip(*(a.tolist() for a in np.nonzero(blk.live))))]
+
+
+def implied(prob: LpProblem) -> np.ndarray:
+    """Per row: marked by its builder as implied by another row."""
+    return np.concatenate([np.zeros(0, dtype=bool)]
+                          + [b.implied[b.live] for b in prob._blocks])
 
 
 def combinations(m: int, k: int, chunk: int):
@@ -53,7 +95,7 @@ def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float
     n = prob.n_vars
     ineq_rows: list[tuple[np.ndarray, float]] = []
     eq_rows: list[tuple[np.ndarray, float]] = []
-    A, senses, rhss = prob.rows()
+    A, senses, rhss = rows(prob)
     for row, sense, rhs in zip(A.toarray(), senses, rhss):
         if sense == "<=":
             ineq_rows.append((row, rhs))
@@ -85,11 +127,11 @@ def vertex_enumeration_optimum(prob: LpProblem, feas_tol: float = 1e-7) -> float
     best: float | None = None
 
     for idx in combinations(len(nonzero), need, 20000):
-        rows = nonzero[idx]  # (k, need)
+        chosen = nonzero[idx]  # (k, need)
         mats = np.concatenate(
-            [np.broadcast_to(A_eq, (len(rows), n_eq, n)), A_in[rows]], axis=1)
+            [np.broadcast_to(A_eq, (len(chosen), n_eq, n)), A_in[chosen]], axis=1)
         rhs = np.concatenate(
-            [np.broadcast_to(b_eq, (len(rows), n_eq)), b_in[rows]], axis=1)
+            [np.broadcast_to(b_eq, (len(chosen), n_eq)), b_in[chosen]], axis=1)
         ok = np.abs(np.linalg.det(mats)) > 1e-9
         if not ok.any():
             continue
@@ -360,7 +402,7 @@ def row_implies(u, u_rhs, v, v_rhs, lower, upper):
 
 def le_rows(prob) -> tuple[np.ndarray, np.ndarray]:
     """Every row of an LP without equality rows, dense, with >= rows negated to <=."""
-    A, senses, rhs = prob.rows()
+    A, senses, rhs = rows(prob)
     assert not (senses == "=").any()
     flip = np.where(senses == ">=", -1.0, 1.0)
     return A.toarray() * flip[:, None], rhs * flip
@@ -368,7 +410,7 @@ def le_rows(prob) -> tuple[np.ndarray, np.ndarray]:
 
 def lp_rows(prob) -> list[tuple]:
     """The rows of an LpProblem in the same (name, coeffs, sense, rhs) form."""
-    (A, senses, rhs), names = prob.rows(), prob.row_names
+    (A, senses, rhs), names = rows(prob), row_names(prob)
     return [
         (names[i],
          tuple(zip(A.indices[A.indptr[i]:A.indptr[i + 1]].tolist(),
@@ -454,9 +496,9 @@ def write_lp_text(prob: LpProblem, lp_name: str = "lp") -> str:
     obj_terms = " ".join(term(j, prob.c[j], i == 0) for i, j in enumerate(np.flatnonzero(prob.c)))
     lines.append(f" obj: {obj_terms or '0'}")
     lines.append("Subject To")
-    A, senses, rhs = prob.rows()
+    A, senses, rhs = rows(prob)
     indptr, cols, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-    for i, (name, sense, b) in enumerate(zip(prob.row_names, senses.tolist(), rhs.tolist())):
+    for i, (name, sense, b) in enumerate(zip(row_names(prob), senses.tolist(), rhs.tolist())):
         body = " ".join(term(cols[k], vals[k], k == indptr[i])
                         for k in range(indptr[i], indptr[i + 1]))
         lines.append(f" {name or f'c{i}'}: {body or '0'} {sense} {num(b)}")

@@ -44,7 +44,7 @@ from telab.temodels import (
     solution_from_dict,
 )
 from conftest import DATA, make_tm, make_topology, random_te_instance
-from oracles import ksp_oracle, vertex_enumeration_optimum
+from oracles import ksp_oracle, rows, vertex_enumeration_optimum
 
 FIXED = "fixed:5"
 ADAPTIVE = "adaptive:3-4-5"
@@ -108,7 +108,7 @@ def test_criterion_01_lp_matches_vertex_enumeration():
         prob = model.problem
         if prob.n_vars > 8:
             continue
-        nonempty = int((np.diff(prob.rows()[0].indptr) > 0).sum())
+        nonempty = int((np.diff(rows(prob)[0].indptr) > 0).sum())
         finite_bounds = sum(1 for lo in prob.lower if math.isfinite(lo)) + sum(
             1 for hi in prob.upper if math.isfinite(hi))
         if math.comb(nonempty + finite_bounds, prob.n_vars) > 400_000:

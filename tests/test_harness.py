@@ -277,11 +277,14 @@ def test_results_json_records_equal_the_csv_cells(tmp_path, monkeypatch):
                            out_dir=str(tmp_path))
     run_experiment(cfg)
     header, *cells = list(csv.reader(io.StringIO((tmp_path / "results.csv").read_text())))
-    records = json.loads((tmp_path / "results.json").read_text())
+    records = json.loads((tmp_path / "results.json").read_text(),  # strict JSON: no NaN
+                         parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
     assert [r["status"] for r in records] == ["optimal", "error", "optimal", "optimal"]
     assert len(records) == len(cells)
     for record, row in zip(records, cells):
         assert list(record) == header == RESULT_COLUMNS
+        if record["objective"] is None:  # a point without an optimum: nan in the CSV
+            record["objective"] = math.nan
         assert [harness._format_cell(v) for v in record.values()] == row
 
 
@@ -539,6 +542,7 @@ def test_config_validation():
     {"capacity_scal": 0.5},  # unknown keys: a misspelt field is never silently dropped
     {"worker": 2},
     {"fit": {"mu": 1.0, "sigma": 0.4, "n_sample": 3}, "tm": None},
+    {"models": ["te", "te"]},  # would run every point twice
 ])
 def test_cli_sweep_rejects_mistyped_config_fields(tmp_path, capsys, field):
     doc = {"topology": str(DATA / "diamond.json"), "tm": str(DATA / "diamond_tm.json"),
@@ -890,6 +894,28 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                      "--solution", "no-dump.json"]) == 3
     assert capsys.readouterr().err == "error: file not found: no-dump.json\n"
 
+    # A path of the wrong kind: a directory for a file, or a file for a directory.
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    diamond = ["--topo", str(DATA / "diamond.json")]
+    solve_te = ["solve", *diamond, "--tm", str(DATA / "diamond_tm.json"), "--model", "te"]
+    config = _diamond_te_sweep(tmp_path)
+    for argv, why in [
+        (["solve", "--topo", str(tmp_path), "--tm", "x.json", "--model", "te"],
+         f"Is a directory: {tmp_path}"),
+        ([*solve_te, "--out", str(tmp_path)], f"Is a directory: {tmp_path}"),
+        (["gen-tm", *diamond, "--mu", "1", "--sigma", "1", "--out", str(tmp_path)],
+         f"Is a directory: {tmp_path}"),
+        (["verify", *diamond, "--solution", str(tmp_path)], f"Is a directory: {tmp_path}"),
+        (["sweep", "--config", str(tmp_path)], f"Is a directory: {tmp_path}"),
+        (["sweep", "--config", str(config), "--out", str(a_file)], f"File exists: {a_file}"),
+        (["solve", "--topo", str(a_file / "x.json"), "--tm", "x.json", "--model", "te"],
+         f"Not a directory: {a_file / 'x.json'}"),
+    ]:
+        assert cli_main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {why}\n"), argv
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc = cli_main(["solve", "--topo", str(bad), "--tm", str(bad), "--model", "te"])
@@ -950,3 +976,73 @@ print(json.dumps([unlisted, resolved, sorted(set(star) - {{"__builtins__"}})]))
     assert unlisted == []
     assert resolved == [f"telab.{name}" for name in submodules]
     assert star == sorted(telab.__all__)
+
+
+# Functions of src/telab that no command below reaches, each with the reason.
+UNREACHED_BY_COMMANDS = {
+    # the safety check on a bundled infeasible verdict; every command's LP is feasible
+    "lpcore._proves_infeasible",
+    # names a row only in an add_rows error or a failed re-check's message
+    "lpcore._Block.name",
+}
+
+
+def test_every_function_of_the_package_is_reached_by_a_command(tmp_path):
+    # Each command runs through the console entry point under a profiler that
+    # records every code object it enters; a function none of them reaches is
+    # code no user of telab runs, and belongs with the tests or nowhere.
+    dump, tm_out, sweep_out = tmp_path / "ffc.json", tmp_path / "tm.json", tmp_path / "sweep"
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "topology": str(DATA / "diamond.json"), "fit": {"mu": 1.0, "sigma": 0.5},
+        "capacity_scale": 0.8, "scales": [0.5, 1.0], "out_dir": str(sweep_out)}))
+    diamond = ["--topo", str(DATA / "diamond.json")]
+    diamond_tm = [*diamond, "--tm", str(DATA / "diamond_tm.json")]
+    commands = [
+        ["solve", *diamond_tm, "--model", "te"],
+        ["solve", *diamond_tm, "--model", "ffc", "--backend", "scipy",
+         "--capacity-mode", "normal-only", "--out", str(dump)],
+        ["verify", *diamond, "--solution", str(dump)],
+        ["calibrate", *diamond_tm],
+        ["calibrate", *diamond_tm, "--backend", "scipy"],
+        ["gen-tm", *diamond, "--mu", "1", "--sigma", "0.5"],
+        ["gen-tm", *diamond, "--mu", "1", "--sigma", "0.5", "--out", str(tm_out)],
+        ["fit-tm", "--topo", str(DATA / "b4.json"), "--tm", str(DATA / "b4_tm.json")],
+        ["sweep", "--config", str(config)],
+    ]
+    codes, unreached = json.loads(_fresh_interpreter(f"""
+import contextlib, inspect, io, json, sys
+from telab import cli, demands, errors, harness, lpcore, metrics, temodels, topology, tunnels
+
+defined = {{}}  # code object -> module.qualname, for every function the modules define
+for mod in (cli, demands, errors, harness, lpcore, metrics, temodels, topology, tunnels):
+    members = []
+    for obj in vars(mod).values():
+        if inspect.isfunction(obj):
+            members.append(obj)
+        elif inspect.isclass(obj) and obj.__module__ == mod.__name__:
+            for attr in vars(obj).values():
+                # a static or class method's function, a property's, a cached one's
+                for key in ("__func__", "fget", "func"):
+                    attr = getattr(attr, key, attr)
+                members.append(attr)
+    for fn in members:
+        code = getattr(fn, "__code__", None)
+        if code is not None and code.co_filename == mod.__file__:
+            defined[code] = mod.__name__.split(".")[-1] + "." + code.co_qualname
+
+reached = set()
+codes = []
+sys.setprofile(lambda frame, event, arg: event == "call" and reached.add(frame.f_code))
+for argv in {commands!r}:
+    sys.argv = ["telab", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.cli_main_entry()
+        except SystemExit as e:
+            codes.append(e.code)
+sys.setprofile(None)
+print(json.dumps([codes, sorted(name for code, name in defined.items() if code not in reached)]))
+"""))
+    assert codes == [0] * len(commands)
+    assert unreached == sorted(UNREACHED_BY_COMMANDS)

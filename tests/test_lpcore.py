@@ -35,14 +35,14 @@ from telab.lpcore import (
     check_feasibility,
     solve,
 )
-from oracles import vertex_enumeration_optimum, write_lp_text
+from oracles import add_constraint, implied, rows, vertex_enumeration_optimum, write_lp_text
 
 
 def simple_box_lp():
     p = LpProblem()
     x = p.add_var("x", 0, 1)
     y = p.add_var("y", 0, 1)
-    p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0, "cap")
+    add_constraint(p, [(x, 1.0), (y, 1.0)], "<=", 1.0, "cap")
     p.set_objective([(x, 1.0), (y, 1.0)])
     return p
 
@@ -57,8 +57,8 @@ def test_analytic_optimum():
 def test_contradictory_constraints_infeasible():
     p = LpProblem()
     x = p.add_var("x", 0.0, 10.0)
-    p.add_constraint([(x, 1.0)], ">=", 2.0)
-    p.add_constraint([(x, 1.0)], "<=", 1.0)
+    add_constraint(p, [(x, 1.0)], ">=", 2.0)
+    add_constraint(p, [(x, 1.0)], "<=", 1.0)
     p.set_objective([(x, 1.0)])
     assert solve(p).status == INFEASIBLE
 
@@ -67,13 +67,13 @@ def _infeasible_lp(kind):
     p = LpProblem()
     x, y = p.add_var("x", 1.0, 4.0), p.add_var("y", -math.inf, math.inf)
     if kind == "rows":  # x + y <= 1 and x + y >= 3
-        p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
-        p.add_constraint([(x, 1.0), (y, 1.0)], ">=", 3.0)
+        add_constraint(p, [(x, 1.0), (y, 1.0)], "<=", 1.0)
+        add_constraint(p, [(x, 1.0), (y, 1.0)], ">=", 3.0)
     elif kind == "bounds":  # x <= 0.5 against x >= 1
-        p.add_constraint([(x, 1.0)], "<=", 0.5)
+        add_constraint(p, [(x, 1.0)], "<=", 0.5)
     else:  # y = 2 x and y = x - 1 meet at x = -1, below x's lower bound
-        p.add_constraint([(y, 1.0), (x, -2.0)], "=", 0.0)
-        p.add_constraint([(y, 1.0), (x, -1.0)], "=", -1.0)
+        add_constraint(p, [(y, 1.0), (x, -2.0)], "=", 0.0)
+        add_constraint(p, [(y, 1.0), (x, -1.0)], "=", -1.0)
     p.set_objective([(x, 1.0)])
     return p
 
@@ -103,10 +103,10 @@ def test_bundled_infeasible_verdict_without_a_certificate_is_a_numerical_failure
 def test_constant_rows_are_decided_before_either_backend(backend, sense, rhs):
     p = LpProblem()
     x = p.add_var("x", 0, 1)
-    p.add_constraint([], "<=", 0.0, "always")  # an empty row that holds is dropped
+    add_constraint(p, [], "<=", 0.0, "always")  # an empty row that holds is dropped
     p.set_objective([(x, 1.0)])
     assert solve(p, backend).objective == 1.0
-    p.add_constraint([(x, 0.0)], sense, rhs, "never")  # a zero coefficient is no term
+    add_constraint(p, [(x, 0.0)], sense, rhs, "never")  # a zero coefficient is no term
     sol = solve(p, backend)
     assert (sol.status, sol.message) == (INFEASIBLE, "constant infeasible row")
 
@@ -116,7 +116,7 @@ def _lp(columns, rows, objective, maximize=True):
     p = LpProblem()
     p.add_vars(*(list(bounds) for bounds in zip(*columns)))
     for coeffs, sense, rhs in rows:
-        p.add_constraint(list(enumerate(coeffs)), sense, rhs)
+        add_constraint(p, list(enumerate(coeffs)), sense, rhs)
     p.set_objective(list(enumerate(objective)), maximize)
     return p
 
@@ -172,9 +172,9 @@ def test_basic_values_are_refined_against_the_rounding_of_the_inverse():
     p = LpProblem()
     x = [p.add_var("x0", -math.inf, 0.0), p.add_var("x1", 0.0, 3e9),
          p.add_var("x2", -math.inf, 0.0)]
-    p.add_constraint([(x[0], 2.0), (x[1], 3.0), (x[2], 3.0)], "=", -345e6)
-    p.add_constraint([(x[1], 3.0), (x[0], 3.0), (x[2], -1.0)], "=", 278e6)
-    p.add_constraint([(x[0], -1.0), (x[1], -2.0), (x[2], -3.0)], "=", 139e6)
+    add_constraint(p, [(x[0], 2.0), (x[1], 3.0), (x[2], 3.0)], "=", -345e6)
+    add_constraint(p, [(x[1], 3.0), (x[0], 3.0), (x[2], -1.0)], "=", 278e6)
+    add_constraint(p, [(x[0], -1.0), (x[1], -2.0), (x[2], -3.0)], "=", 139e6)
     p.set_objective([(x[0], 1.0), (x[1], 2.0), (x[2], 1.0)])
     bundled, highs = solve(p, "bundled"), solve(p, "scipy")
     assert bundled.status == highs.status == OPTIMAL
@@ -190,11 +190,11 @@ def test_bounded_lp_with_free_columns_matches_highs():
     z = p.add_var("z", -math.inf, math.inf)
     y = p.add_var("y", 0.0, 4.0)
     t = p.add_var("t", -math.inf, 100.0)
-    p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 3.0)
-    p.add_constraint([(x, 1.0), (y, -1.0)], "<=", 1.0)
-    p.add_constraint([(z, 1.0), (x, -1.0)], "=", 0.0)
-    p.add_constraint([(w, 1.0), (z, 1.0)], ">=", -4.0)
-    p.add_constraint([(t, 1.0), (x, -1.0), (w, 1.0)], "<=", 0.0)
+    add_constraint(p, [(x, 1.0), (y, 1.0)], "<=", 3.0)
+    add_constraint(p, [(x, 1.0), (y, -1.0)], "<=", 1.0)
+    add_constraint(p, [(z, 1.0), (x, -1.0)], "=", 0.0)
+    add_constraint(p, [(w, 1.0), (z, 1.0)], ">=", -4.0)
+    add_constraint(p, [(t, 1.0), (x, -1.0), (w, 1.0)], "<=", 0.0)
     p.set_objective([(t, 1.0)])
     bundled, highs = solve(p, "bundled"), solve(p, "scipy")
     assert bundled.status == highs.status == OPTIMAL
@@ -207,8 +207,8 @@ def test_degenerate_redundant_rows_terminate():
     x = p.add_var("x", 0, 10)
     y = p.add_var("y", 0, 10)
     for _ in range(4):
-        p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 5.0)
-    p.add_constraint([(x, 2.0), (y, 2.0)], "<=", 10.0)
+        add_constraint(p, [(x, 1.0), (y, 1.0)], "<=", 5.0)
+    add_constraint(p, [(x, 2.0), (y, 2.0)], "<=", 10.0)
     p.set_objective([(x, 1.0), (y, 2.0)])
     sol = solve(p)
     assert sol.status == OPTIMAL
@@ -221,11 +221,11 @@ def test_problem_validation():
         p.add_var("x", 2.0, 1.0)
     x = p.add_var("x")
     with pytest.raises(ValidationError):
-        p.add_constraint([(x + 1, 1.0)], "<=", 1.0)
+        add_constraint(p, [(x + 1, 1.0)], "<=", 1.0)
     with pytest.raises(ValidationError):
-        p.add_constraint([(x, 1.0)], "<<", 1.0)
+        add_constraint(p, [(x, 1.0)], "<<", 1.0)
     with pytest.raises(ValidationError):
-        p.add_constraint([(x, 1.0)], "<=", math.inf)
+        add_constraint(p, [(x, 1.0)], "<=", math.inf)
     with pytest.raises(ValidationError):
         p.set_objective([(7, 1.0)])
     with pytest.raises(ValidationError, match="non-finite coefficient"):
@@ -342,7 +342,7 @@ def _random_box_lp(rng):
         coeffs = [(int(j), float(rng.choice([-2.0, -1.0, 1.0, 2.0]))) for j in idx]
         sense = str(rng.choice(["<=", ">="]))
         rhs = float(np.round(rng.normal() * 4, 3))
-        p.add_constraint(coeffs, sense, rhs)
+        add_constraint(p, coeffs, sense, rhs)
     p.set_objective(
         [(j, float(rng.choice([-1.0, 1.0, 2.0]))) for j in range(n)],
         maximize=bool(rng.random() < 0.7),
@@ -414,8 +414,8 @@ def test_equality_rows():
     p = LpProblem()
     x = p.add_var("x", -5, 5)
     y = p.add_var("y", -5, 5)
-    p.add_constraint([(x, 1.0), (y, 1.0)], "=", -2.0)
-    p.add_constraint([(x, 1.0), (y, -1.0)], ">=", 1.0)
+    add_constraint(p, [(x, 1.0), (y, 1.0)], "=", -2.0)
+    add_constraint(p, [(x, 1.0), (y, -1.0)], ">=", 1.0)
     p.set_objective([(x, 1.0), (y, 1.0)], maximize=False)
     sol = solve(p)
     assert sol.status == OPTIMAL
@@ -452,10 +452,10 @@ def test_a_scenario_block_scales_each_row_by_the_coefficients_its_scenario_keeps
     p.add_rows(sp.csr_matrix([[3.0, 1.0], [-2.0, 0.0]]), "<=", [0.0, -1.0],
                "r{1}_q{0}", implied=[[False, False], [False, True]],
                alive=[[True], [False]], live=np.ones((2, 2), dtype=bool))
-    A, senses, rhs = p.rows()
+    A, senses, rhs = rows(p)
     assert A.toarray().tolist() == [[3.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     assert (senses.tolist(), rhs.tolist()) == (["<="] * 4, [0.0, -1.0, 0.0, -1.0])
-    assert p.implied.tolist() == [False, False, False, True]
+    assert implied(p).tolist() == [False, False, False, True]
     assert check_feasibility(p, np.array([0.0, 2e-6])) == [
         "row r1_q0: lhs 0.0 <= rhs -1.0 violated", "row r0_q1: lhs 2e-06 <= rhs 0.0 violated",
         "row r1_q1: lhs 0 <= rhs -1.0 violated"]
@@ -464,7 +464,7 @@ def test_a_scenario_block_scales_each_row_by_the_coefficients_its_scenario_keeps
 
 
 def test_add_rows_leaves_the_callers_block_intact():
-    # The LP keeps the block it is given; widening and stacking it for rows()
+    # The LP keeps the block it is given; widening and stacking it for rows(p)
     # must build new arrays, never write into the caller's.
     p = LpProblem()
     p.add_vars(["x", "y"], [0, 0], [1, 1])
@@ -472,7 +472,7 @@ def test_add_rows_leaves_the_callers_block_intact():
     before = [block.indptr.copy(), block.indices.copy(), block.data.copy()]
     p.add_rows(block, "<=", [1.0, 2.0], ["r0", "r1"])
     p.add_var("z", 0, 1)
-    A, _, _ = p.rows()
+    A, _, _ = rows(p)
     assert A.shape == (2, 3) and block.shape == (2, 2)
     for got, want in zip([block.indptr, block.indices, block.data], before):
         assert np.array_equal(got, want)

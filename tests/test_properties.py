@@ -36,6 +36,7 @@ from telab.metrics import criticality_scores, link_utilization
 from telab.temodels import TeSolution
 from telab.tunnels import surviving_tunnels
 from oracles import (
+    add_constraint,
     available_tunnels_oracle,
     calibrate_bisection_oracle,
     congestion_violations_oracle,
@@ -44,9 +45,12 @@ from oracles import (
     ffc_implied_oracle,
     ffc_lp_oracle,
     ffc_rows_oracle,
+    implied,
     le_rows,
     lp_rows,
     row_implies,
+    row_names,
+    rows,
     write_lp_text,
     yen_oracle,
 )
@@ -141,12 +145,12 @@ def test_one_pass_ffc_build_equals_the_per_scenario_build(inst, capacity_mode):
     prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
     want = ffc_lp_oracle(topo, tm, ts, scen, capacity_mode)
     assert write_lp_text(prob) == write_lp_text(want)
-    assert prob.implied.tolist() == want.implied.tolist()
+    assert implied(prob).tolist() == implied(want).tolist()
     assert prob.simplex == want.simplex
     # The oracle adds one plain block per scenario and kind, capacity then
     # delivery, whose template is its rows; prob holds two templates and
-    # their masks, and rows() builds every row from them.
-    _assert_stacks(prob.rows()[0], [blk.template for blk in want._blocks])
+    # their masks, and rows(prob) builds every row from them.
+    _assert_stacks(rows(prob)[0], [blk.template for blk in want._blocks])
 
 
 @PROPERTY
@@ -173,12 +177,12 @@ def test_recheck_from_the_templates_equals_the_recheck_of_the_literal_rows(inst,
 def test_ffc_marks_follow_the_rule_and_an_unmarked_row_implies_each(inst, capacity_mode):
     topo, tm, ts, scen = inst
     prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
-    assert prob.implied.tolist() == ffc_implied_oracle(topo, tm, ts, scen, capacity_mode)
+    assert implied(prob).tolist() == ffc_implied_oracle(topo, tm, ts, scen, capacity_mode)
     A, b = le_rows(prob)
     lower, upper = np.array(prob.lower), np.array(prob.upper)
-    kept = ~prob.implied
-    for v in np.flatnonzero(prob.implied):
-        assert row_implies(A[kept], b[kept], A[v], b[v], lower, upper).any(), prob.row_names[v]
+    kept = ~implied(prob)
+    for v in np.flatnonzero(implied(prob)):
+        assert row_implies(A[kept], b[kept], A[v], b[v], lower, upper).any(), row_names(prob)[v]
 
 
 @PROPERTY
@@ -189,7 +193,7 @@ def test_capacity_modes_give_the_same_working_rows(inst):
     for capacity_mode in ("all", "normal_only"):
         prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
         A, b, ineq = _standardize(prob)
-        working.append(([name for name, m in zip(prob.row_names, prob.implied) if not m],
+        working.append(([name for name, m in zip(row_names(prob), implied(prob)) if not m],
                         A.toarray().tolist(), b.tolist(), ineq.tolist()))
     assert working[0] == working[1]
 
@@ -305,7 +309,7 @@ def lps_with_points(draw):
         sense = draw(st.sampled_from(["<=", ">=", "="]))
         rhs = draw(st.sampled_from([0.0, -1.0, 1.0, 3.0]))
         name = draw(st.sampled_from(["", f"r{i}"]))
-        prob.add_constraint(coeffs, sense, rhs, name)
+        add_constraint(prob, coeffs, sense, rhs, name)
         rows.append((coeffs, sense, rhs, name))
     x = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1e-7, 2e-6, 1.0, 3.0, 5.0]),
                                min_size=n, max_size=n)))
@@ -416,7 +420,7 @@ def lp_with_point(n, rows, x):
     prob = LpProblem()
     prob.add_vars([f"x{j}" for j in range(n)], np.zeros(n), np.full(n, np.inf))
     for coeffs, sense, rhs, name in rows:
-        prob.add_constraint(coeffs, sense, rhs, name)
+        add_constraint(prob, coeffs, sense, rhs, name)
     return prob, rows, np.array(x, dtype=float)
 
 
@@ -495,11 +499,11 @@ def block_stores(draw):
 @given(block_stores())
 def test_a_block_store_reads_as_its_rows_in_one_block(case):
     blocks, single, x = case
-    names = blocks.row_names  # the list, format and empty blocks' names in turn
-    assert type(names) is list and names == single.row_names
+    names = row_names(blocks)  # the list, format and empty blocks' names in turn
+    assert type(names) is list and names == row_names(single)
     names[:] = ["edited"]  # a new list on each read: editing one leaves the LP alone
-    assert blocks.row_names == single.row_names != names
-    assert blocks.implied.tolist() == single.implied.tolist()
+    assert row_names(blocks) == row_names(single) != names
+    assert implied(blocks).tolist() == implied(single).tolist()
     assert check_feasibility(blocks, x) == check_feasibility(single, x)
     assert write_lp_text(blocks) == write_lp_text(single)
     got, want = _standardize(blocks), _standardize(single)

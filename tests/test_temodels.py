@@ -33,8 +33,8 @@ from telab.temodels import (
     solution_to_dict,
 )
 from conftest import make_tm, make_topology, random_te_instance, syn_topology
-from oracles import (ffc_implied_oracle, ffc_lp_oracle, path_arcs,
-                     vertex_enumeration_optimum, write_lp_text)
+from oracles import (add_constraint, ffc_implied_oracle, ffc_lp_oracle, implied, path_arcs,
+                     row_names, vertex_enumeration_optimum, write_lp_text)
 
 
 def two_node(capacity=10.0, demand=5.0):
@@ -101,9 +101,9 @@ def test_ffc_marks_keep_the_normal_row_of_an_unroutable_demand():
     ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(2))
     scen = enumerate_single_link_scenarios(topo)
     model = build_ffc_lp(topo, tm, ts, scen)
-    assert model.problem.implied.tolist() == ffc_implied_oracle(topo, tm, ts, scen, "all")
-    assert "del_f0_q0" in [name for name, m in zip(model.problem.row_names,
-                                                   model.problem.implied) if not m]
+    assert implied(model.problem).tolist() == ffc_implied_oracle(topo, tm, ts, scen, "all")
+    assert "del_f0_q0" in [name for name, m in zip(row_names(model.problem),
+                                                   implied(model.problem)) if not m]
     assert solve_model(model).delivered.tolist() == [0.0, 0.0]
 
 
@@ -120,7 +120,7 @@ def test_ffc_builder_rejects_an_unknown_mode_and_a_set_without_the_normal_state(
 def test_extract_requires_optimal():
     topo, tm, ts = two_node()
     model = build_te_lp(topo, tm, ts)
-    model.problem.add_constraint([(0, 1.0)], ">=", 1e9)
+    add_constraint(model.problem, [(0, 1.0)], ">=", 1e9)
     lp_sol = solve(model.problem)
     with pytest.raises(SolveError):
         extract_solution(lp_sol, model)
@@ -448,9 +448,9 @@ def test_ffc_row_name_rules_give_the_eager_names(request, instance, capacity_mod
     ts = build_tunnel_sets(topo, tm, FixedTunnelPolicy(4))
     scen = enumerate_single_link_scenarios(topo)
     prob = build_ffc_lp(topo, tm, ts, scen, capacity_mode).problem
-    want = list(ffc_lp_oracle(topo, tm, ts, scen, capacity_mode).row_names)
+    want = row_names(ffc_lp_oracle(topo, tm, ts, scen, capacity_mode))
     assert len(want) == prob.n_constraints
-    _check_name_view(prob.row_names, want)
+    _check_name_view(row_names(prob), want)
 
 
 def test_te_and_calibration_row_names(b4_topo, b4_tm):
@@ -459,7 +459,7 @@ def test_te_and_calibration_row_names(b4_topo, b4_tm):
             + [f"del_f{f}" for f in range(b4_tm.n)])
     for prob in (build_te_lp(b4_topo, b4_tm, ts).problem,
                  build_calibration_lp(b4_topo, b4_tm, ts)):
-        _check_name_view(prob.row_names, want)
+        _check_name_view(row_names(prob), want)
 
 
 def test_recheck_names_the_violated_rows_of_later_blocks(diamond_topo, diamond_tm):
@@ -473,7 +473,7 @@ def test_recheck_names_the_violated_rows_of_later_blocks(diamond_topo, diamond_t
     assert issues == ([f"row del_f0_q{q}: lhs -1.0 >= rhs 0.0 violated" for q in range(scen.shape[0])]
                       + [f"row {start}: lhs 0.0 >= rhs 1.0 violated",
                          "row late: lhs 0.0 >= rhs 2.0 violated"])
-    assert prob.row_names[start + 1] == "late"
+    assert row_names(prob)[start + 1] == "late"
 
 
 def _traced_peak_mb(fn) -> float:
